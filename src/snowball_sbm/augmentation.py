@@ -5,30 +5,34 @@ posterior, stratum memberships for the unsampled block, link counts for all
 unobserved pairs, then the conjugate Dirichlet/Beta parameter updates given
 the completed realization.
 
-Two state-size reductions keep a sweep at O(G^2) instead of O(N^2): the
+A sweep costs O(G^2), independent of the sample size, and of the cap on N
+unless the cap binds (then N is drawn from a grid over the truncated support).
+The sample enters only through its sufficient statistics
+(:class:`~snowball_sbm.sampling.SampleStats`), computed once per chain. The
 unsampled units' strata are exchangeable given the sample, so a multinomial
-count vector replaces per-unit labels; and the parameter posteriors consume
-only link counts and pair totals, so unobserved links are drawn as binomial
-pair counts rather than materialized edges. Both substitutions are
+count vector replaces per-unit labels; the parameter posteriors consume only
+link counts and pair totals, so unobserved links are drawn as binomial pair
+counts rather than materialized edges; and N is drawn as a truncated
+negative binomial (see :func:`draw_population_size`). All three are
 distribution-exact.
 """
 
 import logging
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
-from scipy.special import softmax
+from scipy.special import betainc
 
 from .likelihoods import escape_probability, stratum_escape_log_weights
 from .logmath import log_binom
-from .sampling import IgnoredData
+from .sampling import IgnoredData, SampleStats
 from .sbm import (
     SbmParams,
     SufficientCounts,
     ValidationError,
     _freeze,
+    beta_matrix_from_upper,
     pair_totals_from_counts,
     upper_indices,
 )
@@ -73,84 +77,87 @@ class McmcConfig:
         return cap
 
 
-@lru_cache(maxsize=64)
-def _log_binom_support(n0: int, n1: int, cap: int) -> np.ndarray:
-    """log C(n - n0, n1) over the truncated support n0+n1..cap (read-only)."""
-    n_grid = np.arange(n0 + n1, cap + 1, dtype=np.int64)
-    vals = log_binom(n_grid - n0, n1)
-    return _freeze(vals)
-
-
 def population_size_log_weights(n0: int, n1: int, log_one_minus_p: float, cap: int):
     """Unnormalized log posterior of N on its truncated support.
 
     Returns ``(support, log_weights)``. The weight at N is
     C(N - n0, n1) * (1 - p)^(N - n0 - n1); in terms of the excess
     M = N - n0 - n1 this is a negative-binomial kernel with n1 + 1 successes
-    at success probability p, truncated at the cap.
+    at success probability p, truncated at the cap. Requires 1 - p > 0.
     """
     support = np.arange(n0 + n1, cap + 1, dtype=np.int64)
     excess = np.arange(support.size, dtype=np.float64)
-    if np.isneginf(log_one_minus_p):
-        tail = np.full(support.size, -np.inf)
-        tail[0] = 0.0
-    else:
-        tail = excess * log_one_minus_p
-    return support, _log_binom_support(n0, n1, cap) + tail
+    return support, log_binom(support - n0, n1) + excess * log_one_minus_p
 
 
 def draw_population_size(
-    data: IgnoredData,
+    stats: SampleStats,
     params: SbmParams,
     cfg: McmcConfig,
     rng: np.random.Generator,
     size: int | None = None,
 ):
-    """Draw N from its posterior given the label-free data and current params.
+    """Draw N from its posterior given the sample statistics and current params.
 
-    Vectorized over ``size`` draws (inverse CDF on the truncated support);
-    with ``size=None`` a single int is returned.
+    The excess M = N - n0 - n1 is NB(n1 + 1, p) truncated at
+    K = cap - n0 - n1. While the mass above K is below one half, M comes
+    from ``rng.negative_binomial`` and only draws above K are redrawn (under
+    two tries each on average); otherwise, and when p = 0, from the inverse
+    CDF on the grid 0..K, where rejection could take unboundedly long. Both
+    paths draw from the same truncated law, so cap hits stay exact.
+    Vectorized over ``size`` draws; with ``size=None`` a single int is
+    returned.
     """
-    cap = cfg.effective_cap(data.n_sampled)
-    escape = escape_probability(data.strata_s0, params)
-    support, log_w = population_size_log_weights(
-        data.n0, data.n1, escape.log_one_minus_p, cap
-    )
-    weights = np.exp(log_w - log_w.max())
-    cdf = np.cumsum(weights)
-    u = rng.random(size=size) * cdf[-1]
-    idx = np.searchsorted(cdf, u, side="right")
-    drawn = support[np.minimum(idx, support.size - 1)]
-    return int(drawn) if size is None else drawn
+    n_sampled = stats.n_sampled
+    cap = cfg.effective_cap(n_sampled)
+    escape = escape_probability(stats.strata_s0, params)
+    if escape.one_minus_p == 0.0:
+        return n_sampled if size is None else np.full(size, n_sampled, dtype=np.int64)
+    successes, k_max = stats.n1 + 1, cap - n_sampled
+    p = -math.expm1(escape.log_one_minus_p)
+    shape = 1 if size is None else size
+    if p > 0.0 and betainc(successes, k_max + 1, p) > 0.5:
+        excess = rng.negative_binomial(successes, p, shape)
+        over = np.flatnonzero(excess > k_max)
+        while over.size:
+            excess[over] = rng.negative_binomial(successes, p, over.size)
+            over = over[excess[over] > k_max]
+    else:
+        _, log_w = population_size_log_weights(stats.n0, stats.n1, escape.log_one_minus_p, cap)
+        cdf = np.cumsum(np.exp(log_w - log_w.max()))
+        excess = np.minimum(np.searchsorted(cdf, rng.random(shape) * cdf[-1], side="right"), k_max)
+    drawn = n_sampled + excess
+    return int(drawn[0]) if size is None else drawn
 
 
-def imputation_probabilities(data: IgnoredData, params: SbmParams) -> np.ndarray:
+def imputation_probabilities(stats: SampleStats, params: SbmParams) -> np.ndarray:
     """Stratum distribution of one unsampled unit given the observed data.
 
     Proportional to lambda_k times the probability of avoiding every
     initial-sample member; identical for all unsampled units.
     """
-    counts = data.strata_counts_s0(params.n_strata)
-    log_w = stratum_escape_log_weights(counts, params)
-    if np.all(np.isneginf(log_w)):
+    log_w = stratum_escape_log_weights(stats.counts_s0, params)
+    top = log_w.max()
+    if top == -np.inf:
         raise ValidationError("inconsistent state: an unsampled unit cannot avoid the initial sample")
-    return softmax(log_w)
+    weights = np.exp(log_w - top)
+    return weights / weights.sum()
 
 
 def impute_strata(
-    data: IgnoredData, n: int, params: SbmParams, rng: np.random.Generator
+    stats: SampleStats, n: int, params: SbmParams, rng: np.random.Generator
 ) -> np.ndarray:
     """Impute strata for the N - n0 - n1 unsampled units, as counts per stratum."""
-    n_missing = n - data.n_sampled
+    n_missing = n - stats.n_sampled
     if n_missing < 0:
         raise ValidationError("population size below sampled count")
     if n_missing == 0:
         return np.zeros(params.n_strata, dtype=np.int64)
-    return rng.multinomial(n_missing, imputation_probabilities(data, params)).astype(np.int64)
+    return rng.multinomial(n_missing, imputation_probabilities(stats, params)).astype(np.int64)
 
 
 def impute_link_counts(
-    data: IgnoredData,
+    stats: SampleStats,
     n: int,
     strata_all_counts: np.ndarray,
     params: SbmParams,
@@ -166,8 +173,8 @@ def impute_link_counts(
     strata_all_counts = np.asarray(strata_all_counts, dtype=np.int64)
     if int(strata_all_counts.sum()) != n:
         raise ValidationError("stratum counts do not sum to the population size")
-    outside = strata_all_counts - data.strata_counts_s0(g)
-    if np.any(outside < data.strata_counts_s1(g)):
+    outside = strata_all_counts - stats.counts_s0
+    if (outside < stats.counts_s1).any():
         raise ValidationError("stratum counts inconsistent with the observed wave")
     totals = pair_totals_from_counts(outside)
     iu = upper_indices(g)
@@ -199,23 +206,17 @@ def draw_beta(counts: SufficientCounts, cfg: McmcConfig, rng: np.random.Generato
     a, b = beta_posterior_params(counts, cfg)
     g = counts.strata_counts.size
     iu = upper_indices(g)
-    draws = rng.beta(a[iu], b[iu])
-    beta = np.zeros((g, g))
-    beta[iu] = draws
-    beta.T[iu] = draws
-    return beta
+    return beta_matrix_from_upper(rng.beta(a[iu], b[iu]), g)
 
 
 def assemble_full_counts(
-    data: IgnoredData, strata_unsampled: np.ndarray, imputed_links: np.ndarray, g: int
+    stats: SampleStats, strata_unsampled: np.ndarray, imputed_links: np.ndarray
 ) -> SufficientCounts:
     """Sufficient counts of the completed realization: observed plus imputed."""
-    strata_counts = (
-        data.strata_counts_s0(g) + data.strata_counts_s1(g) + np.asarray(strata_unsampled, dtype=np.int64)
-    )
+    strata_counts = stats.counts_sampled + np.asarray(strata_unsampled, dtype=np.int64)
     return SufficientCounts(
         strata_counts=strata_counts,
-        link_counts=data.observed_link_counts(g) + np.asarray(imputed_links, dtype=np.int64),
+        link_counts=stats.link_counts + np.asarray(imputed_links, dtype=np.int64),
         pair_totals=pair_totals_from_counts(strata_counts),
     )
 
@@ -223,33 +224,23 @@ def assemble_full_counts(
 @dataclass(frozen=True)
 class AugmentedState:
     """One Gibbs state: current N, imputed stratum counts for the unsampled
-    block, imputed link counts, and current (lambda, beta)."""
+    block, imputed link counts, and current (lambda, beta). The arrays are
+    fresh each sweep and never written after the state is built."""
 
     n: int
     strata_unsampled: np.ndarray
     imputed_link_counts: np.ndarray
     params: SbmParams
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "strata_unsampled", _freeze(np.asarray(self.strata_unsampled, dtype=np.int64))
-        )
-        object.__setattr__(
-            self, "imputed_link_counts", _freeze(np.asarray(self.imputed_link_counts, dtype=np.int64))
-        )
 
-
-def initial_state(data: IgnoredData, g: int) -> AugmentedState:
+def initial_state(stats: SampleStats) -> AugmentedState:
     """Overdispersed-but-plausible start: sample stratum proportions, smoothed
     observed link fractions, and twice the sampled count for N."""
-    counts_s = data.strata_counts_s0(g) + data.strata_counts_s1(g)
-    lam0 = counts_s / data.n_sampled if data.n_sampled else np.full(g, 1.0 / g)
-    m_obs = data.observed_link_counts(g)
-    t_obs = data.observed_pair_totals(g)
-    beta0 = (m_obs + 1.0) / (t_obs + 2.0)
-    beta0 = np.minimum(np.maximum(beta0, 0.0), 1.0)
+    g = stats.n_strata
+    lam0 = stats.counts_sampled / stats.n_sampled if stats.n_sampled else np.full(g, 1.0 / g)
+    beta0 = (stats.link_counts + 1.0) / (stats.pair_totals + 2.0)
     return AugmentedState(
-        n=2 * data.n_sampled,
+        n=2 * stats.n_sampled,
         strata_unsampled=np.zeros(g, dtype=np.int64),
         imputed_link_counts=np.zeros((g, g), dtype=np.int64),
         params=SbmParams(lam=lam0, beta=beta0),
@@ -257,16 +248,14 @@ def initial_state(data: IgnoredData, g: int) -> AugmentedState:
 
 
 def gibbs_sweep(
-    state: AugmentedState, data: IgnoredData, cfg: McmcConfig, rng: np.random.Generator
+    state: AugmentedState, stats: SampleStats, cfg: McmcConfig, rng: np.random.Generator
 ) -> AugmentedState:
     """One full scan; sub-draws happen in a fixed order so the kernel is a
     well-defined Gibbs cycle."""
-    g = state.params.n_strata
-    n_new = draw_population_size(data, state.params, cfg, rng)
-    strata_un = impute_strata(data, n_new, state.params, rng)
-    all_counts = data.strata_counts_s0(g) + data.strata_counts_s1(g) + strata_un
-    imputed = impute_link_counts(data, n_new, all_counts, state.params, rng)
-    counts = assemble_full_counts(data, strata_un, imputed, g)
+    n_new = draw_population_size(stats, state.params, cfg, rng)
+    strata_un = impute_strata(stats, n_new, state.params, rng)
+    imputed = impute_link_counts(stats, n_new, stats.counts_sampled + strata_un, state.params, rng)
+    counts = assemble_full_counts(stats, strata_un, imputed)
     lam = draw_lambda(counts.strata_counts, cfg, rng)
     beta = draw_beta(counts, cfg, rng)
     return AugmentedState(
@@ -332,25 +321,25 @@ def run_chain(data: IgnoredData, cfg: McmcConfig, n_strata: int | None = None) -
     labels; pass it explicitly when the population has strata the sample
     missed. Fully deterministic given ``cfg.seed``.
     """
+    if data.n0 == 0:
+        raise ValidationError("empty initial sample (n0 = 0): the sample carries no information")
     g = n_strata if n_strata is not None else data.min_strata()
-    if data.n_sampled and data.min_strata() > g:
-        raise ValidationError("sample contains stratum labels outside 0..G-1")
-    cap = cfg.effective_cap(data.n_sampled)
+    stats = SampleStats.from_data(data, g)
+    cap = cfg.effective_cap(stats.n_sampled)
     rng = np.random.default_rng(cfg.seed)
-    state = initial_state(data, g)
+    state = initial_state(stats)
+    iu = upper_indices(g)
     length = cfg.chain_length
     n_draws = np.zeros(length, dtype=np.int64)
     lam_draws = np.zeros((length, g))
     beta_draws = np.zeros((length, g * (g + 1) // 2))
-    cap_hits = 0
     for it in range(length):
-        state = gibbs_sweep(state, data, cfg, rng)
+        state = gibbs_sweep(state, stats, cfg, rng)
         n_draws[it] = state.n
         lam_draws[it] = state.params.lam
-        beta_draws[it] = state.params.beta_upper()
-        if state.n == cap:
-            cap_hits += 1
+        beta_draws[it] = state.params.beta[iu]
     burn = int(length * cfg.burn_in_fraction)
+    cap_hits = int(np.count_nonzero(n_draws == cap))
     if cap_hits:
         logger.info("population-size cap %d hit %d times over %d sweeps", cap, cap_hits, length)
     return ChainTrace(

@@ -19,7 +19,7 @@ from . import io
 from .augmentation import McmcConfig, run_chain
 from .harness import run_study
 from .likelihoods import ignored_log_likelihood, observed_log_likelihood
-from .sampling import DesignConfig, draw_initial, to_ignored_data, trace_one_wave
+from .sampling import DesignConfig, SampleStats, draw_initial, to_ignored_data, trace_one_wave
 from .sbm import ValidationError, generate_population, mle_from_full_graph
 
 logger = logging.getLogger("snowball_sbm")
@@ -142,10 +142,12 @@ def cmd_simulate(args) -> int:
         cfg = dataclasses.replace(cfg, **overrides)
     summary = run_study(cfg)
     io.save_study_outputs(summary, args.out)
-    n_stats = summary.stats.get("N", {})
-    print(f"replicates: {summary.estimate_rows.shape[0]} completed, {len(summary.failures)} failed")
-    if n_stats:
-        print(f"mean N estimate: {n_stats['mean']:.1f} (true {summary.true_n})")
+    completed = summary.estimate_rows.shape[0]
+    print(f"replicates: {completed} completed, {len(summary.failures)} failed")
+    if not completed:
+        print(f"runtime error: no replicate completed; failures are listed in {args.out}", file=sys.stderr)
+        return EXIT_RUNTIME
+    print(f"mean N estimate: {summary.stats['N']['mean']:.1f} (true {summary.true_n})")
     return EXIT_OK
 
 
@@ -158,12 +160,16 @@ def cmd_profile(args) -> int:
         raise ValidationError(f"grid start {n_lo} below sampled count {data.n_sampled}")
     if n_hi < n_lo or step < 1:
         raise ValidationError("need n-max >= n-min and n-step >= 1")
+    try:
+        stats = SampleStats.from_data(data, params.n_strata)
+    except ValidationError as exc:
+        raise ValidationError(f"{args.sample}: {exc} (G = {params.n_strata} in {args.params})") from exc
     grid = range(n_lo, n_hi + 1, step)
     with open(args.out, "w", newline="\n") as fh:
         fh.write("N,observed_loglik,ignored_loglik\n")
         for n in grid:
-            obs = observed_log_likelihood(data, n, params)
-            ign = ignored_log_likelihood(data, n, params)
+            obs = observed_log_likelihood(stats, n, params)
+            ign = ignored_log_likelihood(stats, n, params)
             fh.write(f"{n},{obs!r},{ign!r}\n")
     return EXIT_OK
 

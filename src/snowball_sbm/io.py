@@ -13,7 +13,7 @@ import os
 import numpy as np
 
 from .augmentation import ChainTrace, McmcConfig
-from .harness import ClusterOverlay, StudyConfig, StudySummary
+from .harness import ClusterOverlay, StudyConfig, StudySummary, estimand_names
 from .sampling import DesignConfig, IgnoredData, SnowballSample
 from .sbm import PopulationGraph, SbmParams, ValidationError, validate_params
 
@@ -178,6 +178,8 @@ def load_sample(path: str):
     links = _require(doc, "links", path)
     if not (isinstance(n0, int) and isinstance(n1, int) and n0 >= 0 and n1 >= 0):
         raise ValidationError(f"{path}: n0 and n1 must be non-negative integers")
+    if n0 == 0:
+        raise ValidationError(f"{path}: empty initial sample (n0 = 0): the sample carries no information")
     if len(strata_s0) != n0 or len(strata_s1) != n1:
         raise ValidationError(f"{path}: stratum vectors must have lengths n0 and n1")
     if any(int(s) < 1 for s in strata_s0 + strata_s1):
@@ -209,10 +211,7 @@ def load_sample(path: str):
 # ------------------------------------------------------------ chain trace
 
 def trace_header(g: int) -> str:
-    cols = ["iter", "N"]
-    cols += [f"lambda_{k + 1}" for k in range(g)]
-    cols += [f"beta_{k + 1}_{l + 1}" for k in range(g) for l in range(k, g)]
-    return ",".join(cols)
+    return ",".join(["iter", *estimand_names(g)])
 
 
 def save_trace_csv(trace: ChainTrace, path: str):

@@ -9,11 +9,11 @@ to the last bit.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp, xlog1py, xlogy
+from scipy.special import xlog1py
 
 from .logmath import count_times_log, log_binom
-from .sampling import IgnoredData
-from .sbm import SbmParams, ValidationError, upper_indices
+from .sampling import SampleStats
+from .sbm import SbmParams, SufficientCounts, ValidationError, counts_log_likelihood
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,9 @@ def escape_probability(strata_s0, params: SbmParams) -> EscapeProbability:
     """Evaluate 1 - p = sum_k lambda_k prod_{i in S0} (1 - beta_{C_i,k})."""
     counts = np.bincount(np.asarray(strata_s0, dtype=np.int64), minlength=params.n_strata)
     log_weights = stratum_escape_log_weights(counts, params)
-    log_omp = min(float(logsumexp(log_weights)), 0.0)
+    top = log_weights.max()
+    log_omp = top if top == -np.inf else top + np.log(np.exp(log_weights - top).sum())
+    log_omp = min(float(log_omp), 0.0)
     return EscapeProbability(one_minus_p=float(np.exp(log_omp)), log_one_minus_p=log_omp)
 
 
@@ -58,46 +60,43 @@ def wave_inclusion_probability(strata_counts_s0, params: SbmParams) -> float:
     return float(np.sum(params.lam * -np.expm1(log_avoid)))
 
 
-def _sampled_block_log_terms(data: IgnoredData, params: SbmParams) -> float:
+def _sampled_block_log_terms(stats: SampleStats, params: SbmParams) -> float:
     """Stratum terms for all sampled units plus link terms for observed pairs."""
-    g = params.n_strata
-    counts_s = data.strata_counts_s0(g) + data.strata_counts_s1(g)
-    m = data.observed_link_counts(g)
-    t = data.observed_pair_totals(g)
-    iu = upper_indices(g)
-    ll = float(xlogy(counts_s, params.lam).sum())
-    ll += float(xlogy(m[iu], params.beta[iu]).sum())
-    ll += float(xlog1py((t - m)[iu], -params.beta[iu]).sum())
-    return ll
+    observed = SufficientCounts(
+        strata_counts=stats.counts_sampled,
+        link_counts=stats.link_counts,
+        pair_totals=stats.pair_totals,
+    )
+    return counts_log_likelihood(observed, params)
 
 
-def _check_support(data: IgnoredData, n: int):
-    if n < data.n_sampled:
+def _check_support(stats: SampleStats, n: int):
+    if n < stats.n_sampled:
         raise ValidationError(
-            f"population size {n} below sampled count {data.n_sampled} (support violation)"
+            f"population size {n} below sampled count {stats.n_sampled} (support violation)"
         )
 
 
-def observed_log_likelihood(data: IgnoredData, n: int, params: SbmParams) -> float:
+def observed_log_likelihood(stats: SampleStats, n: int, params: SbmParams) -> float:
     """Log-likelihood of the labeled sample at population size ``n``.
 
     Includes the design factor 1/C(n, n0) from conditioning on the initial
     sample size, so the value is monotonically decreasing in ``n``.
     """
-    _check_support(data, n)
-    escape = escape_probability(data.strata_s0, params)
-    tail = count_times_log(n - data.n_sampled, escape.log_one_minus_p)
-    return -float(log_binom(n, data.n0)) + _sampled_block_log_terms(data, params) + tail
+    _check_support(stats, n)
+    escape = escape_probability(stats.strata_s0, params)
+    tail = count_times_log(n - stats.n_sampled, escape.log_one_minus_p)
+    return -float(log_binom(n, stats.n0)) + _sampled_block_log_terms(stats, params) + tail
 
 
-def ignored_log_likelihood(data: IgnoredData, n: int, params: SbmParams) -> float:
+def ignored_log_likelihood(stats: SampleStats, n: int, params: SbmParams) -> float:
     """Log-likelihood of the sample pattern with unit labels ignored.
 
     The C(n - n0, n1) head term counts the ways the wave can sit inside the
     population, which is what makes this likelihood informative about ``n``.
     """
-    _check_support(data, n)
-    escape = escape_probability(data.strata_s0, params)
-    tail = count_times_log(n - data.n_sampled, escape.log_one_minus_p)
-    head = float(log_binom(n - data.n0, data.n1))
-    return head + _sampled_block_log_terms(data, params) + tail
+    _check_support(stats, n)
+    escape = escape_probability(stats.strata_s0, params)
+    tail = count_times_log(n - stats.n_sampled, escape.log_one_minus_p)
+    head = float(log_binom(n - stats.n0, stats.n1))
+    return head + _sampled_block_log_terms(stats, params) + tail

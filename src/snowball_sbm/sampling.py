@@ -128,7 +128,8 @@ class IgnoredData:
     units first, then wave units, each block ordered by original id at the
     time labels were dropped).
 
-    This object is the estimator's entire input.
+    This is the validated form of a sample that files hold; the estimator
+    reads it through :class:`SampleStats`.
     """
 
     strata_s0: np.ndarray
@@ -190,12 +191,58 @@ class IgnoredData:
         cross = onehot0.T @ self.links[:, self.n0 :].astype(np.int64) @ onehot1
         return symmetrize_block_counts(within + cross + cross.T)
 
-    def observed_pair_totals(self, g: int) -> np.ndarray:
-        """Pair totals whose link status the sample actually observed."""
-        c0 = self.strata_counts_s0(g)
-        c1 = self.strata_counts_s1(g)
-        cross = np.outer(c0, c1)
-        return pair_totals_from_counts(c0) + symmetrize_block_counts(cross + cross.T)
+
+@dataclass(frozen=True)
+class SampleStats:
+    """What the chain and the likelihoods read from a sample, for G strata.
+
+    The data enter the label-free posterior only through these: the block
+    sizes n0 and n1, the initial sample's labels (for the escape
+    probability), the stratum counts of both blocks, and the observed link
+    counts M and pair totals T per unordered stratum pair. Built once per
+    chain or likelihood profile with :meth:`from_data`.
+    """
+
+    n0: int
+    n1: int
+    strata_s0: np.ndarray
+    counts_s0: np.ndarray
+    counts_s1: np.ndarray
+    link_counts: np.ndarray
+    pair_totals: np.ndarray
+
+    def __post_init__(self):
+        for name in ("strata_s0", "counts_s0", "counts_s1", "link_counts", "pair_totals"):
+            object.__setattr__(self, name, _freeze(np.asarray(getattr(self, name), dtype=np.int64)))
+
+    @classmethod
+    def from_data(cls, data: IgnoredData, g: int) -> "SampleStats":
+        if data.min_strata() > g:
+            raise ValidationError("sample contains stratum labels outside 0..G-1")
+        c0, c1 = data.strata_counts_s0(g), data.strata_counts_s1(g)
+        cross = np.outer(c0, c1)  # observed pairs: within S0, plus S0 x wave
+        return cls(
+            n0=data.n0,
+            n1=data.n1,
+            strata_s0=data.strata_s0,
+            counts_s0=c0,
+            counts_s1=c1,
+            link_counts=data.observed_link_counts(g),
+            pair_totals=pair_totals_from_counts(c0) + symmetrize_block_counts(cross + cross.T),
+        )
+
+    @property
+    def n_sampled(self) -> int:
+        return self.n0 + self.n1
+
+    @property
+    def n_strata(self) -> int:
+        return self.counts_s0.size
+
+    @property
+    def counts_sampled(self) -> np.ndarray:
+        """Stratum counts over both sampled blocks."""
+        return self.counts_s0 + self.counts_s1
 
 
 def to_ignored_data(sample: SnowballSample) -> IgnoredData:

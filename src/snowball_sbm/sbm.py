@@ -5,6 +5,7 @@ all arrays here use the internal convention.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import xlog1py, xlogy
@@ -21,9 +22,15 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+@lru_cache(maxsize=16)
 def upper_indices(g: int):
-    """Row-major upper-triangle index pair (k <= l) for a G x G matrix."""
-    return np.triu_indices(g)
+    """Row-major upper-triangle index pair (k <= l) for a G x G matrix.
+
+    Cached because a Gibbs sweep indexes with it several times; the arrays
+    are read-only, so callers cannot alter the shared result.
+    """
+    rows, cols = np.triu_indices(g)
+    return _freeze(rows), _freeze(cols)
 
 
 def beta_matrix_from_upper(upper, g: int) -> np.ndarray:
@@ -153,7 +160,7 @@ class SufficientCounts:
         object.__setattr__(
             self, "pair_totals", _freeze(np.asarray(self.pair_totals, dtype=np.int64))
         )
-        if np.any(self.link_counts < 0) or np.any(self.link_counts > self.pair_totals):
+        if (self.link_counts < 0).any() or (self.link_counts > self.pair_totals).any():
             raise ValidationError("link counts exceed pair totals")
 
     @property

@@ -40,7 +40,7 @@ from snowball_sbm.logmath import log_binom
 from snowball_sbm.sampling import IgnoredData
 
 from test_augmentation import FRAC_BETA, FRAC_LAM, PARAMS_FRAC, brute_force_stratum_marginals
-from test_likelihoods import make_data
+from test_likelihoods import make_data, stats_of
 
 
 def report(criterion, detail):
@@ -74,9 +74,9 @@ def test_criterion_1_population_size_oracle():
         assert nbinom.sf(cap - n0 - n1, n1 + 1, p) < 1e-6  # cap tail is negligible
         beta = 1.0 - one_minus_p ** (1.0 / n0)
         params = SbmParams.from_upper([1.0], [beta])
-        data = synthetic_data(n0, n1)
+        stats = stats_of(synthetic_data(n0, n1), params)
         draws = draw_population_size(
-            data, params, McmcConfig(n_max_cap=cap), np.random.default_rng(trial), size=200_000
+            stats, params, McmcConfig(n_max_cap=cap), np.random.default_rng(trial), size=200_000
         )
         support = np.arange(n0 + n1, cap + 1)
         weights = np.array(
@@ -115,7 +115,7 @@ def test_criterion_2_stratum_imputation_oracle():
                 marginal, joint = brute_force_stratum_marginals(
                     data, n_total, FRAC_LAM, FRAC_BETA
                 )
-                probs = imputation_probabilities(data, PARAMS_FRAC)
+                probs = imputation_probabilities(stats_of(data, PARAMS_FRAC), PARAMS_FRAC)
                 for k in range(2):
                     assert abs(probs[k] - float(marginal[k])) < 1e-10, (
                         f"n0={n0} n1={n1} N={n_total} stratum {k}: "
@@ -136,14 +136,14 @@ def test_criterion_3_link_imputation_equivalence():
     chi-square per stratum pair."""
     start = time.time()
     params = SbmParams.from_upper([0.5, 0.5], [0.4, 0.25, 0.6])
-    data = make_data([0, 1], [0, 1], [(0, 2), (1, 3)])
+    stats = stats_of(make_data([0, 1], [0, 1], [(0, 2), (1, 3)]), params)
     strata_all = np.array([3, 3])
     outside = [0, 1, 0, 1]  # wave plus unsampled strata
     n_draws = 50_000
 
     rng = np.random.default_rng(11)
     fast = np.array(
-        [impute_link_counts(data, 6, strata_all, params, rng) for _ in range(n_draws)]
+        [impute_link_counts(stats, 6, strata_all, params, rng) for _ in range(n_draws)]
     )
     ref_rng = np.random.default_rng(12)
     pairs = [(a, b) for a in range(4) for b in range(a + 1, 4)]
@@ -221,12 +221,13 @@ def test_criterion_5_likelihood_properties():
         pairs = [(i, j) for i in range(n0) for j in range(i + 1, n0) if rng.random() < 0.3]
         pairs += [(int(rng.integers(0, n0)), n0 + j) for j in range(n1)]
         data = make_data(strata_s0, strata_s1, pairs)
+        stats = stats_of(data, params)
         n_grid = np.arange(data.n_sampled, data.n_sampled + 501)
-        observed = np.array([observed_log_likelihood(data, int(n), params) for n in n_grid])
+        observed = np.array([observed_log_likelihood(stats, int(n), params) for n in n_grid])
         assert np.all(np.diff(observed) < 0), f"instance {instance} not strictly decreasing"
         for n in (data.n_sampled, data.n_sampled + 17, data.n_sampled + 500):
-            gap = ignored_log_likelihood(data, int(n), params) - observed_log_likelihood(
-                data, int(n), params
+            gap = ignored_log_likelihood(stats, int(n), params) - observed_log_likelihood(
+                stats, int(n), params
             )
             expected = float(log_binom(n - n0, n1) + log_binom(n, n0))
             assert abs(gap - expected) < 1e-9

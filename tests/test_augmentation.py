@@ -32,9 +32,9 @@ from snowball_sbm.augmentation import (
     lambda_posterior_params,
     population_size_log_weights,
 )
-from snowball_sbm.sampling import IgnoredData
+from snowball_sbm.sampling import IgnoredData, SampleStats
 
-from test_likelihoods import make_data
+from test_likelihoods import make_data, stats_of
 
 
 def enumerate_population_size_pmf(n0, n1, one_minus_p, cap):
@@ -57,44 +57,75 @@ class TestDrawPopulationSize:
         # every stratum certainly links to the initial sample: 1 - p = 0
         params = SbmParams.from_upper([1.0], [1.0])
         data = make_data([0, 0], [0], [(0, 2), (1, 2)])
+        stats = stats_of(data, params)
         cfg = McmcConfig(n_max_cap=50)
         rng = np.random.default_rng(0)
-        draws = draw_population_size(data, params, cfg, rng, size=500)
+        draws = draw_population_size(stats, params, cfg, rng, size=500)
         assert np.all(draws == 3)
 
     def test_pmf_matches_enumeration(self):
         params = SbmParams.from_upper([1.0], [0.1])  # escape prob fixed by n0
         data = make_data([0] * 5, [0] * 3, [(i, 5 + i) for i in range(3)])
+        stats = stats_of(data, params)
         cfg = McmcConfig(n_max_cap=200)
         rng = np.random.default_rng(42)
-        draws = draw_population_size(data, params, cfg, rng, size=200_000)
+        draws = draw_population_size(stats, params, cfg, rng, size=200_000)
         one_minus_p = (1 - 0.1) ** 5
         support, pmf = enumerate_population_size_pmf(5, 3, one_minus_p, 200)
         tv = 0.5 * np.abs(empirical_pmf(draws, support) - pmf).sum()
         assert tv < 0.01
 
+    def test_binding_cap_matches_enumeration_on_both_paths(self):
+        """Caps on both sides of the switch between the negative-binomial
+        draw and the grid: the law and the share of draws at the cap must
+        match enumeration."""
+        from scipy.stats import nbinom
+
+        params = SbmParams.from_upper([1.0], [0.1])
+        data = make_data([0] * 5, [0] * 3, [(i, 5 + i) for i in range(3)])
+        stats = stats_of(data, params)
+        one_minus_p = 0.9**5
+        n_s = 8
+        tails = []
+        for offset in (0, 3, 10, 40):
+            cap = n_s + offset
+            draws = draw_population_size(
+                stats, params, McmcConfig(n_max_cap=cap), np.random.default_rng(offset), size=200_000
+            )
+            support, pmf = enumerate_population_size_pmf(5, 3, one_minus_p, cap)
+            emp = empirical_pmf(draws, support)
+            assert 0.5 * np.abs(emp - pmf).sum() < 0.01
+            se_at_cap = np.sqrt(pmf[-1] * (1 - pmf[-1]) / draws.size)
+            assert abs(emp[-1] - pmf[-1]) <= 4 * se_at_cap
+            tails.append(nbinom.sf(offset, 4, 1 - one_minus_p))
+        # the untruncated mass above the cap decides the path: both are exercised
+        assert max(tails) >= 0.5 > min(tails)
+
     def test_untruncated_mean_identity(self):
         # cap chosen far enough out that truncation is negligible
         params = SbmParams.from_upper([1.0], [1 - 0.5 ** (1 / 50)])  # (1-b)^50 = 0.5
         data = make_data([0] * 50, [0] * 30, [(i, 50 + i) for i in range(30)])
+        stats = stats_of(data, params)
         cfg = McmcConfig(n_max_cap=400)
         rng = np.random.default_rng(7)
-        draws = draw_population_size(data, params, cfg, rng, size=200_000)
+        draws = draw_population_size(stats, params, cfg, rng, size=200_000)
         expected = 50 + 30 + 31 * 0.5 / 0.5
         assert abs(draws.mean() - expected) / expected < 0.01
 
     def test_single_draw_is_int(self):
         params = SbmParams.from_upper([1.0], [0.2])
         data = make_data([0, 0], [0], [(0, 2)])
-        value = draw_population_size(data, params, McmcConfig(), np.random.default_rng(1))
+        stats = stats_of(data, params)
+        value = draw_population_size(stats, params, McmcConfig(), np.random.default_rng(1))
         assert isinstance(value, int)
         assert value >= 3
 
     def test_cap_below_sample_rejected(self):
         params = SbmParams.from_upper([1.0], [0.2])
         data = make_data([0, 0], [0], [(0, 2)])
+        stats = stats_of(data, params)
         with pytest.raises(ValidationError, match="cap"):
-            draw_population_size(data, params, McmcConfig(n_max_cap=2), np.random.default_rng(1))
+            draw_population_size(stats, params, McmcConfig(n_max_cap=2), np.random.default_rng(1))
 
     def test_weights_flat_when_escape_certain_and_no_wave(self):
         support, log_w = population_size_log_weights(4, 0, 0.0, 20)
@@ -167,7 +198,8 @@ class TestImputeStrata:
     def test_zero_beta_reduces_to_lambda(self):
         params = SbmParams.from_upper([0.3, 0.7], [0.0, 0.0, 0.0])
         data = make_data([0, 1], [], [])
-        probs = imputation_probabilities(data, params)
+        stats = stats_of(data, params)
+        probs = imputation_probabilities(stats, params)
         assert probs == pytest.approx([0.3, 0.7], abs=1e-14)
 
     def test_hand_value(self):
@@ -175,14 +207,16 @@ class TestImputeStrata:
         # unsampled stratum-1 weight .5*.5, stratum-2 weight .5*1 -> P(1) = 1/3
         params = SbmParams.from_upper([0.5, 0.5], [0.5, 0.0, 0.5])
         data = make_data([0], [], [])
-        probs = imputation_probabilities(data, params)
+        stats = stats_of(data, params)
+        probs = imputation_probabilities(stats, params)
         assert probs == pytest.approx([1 / 3, 2 / 3], abs=1e-14)
 
     def test_counts_are_multinomial_given_probs(self):
         params = SbmParams.from_upper([0.5, 0.5], [0.5, 0.0, 0.5])
         data = make_data([0], [], [])
+        stats = stats_of(data, params)
         rng = np.random.default_rng(3)
-        draws = np.array([impute_strata(data, 31, params, rng) for _ in range(20_000)])
+        draws = np.array([impute_strata(stats, 31, params, rng) for _ in range(20_000)])
         assert np.all(draws.sum(axis=1) == 30)
         se = np.sqrt(30 * (1 / 3) * (2 / 3) / 20_000)
         assert abs(draws[:, 0].mean() - 10.0) < 3 * se
@@ -190,14 +224,16 @@ class TestImputeStrata:
     def test_no_unsampled_units(self):
         params = SbmParams.from_upper([1.0], [1.0])
         data = make_data([0], [0], [(0, 1)])
-        counts = impute_strata(data, 2, params, np.random.default_rng(0))
+        stats = stats_of(data, params)
+        counts = impute_strata(stats, 2, params, np.random.default_rng(0))
         assert counts.tolist() == [0]
 
     def test_impossible_escape_rejected(self):
         params = SbmParams.from_upper([1.0], [1.0])
         data = make_data([0], [0], [(0, 1)])
+        stats = stats_of(data, params)
         with pytest.raises(ValidationError, match="avoid"):
-            impute_strata(data, 5, params, np.random.default_rng(0))
+            impute_strata(stats, 5, params, np.random.default_rng(0))
 
     @pytest.mark.parametrize(
         "strata_s0,strata_s1,pairs,n_total",
@@ -214,8 +250,9 @@ class TestImputeStrata:
         """End-to-end check of the single-unit conditional against the full
         joint model, conditioned on the observed pattern."""
         data = make_data(strata_s0, strata_s1, pairs)
+        stats = stats_of(data, PARAMS_FRAC)
         marginal, joint = brute_force_stratum_marginals(data, n_total, FRAC_LAM, FRAC_BETA)
-        probs = imputation_probabilities(data, PARAMS_FRAC)
+        probs = imputation_probabilities(stats, PARAMS_FRAC)
         for k in range(2):
             assert probs[k] == pytest.approx(float(marginal[k]), abs=1e-10)
         if n_total - data.n_sampled >= 2:
@@ -231,13 +268,15 @@ class TestImputeLinkCounts:
     def test_zero_beta_all_zero(self):
         params = SbmParams.from_upper([0.5, 0.5], [0.0, 0.0, 0.0])
         data = make_data([0], [], [])
-        counts = impute_link_counts(data, 10, np.array([5, 5]), params, np.random.default_rng(0))
+        stats = stats_of(data, params)
+        counts = impute_link_counts(stats, 10, np.array([5, 5]), params, np.random.default_rng(0))
         assert counts.sum() == 0
 
     def test_beta_one_saturates(self):
         params = SbmParams.from_upper([0.5, 0.5], [1.0, 1.0, 1.0])
         data = make_data([0], [], [])
-        counts = impute_link_counts(data, 8, np.array([4, 4]), params, np.random.default_rng(0))
+        stats = stats_of(data, params)
+        counts = impute_link_counts(stats, 8, np.array([4, 4]), params, np.random.default_rng(0))
         # outside the initial sample: 3 of stratum 1, 4 of stratum 2
         assert counts[0, 0] == 3
         assert counts[1, 1] == 6
@@ -246,14 +285,16 @@ class TestImputeLinkCounts:
     def test_inconsistent_counts_rejected(self):
         params = SbmParams.from_upper([0.5, 0.5], [0.1, 0.1, 0.1])
         data = make_data([0], [1], [(0, 1)])
+        stats = stats_of(data, params)
         with pytest.raises(ValidationError):
-            impute_link_counts(data, 4, np.array([4, 0]), params, np.random.default_rng(0))
+            impute_link_counts(stats, 4, np.array([4, 0]), params, np.random.default_rng(0))
 
     def test_matches_per_edge_reference(self):
         """Pair-count binomial imputation must be distribution-equal to
         imputing each unobserved link as an independent Bernoulli."""
         params = SbmParams.from_upper([0.5, 0.5], [0.4, 0.25, 0.6])
         data = make_data([0, 1], [0, 1], [(0, 2), (1, 3)])
+        stats = stats_of(data, params)
         strata_all = np.array([3, 3])  # adds one unsampled unit per stratum
         n_total = 6
         outside = [0, 1, 0, 1]  # strata of wave + unsampled units
@@ -261,7 +302,7 @@ class TestImputeLinkCounts:
 
         rng = np.random.default_rng(11)
         fast = np.array(
-            [impute_link_counts(data, n_total, strata_all, params, rng) for _ in range(n_draws)]
+            [impute_link_counts(stats, n_total, strata_all, params, rng) for _ in range(n_draws)]
         )
 
         ref_rng = np.random.default_rng(12)
@@ -364,20 +405,22 @@ class TestGibbsSweep:
 
     def test_cap_pins_population_size(self):
         data = self.setup_data()
+        stats = SampleStats.from_data(data, 2)
         cfg = McmcConfig(n_max_cap=data.n_sampled)
         rng = np.random.default_rng(5)
-        state = initial_state(data, 2)
+        state = initial_state(stats)
         for _ in range(10):
-            state = gibbs_sweep(state, data, cfg, rng)
+            state = gibbs_sweep(state, stats, cfg, rng)
             assert state.n == data.n_sampled
             assert state.strata_unsampled.sum() == 0
 
     def test_deterministic_given_seed_and_state(self):
         data = self.setup_data()
+        stats = SampleStats.from_data(data, 2)
         cfg = McmcConfig(seed=9)
-        state = initial_state(data, 2)
-        a = gibbs_sweep(state, data, cfg, np.random.default_rng(9))
-        b = gibbs_sweep(state, data, cfg, np.random.default_rng(9))
+        state = initial_state(stats)
+        a = gibbs_sweep(state, stats, cfg, np.random.default_rng(9))
+        b = gibbs_sweep(state, stats, cfg, np.random.default_rng(9))
         assert a.n == b.n
         assert np.array_equal(a.strata_unsampled, b.strata_unsampled)
         assert np.array_equal(a.params.lam, b.params.lam)
@@ -385,11 +428,12 @@ class TestGibbsSweep:
 
     def test_state_invariants_preserved(self):
         data = self.setup_data()
+        stats = SampleStats.from_data(data, 2)
         cfg = McmcConfig()
         rng = np.random.default_rng(17)
-        state = initial_state(data, 2)
+        state = initial_state(stats)
         for _ in range(50):
-            state = gibbs_sweep(state, data, cfg, rng)
+            state = gibbs_sweep(state, stats, cfg, rng)
             assert state.n >= data.n_sampled
             assert state.strata_unsampled.sum() == state.n - data.n_sampled
             assert state.params.lam.sum() == pytest.approx(1.0)
@@ -436,16 +480,17 @@ class TestRunChain:
         data = to_ignored_data(sample)
         assert data.n0 == 12 and data.n1 == 0
         full = sufficient_counts(graph)
-        state = initial_state(data, 2)
+        stats = SampleStats.from_data(data, 2)
+        state = initial_state(stats)
         cfg = McmcConfig(n_max_cap=12)
         rng = np.random.default_rng(0)
         n_new = 12
-        strata_un = impute_strata(data, n_new, state.params, rng)
+        strata_un = impute_strata(stats, n_new, state.params, rng)
         imputed = impute_link_counts(
-            data, n_new, data.strata_counts_s0(2) + data.strata_counts_s1(2) + strata_un,
+            stats, n_new, data.strata_counts_s0(2) + data.strata_counts_s1(2) + strata_un,
             state.params, rng,
         )
-        assembled = assemble_full_counts(data, strata_un, imputed, 2)
+        assembled = assemble_full_counts(stats, strata_un, imputed)
         assert np.array_equal(assembled.strata_counts, full.strata_counts)
         assert np.array_equal(assembled.link_counts, full.link_counts)
         assert np.array_equal(assembled.pair_totals, full.pair_totals)

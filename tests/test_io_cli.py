@@ -223,6 +223,19 @@ class TestCli:
         assert run_cli("profile", "--sample", sample_path, "--params", params_file,
                        "--n-min", "1", "--n-max", "5", "--out", str(tmp_path / "p.csv")) == 2
 
+    def test_profile_params_with_too_few_strata_rejected(self, tmp_path, params_file, capsys):
+        out = str(tmp_path / "pop")
+        run_cli("generate", "--params", params_file, "--n", "50", "--seed", "4", "--out", out)
+        sample_path = str(tmp_path / "s.json")
+        run_cli("sample", "--edges", f"{out}/edges.tsv", "--strata", f"{out}/strata.csv",
+                "--design", "fixed:10", "--seed", "5", "--out", sample_path)
+        one_stratum = str(tmp_path / "g1.json")
+        io.save_params(SbmParams.from_upper([1.0], [0.2]), one_stratum)
+        capsys.readouterr()
+        assert run_cli("profile", "--sample", sample_path, "--params", one_stratum,
+                       "--n-min", "50", "--n-max", "60", "--out", str(tmp_path / "p.csv")) == 2
+        assert f"{sample_path}: sample contains stratum labels" in capsys.readouterr().err
+
     def test_simulate_from_config(self, tmp_path, params_file):
         config = {
             "population": {"params": {"lambda": [0.5, 0.5], "beta": [0.25, 0.1, 0.2]}, "n": 40},
@@ -277,6 +290,60 @@ class TestCli:
         study_rows = (tmp_path / "study_out" / "estimates.csv").read_text().splitlines()
         study_n_mean = float(study_rows[1].split(",")[3])
         assert study_n_mean == pytest.approx(est_summary["n_mean"], abs=0)
+
+    def test_estimate_rejects_empty_initial_sample(self, tmp_path, params_file, capsys):
+        out = str(tmp_path / "pop")
+        run_cli("generate", "--params", params_file, "--n", "30", "--seed", "1", "--out", out)
+        sample_path = str(tmp_path / "s.json")
+        assert run_cli("sample", "--edges", f"{out}/edges.tsv", "--strata", f"{out}/strata.csv",
+                       "--design", "bernoulli:0", "--seed", "2", "--out", sample_path) == 0
+        capsys.readouterr()
+        assert run_cli("estimate", "--sample", sample_path, "--seed", "3",
+                       "--out", str(tmp_path / "est")) == 2
+        assert f"{sample_path}: empty initial sample" in capsys.readouterr().err
+        assert not (tmp_path / "est").exists()
+
+    def test_simulate_fails_when_no_replicate_completes(self, tmp_path):
+        config = {
+            "population": {"params": {"lambda": [0.5, 0.5], "beta": [0.25, 0.1, 0.2]}, "n": 40},
+            "replicates": 3,
+            "design": {"mode": "bernoulli", "q": 0.0},
+            "mcmc": {"chain_length": 20},
+            "threads": 1,
+        }
+        cfg_path = tmp_path / "study.json"
+        cfg_path.write_text(json.dumps(config))
+        assert run_cli("simulate", "--config", str(cfg_path), "--out", str(tmp_path / "study")) == 3
+        summary = json.loads((tmp_path / "study" / "summary.json").read_text())
+        assert summary["replicates_completed"] == 0
+        assert [f["replicate"] for f in summary["failures"]] == [0, 1, 2]
+        assert all("empty initial sample" in f["error"] for f in summary["failures"])
+
+    def test_sample_statistics_counted_once_per_chain_and_profile(
+        self, tmp_path, params_file, monkeypatch
+    ):
+        from snowball_sbm.sampling import IgnoredData
+
+        calls = []
+        original = IgnoredData.observed_link_counts
+        monkeypatch.setattr(
+            IgnoredData, "observed_link_counts",
+            lambda self, g: calls.append(g) or original(self, g),
+        )
+        out = str(tmp_path / "pop")
+        run_cli("generate", "--params", params_file, "--n", "60", "--seed", "4", "--out", out)
+        sample_path = str(tmp_path / "s.json")
+        run_cli("sample", "--edges", f"{out}/edges.tsv", "--strata", f"{out}/strata.csv",
+                "--design", "fixed:10", "--seed", "5", "--out", sample_path)
+        data, _ = io.load_sample(sample_path)
+        run_chain(data, McmcConfig(chain_length=30, seed=1), n_strata=2)
+        assert len(calls) == 1
+        n_lo = data.n_sampled
+        assert run_cli("profile", "--sample", sample_path, "--params", params_file,
+                       "--n-min", str(n_lo), "--n-max", str(n_lo + 49),
+                       "--out", str(tmp_path / "p.csv")) == 0
+        assert len((tmp_path / "p.csv").read_text().splitlines()) == 51
+        assert len(calls) == 2
 
     def test_entry_point_runs(self):
         result = subprocess.run(

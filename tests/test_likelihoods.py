@@ -8,6 +8,7 @@ import pytest
 
 from snowball_sbm import (
     IgnoredData,
+    SampleStats,
     SbmParams,
     ValidationError,
     escape_probability,
@@ -30,6 +31,11 @@ def make_data(strata_s0, strata_s1, link_pairs):
         strata_s1=np.array(strata_s1, dtype=int),
         links=links,
     )
+
+
+def stats_of(data, params):
+    """The sample statistics that the program's draws and likelihoods read."""
+    return SampleStats.from_data(data, params.n_strata)
 
 
 def observed_direct(data, n, lam, beta):
@@ -126,31 +132,36 @@ class TestWaveInclusionProbability:
 class TestObservedLogLikelihood:
     def test_empty_sample_is_zero(self, params_g2):
         data = make_data([], [], [])
-        assert observed_log_likelihood(data, 50, params_g2) == pytest.approx(0.0, abs=1e-9)
+        stats = stats_of(data, params_g2)
+        assert observed_log_likelihood(stats, 50, params_g2) == pytest.approx(0.0, abs=1e-9)
 
     def test_support_violation(self, params_g2):
         data = make_data([0], [1], [(0, 1)])
+        stats = stats_of(data, params_g2)
         with pytest.raises(ValidationError, match="support"):
-            observed_log_likelihood(data, 1, params_g2)
+            observed_log_likelihood(stats, 1, params_g2)
 
     def test_worked_instance_matches_direct_product(self, params_g2):
         data = make_data([0, 1], [0, 1, 1], [(0, 1), (0, 2), (1, 3), (0, 4), (1, 4)])
+        stats = stats_of(data, params_g2)
         for n in (5, 8, 20):
             direct = np.log(observed_direct(data, n, params_g2.lam, params_g2.beta))
-            assert observed_log_likelihood(data, n, params_g2) == pytest.approx(direct, abs=1e-10)
+            assert observed_log_likelihood(stats, n, params_g2) == pytest.approx(direct, abs=1e-10)
 
     def test_monotonically_decreasing_in_n(self, params_g2):
         data = make_data([0, 1], [1], [(0, 2), (1, 2)])
-        values = [observed_log_likelihood(data, n, params_g2) for n in range(3, 60)]
+        stats = stats_of(data, params_g2)
+        values = [observed_log_likelihood(stats, n, params_g2) for n in range(3, 60)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
 
 class TestIgnoredLogLikelihood:
     def test_worked_instance_matches_direct_product(self, params_g2):
         data = make_data([0, 1], [0, 1, 1], [(0, 1), (0, 2), (1, 3), (0, 4), (1, 4)])
+        stats = stats_of(data, params_g2)
         for n in (5, 9, 30):
             direct = np.log(ignored_direct(data, n, params_g2.lam, params_g2.beta))
-            assert ignored_log_likelihood(data, n, params_g2) == pytest.approx(direct, abs=1e-10)
+            assert ignored_log_likelihood(stats, n, params_g2) == pytest.approx(direct, abs=1e-10)
 
     def test_identity_with_observed(self):
         rng = np.random.default_rng(99)
@@ -165,8 +176,9 @@ class TestIgnoredLogLikelihood:
             pairs = [(i, j) for i in range(n0) for j in range(i + 1, n0) if rng.random() < 0.4]
             pairs += [(int(rng.integers(0, n0)), n0 + j) for j in range(n1)]
             data = make_data(strata_s0, strata_s1, pairs)
+            stats = stats_of(data, params)
             n = n0 + n1 + int(rng.integers(0, 40))
-            gap = ignored_log_likelihood(data, n, params) - observed_log_likelihood(data, n, params)
+            gap = ignored_log_likelihood(stats, n, params) - observed_log_likelihood(stats, n, params)
             from snowball_sbm.logmath import log_binom
 
             expected = float(log_binom(n - n0, n1) + log_binom(n, n0))
@@ -176,14 +188,16 @@ class TestIgnoredLogLikelihood:
         # with beta = 0 and an empty wave the value cannot depend on N
         params = SbmParams.from_upper([0.5, 0.5], [0.0, 0.0, 0.0])
         data = make_data([0, 1], [], [])
-        values = {ignored_log_likelihood(data, n, params) for n in range(2, 40)}
+        stats = stats_of(data, params)
+        values = {ignored_log_likelihood(stats, n, params) for n in range(2, 40)}
         assert max(values) - min(values) < 1e-12
 
     def test_interior_maximum_in_n(self, params_g2):
         data = make_data([0, 0, 1, 1, 0], [1, 0, 1, 1, 0], [(i, 5 + j) for i, j in
                                                             [(0, 0), (1, 1), (2, 2), (3, 3), (4, 4)]])
+        stats = stats_of(data, params_g2)
         grid = np.arange(10, 80)
-        values = np.array([ignored_log_likelihood(data, int(n), params_g2) for n in grid])
+        values = np.array([ignored_log_likelihood(stats, int(n), params_g2) for n in grid])
         peak = int(values.argmax())
         assert 0 < peak < grid.size - 1
         diffs = np.sign(np.diff(values))
@@ -194,6 +208,7 @@ class TestIgnoredLogLikelihood:
         # permuting canonical labels inside each block leaves both likelihoods unchanged
         rng = np.random.default_rng(5)
         data = make_data([0, 1, 1], [0, 1], [(0, 1), (1, 2), (0, 3), (2, 4)])
+        stats = stats_of(data, params_g2)
         for _ in range(10):
             p0 = rng.permutation(data.n0)
             p1 = rng.permutation(data.n1)
@@ -203,10 +218,11 @@ class TestIgnoredLogLikelihood:
                 strata_s1=data.strata_s1[p1],
                 links=data.links[np.ix_(p0, cols)],
             )
+            permuted_stats = stats_of(permuted, params_g2)
             for n in (5, 12):
-                assert ignored_log_likelihood(permuted, n, params_g2) == pytest.approx(
-                    ignored_log_likelihood(data, n, params_g2), abs=1e-12
+                assert ignored_log_likelihood(permuted_stats, n, params_g2) == pytest.approx(
+                    ignored_log_likelihood(stats, n, params_g2), abs=1e-12
                 )
-                assert observed_log_likelihood(permuted, n, params_g2) == pytest.approx(
-                    observed_log_likelihood(data, n, params_g2), abs=1e-12
+                assert observed_log_likelihood(permuted_stats, n, params_g2) == pytest.approx(
+                    observed_log_likelihood(stats, n, params_g2), abs=1e-12
                 )
