@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import betainc
 
-from .likelihoods import escape_probability, stratum_escape_log_weights
+from .likelihoods import EscapeProbability, escape_probability
 from .logmath import log_binom
 from .sampling import IgnoredData, SampleStats
 from .sbm import (
@@ -33,6 +33,7 @@ from .sbm import (
     ValidationError,
     _freeze,
     beta_matrix_from_upper,
+    check_int,
     pair_totals_from_counts,
     upper_indices,
 )
@@ -59,8 +60,7 @@ class McmcConfig:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.chain_length < 1:
-            raise ValidationError("chain_length must be >= 1")
+        check_int(self.chain_length, "chain_length", 1)
         if not (0.0 <= self.burn_in_fraction < 1.0):
             raise ValidationError("burn_in_fraction must be in [0, 1)")
         if self.cap_multiplier < 1.0:
@@ -96,6 +96,7 @@ def draw_population_size(
     cfg: McmcConfig,
     rng: np.random.Generator,
     size: int | None = None,
+    escape: EscapeProbability | None = None,
 ):
     """Draw N from its posterior given the sample statistics and current params.
 
@@ -106,11 +107,13 @@ def draw_population_size(
     CDF on the grid 0..K, where rejection could take unboundedly long. Both
     paths draw from the same truncated law, so cap hits stay exact.
     Vectorized over ``size`` draws; with ``size=None`` a single int is
-    returned.
+    returned. ``escape`` is ``escape_probability(stats.strata_s0, params)``
+    when the caller already has it.
     """
     n_sampled = stats.n_sampled
     cap = cfg.effective_cap(n_sampled)
-    escape = escape_probability(stats.strata_s0, params)
+    if escape is None:
+        escape = escape_probability(stats.strata_s0, params)
     if escape.one_minus_p == 0.0:
         return n_sampled if size is None else np.full(size, n_sampled, dtype=np.int64)
     successes, k_max = stats.n1 + 1, cap - n_sampled
@@ -130,22 +133,27 @@ def draw_population_size(
     return int(drawn[0]) if size is None else drawn
 
 
-def imputation_probabilities(stats: SampleStats, params: SbmParams) -> np.ndarray:
+def imputation_probabilities(
+    stats: SampleStats, params: SbmParams, escape: EscapeProbability | None = None
+) -> np.ndarray:
     """Stratum distribution of one unsampled unit given the observed data.
 
     Proportional to lambda_k times the probability of avoiding every
     initial-sample member; identical for all unsampled units.
     """
-    log_w = stratum_escape_log_weights(stats.counts_s0, params)
-    top = log_w.max()
-    if top == -np.inf:
+    if escape is None:
+        escape = escape_probability(stats.strata_s0, params)
+    if escape.stratum_probabilities is None:
         raise ValidationError("inconsistent state: an unsampled unit cannot avoid the initial sample")
-    weights = np.exp(log_w - top)
-    return weights / weights.sum()
+    return escape.stratum_probabilities
 
 
 def impute_strata(
-    stats: SampleStats, n: int, params: SbmParams, rng: np.random.Generator
+    stats: SampleStats,
+    n: int,
+    params: SbmParams,
+    rng: np.random.Generator,
+    escape: EscapeProbability | None = None,
 ) -> np.ndarray:
     """Impute strata for the N - n0 - n1 unsampled units, as counts per stratum."""
     n_missing = n - stats.n_sampled
@@ -153,7 +161,8 @@ def impute_strata(
         raise ValidationError("population size below sampled count")
     if n_missing == 0:
         return np.zeros(params.n_strata, dtype=np.int64)
-    return rng.multinomial(n_missing, imputation_probabilities(stats, params)).astype(np.int64)
+    probs = imputation_probabilities(stats, params, escape)
+    return rng.multinomial(n_missing, probs).astype(np.int64)
 
 
 def impute_link_counts(
@@ -251,10 +260,16 @@ def gibbs_sweep(
     state: AugmentedState, stats: SampleStats, cfg: McmcConfig, rng: np.random.Generator
 ) -> AugmentedState:
     """One full scan; sub-draws happen in a fixed order so the kernel is a
-    well-defined Gibbs cycle."""
-    n_new = draw_population_size(stats, state.params, cfg, rng)
-    strata_un = impute_strata(stats, n_new, state.params, rng)
-    imputed = impute_link_counts(stats, n_new, stats.counts_sampled + strata_un, state.params, rng)
+    well-defined Gibbs cycle.
+
+    The escape probability feeds both the draw of N and the imputed strata,
+    so it is computed once per sweep.
+    """
+    params = state.params
+    escape = escape_probability(stats.strata_s0, params)
+    n_new = draw_population_size(stats, params, cfg, rng, escape=escape)
+    strata_un = impute_strata(stats, n_new, params, rng, escape=escape)
+    imputed = impute_link_counts(stats, n_new, stats.counts_sampled + strata_un, params, rng)
     counts = assemble_full_counts(stats, strata_un, imputed)
     lam = draw_lambda(counts.strata_counts, cfg, rng)
     beta = draw_beta(counts, cfg, rng)

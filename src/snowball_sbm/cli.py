@@ -78,7 +78,7 @@ def cmd_generate(args) -> int:
     graph = generate_population(params, args.n, seed=seed)
     os.makedirs(args.out, exist_ok=True)
     io.save_graph(graph, os.path.join(args.out, "edges.tsv"), os.path.join(args.out, "strata.csv"))
-    logger.info("wrote %d nodes, %d edges to %s", graph.n_nodes, len(graph.edge_list()), args.out)
+    logger.info("wrote %d nodes, %d edges to %s", graph.n_nodes, len(graph.edges), args.out)
     return EXIT_OK
 
 

@@ -22,6 +22,7 @@ from .sbm import (
     PopulationGraph,
     SbmParams,
     ValidationError,
+    check_int,
     generate_population,
     mle_from_full_graph,
 )
@@ -72,19 +73,19 @@ def clustered_population(
     beta_bg = np.array(params.beta, copy=True)
     np.fill_diagonal(beta_bg, np.diagonal(params.beta) * overlay.background_scale)
     base = generate_population(SbmParams(lam=params.lam, beta=beta_bg), n, seed=rng)
-    adj = np.array(base.adjacency, copy=True)
     size = overlay.clique_size
     clique_pairs = size * (size - 1) // 2
+    within = np.triu_indices(size, 1)
+    pairs = [base.edges]
     for k in range(params.n_strata):
         members = rng.permutation(np.flatnonzero(base.strata == k))
         n_k = members.size
         removed = (1.0 - overlay.background_scale) * params.beta[k, k] * n_k * (n_k - 1) / 2.0
         n_cliques = min(int(round(removed / clique_pairs)), n_k // size)
-        for c in range(n_cliques):
-            group = members[c * size : (c + 1) * size]
-            adj[np.ix_(group, group)] = True
-            adj[group, group] = False
-    return PopulationGraph(strata=base.strata, adjacency=adj)
+        groups = members[: n_cliques * size].reshape(n_cliques, size)
+        pairs.append(np.column_stack([groups[:, within[0]].ravel(), groups[:, within[1]].ravel()]))
+    edges = np.unique(np.sort(np.concatenate(pairs), axis=1), axis=0)
+    return PopulationGraph(strata=base.strata, edges=edges)
 
 
 @dataclass(frozen=True)
@@ -110,14 +111,19 @@ class StudyConfig:
     bins: int = 20
 
     def __post_init__(self):
-        if self.replicates < 1:
-            raise ValidationError("replicates must be >= 1")
+        check_int(self.replicates, "replicates", 1)
         has_graph = self.population is not None
         has_model = self.params is not None and self.population_size is not None
         if has_graph == has_model:
             raise ValidationError(
                 "exactly one population source required: a graph, or params plus a size"
             )
+        if self.population_size is not None:
+            check_int(self.population_size, "population size", 1)
+        if self.threads is not None:
+            check_int(self.threads, "threads", 1)
+        check_int(self.master_seed, "master_seed", 0)
+        check_int(self.bins, "bins", 1)
 
 
 def population_seed(master_seed: int) -> int:

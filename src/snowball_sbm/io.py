@@ -15,7 +15,7 @@ import numpy as np
 from .augmentation import ChainTrace, McmcConfig
 from .harness import ClusterOverlay, StudyConfig, StudySummary, estimand_names
 from .sampling import DesignConfig, IgnoredData, SnowballSample
-from .sbm import PopulationGraph, SbmParams, ValidationError, validate_params
+from .sbm import PopulationGraph, SbmParams, ValidationError, _is_integer, validate_params
 
 EDGE_HEADER = "u\tv"
 STRATA_HEADER = "node_id,stratum"
@@ -72,8 +72,7 @@ def save_graph(graph: PopulationGraph, edges_path: str, strata_path: str):
     every node, isolated ones included."""
     with open(edges_path, "w", newline="\n") as fh:
         fh.write(EDGE_HEADER + "\n")
-        for u, v in graph.edge_list():
-            fh.write(f"{u}\t{v}\n")
+        fh.writelines(f"{u}\t{v}\n" for u, v in graph.edges.tolist())
     with open(strata_path, "w", newline="\n") as fh:
         fh.write(STRATA_HEADER + "\n")
         for node, stratum in enumerate(graph.strata):
@@ -102,7 +101,7 @@ def load_graph(edges_path: str, strata_path: str) -> PopulationGraph:
         raise ValidationError(f"{strata_path}: node ids must cover 0..N-1 exactly once")
     strata = np.array([strata_rows[i] for i in range(n)], dtype=np.int64)
 
-    adjacency = np.zeros((n, n), dtype=bool)
+    pairs, seen = [], set()
     with open(edges_path) as fh:
         for line_no, line in enumerate(fh):
             line = line.strip()
@@ -117,10 +116,12 @@ def load_graph(edges_path: str, strata_path: str) -> PopulationGraph:
                 raise ValidationError(f"{edges_path}:{line_no + 1}: self-link {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValidationError(f"{edges_path}:{line_no + 1}: node id outside 0..{n - 1}")
-            if adjacency[u, v]:
+            pair = (min(u, v), max(u, v))
+            if pair in seen:
                 raise ValidationError(f"{edges_path}:{line_no + 1}: duplicate edge {u},{v}")
-            adjacency[u, v] = adjacency[v, u] = True
-    return PopulationGraph(strata=strata, adjacency=adjacency)
+            seen.add(pair)
+            pairs.append(pair)
+    return PopulationGraph(strata=strata, edges=np.array(pairs, dtype=np.int64).reshape(-1, 2))
 
 
 # ---------------------------------------------------------------- sample
@@ -176,24 +177,30 @@ def load_sample(path: str):
     strata_s0 = _require(doc, "strata_s0", path)
     strata_s1 = _require(doc, "strata_s1", path)
     links = _require(doc, "links", path)
-    if not (isinstance(n0, int) and isinstance(n1, int) and n0 >= 0 and n1 >= 0):
+    if not (_is_integer(n0) and _is_integer(n1) and n0 >= 0 and n1 >= 0):
         raise ValidationError(f"{path}: n0 and n1 must be non-negative integers")
     if n0 == 0:
         raise ValidationError(f"{path}: empty initial sample (n0 = 0): the sample carries no information")
-    if len(strata_s0) != n0 or len(strata_s1) != n1:
-        raise ValidationError(f"{path}: stratum vectors must have lengths n0 and n1")
-    if any(int(s) < 1 for s in strata_s0 + strata_s1):
-        raise ValidationError(f"{path}: strata are labeled 1..G")
+    for name, strata, size in (("strata_s0", strata_s0, n0), ("strata_s1", strata_s1, n1)):
+        if not isinstance(strata, list) or len(strata) != size:
+            raise ValidationError(f"{path}: {name}: must be a list of length {size}")
+        bad = next((s for s in strata if not (_is_integer(s) and s >= 1)), None)
+        if bad is not None:
+            raise ValidationError(f"{path}: {name}: bad stratum {bad!r}: strata are integers labeled 1..G")
+    if not isinstance(links, list):
+        raise ValidationError(f"{path}: links: must be a list of [i, j] pairs")
     n = n0 + n1
     matrix = np.zeros((n0, n), dtype=bool)
     for pair in links:
-        if len(pair) != 2:
-            raise ValidationError(f"{path}: links must be [i, j] pairs")
-        i, j = int(pair[0]), int(pair[1])
+        if not (isinstance(pair, list) and len(pair) == 2 and all(_is_integer(x) for x in pair)):
+            raise ValidationError(f"{path}: links: {pair!r} is not an [i, j] pair of integers")
+        i, j = pair
         if not (1 <= i < j <= n):
-            raise ValidationError(f"{path}: link [{i}, {j}] outside canonical range")
+            raise ValidationError(f"{path}: links: link [{i}, {j}] outside canonical range")
         if i > n0:
-            raise ValidationError(f"{path}: link [{i}, {j}] has no endpoint in the initial sample")
+            raise ValidationError(f"{path}: links: link [{i}, {j}] has no endpoint in the initial sample")
+        if matrix[i - 1, j - 1]:
+            raise ValidationError(f"{path}: links: duplicate link [{i}, {j}]")
         matrix[i - 1, j - 1] = True
         if j <= n0:
             matrix[j - 1, i - 1] = True
@@ -275,7 +282,7 @@ def load_study_config(path: str) -> StudyConfig:
         if "clustering" in pop:
             try:
                 kwargs["clustering"] = ClusterOverlay(**pop["clustering"])
-            except TypeError as exc:
+            except (TypeError, ValidationError) as exc:
                 raise ValidationError(f"{path}: bad clustering options ({exc})") from exc
 
     design_doc = dict(_require(doc, "design", path))
@@ -286,20 +293,19 @@ def load_study_config(path: str) -> StudyConfig:
         mcmc_doc["prior_gamma"] = tuple(mcmc_doc["prior_gamma"])
     if isinstance(mcmc_doc.get("prior_alpha"), list):
         mcmc_doc["prior_alpha"] = tuple(mcmc_doc["prior_alpha"])
+    replicates = _require(doc, "replicates", path)
     try:
-        design = DesignConfig(**design_doc)
-        mcmc = McmcConfig(**mcmc_doc)
-    except TypeError as exc:
+        return StudyConfig(
+            replicates=replicates,
+            design=DesignConfig(**design_doc),
+            mcmc=McmcConfig(**mcmc_doc),
+            master_seed=doc.get("master_seed", 0),
+            threads=doc.get("threads"),
+            bins=doc.get("bins", 20),
+            **kwargs,
+        )
+    except (TypeError, ValidationError) as exc:
         raise ValidationError(f"{path}: {exc}") from exc
-    return StudyConfig(
-        replicates=_require(doc, "replicates", path),
-        design=design,
-        mcmc=mcmc,
-        master_seed=doc.get("master_seed", 0),
-        threads=doc.get("threads"),
-        bins=doc.get("bins", 20),
-        **kwargs,
-    )
 
 
 def _float_or_none(x):

@@ -13,17 +13,23 @@ from scipy.special import xlog1py
 
 from .logmath import count_times_log, log_binom
 from .sampling import SampleStats
-from .sbm import SbmParams, SufficientCounts, ValidationError, counts_log_likelihood
+from .sbm import SbmParams, SufficientCounts, ValidationError, _freeze, counts_log_likelihood
 
 
 @dataclass(frozen=True)
 class EscapeProbability:
     """Probability that a unit outside the initial sample is linked to none
     of its members, given the initial sample's strata. Carried in both plain
-    and log form; the log form is what large-N likelihood tails need."""
+    and log form; the log form is what large-N likelihood tails need.
+
+    ``stratum_probabilities`` is the stratum distribution of such a unit,
+    P(stratum k | no link into S0), from which unsampled strata are imputed;
+    ``None`` when no unit can escape (1 - p = 0).
+    """
 
     one_minus_p: float
     log_one_minus_p: float
+    stratum_probabilities: np.ndarray | None = None
 
     @property
     def p(self) -> float:
@@ -39,13 +45,21 @@ def stratum_escape_log_weights(strata_counts_s0: np.ndarray, params: SbmParams) 
 
 
 def escape_probability(strata_s0, params: SbmParams) -> EscapeProbability:
-    """Evaluate 1 - p = sum_k lambda_k prod_{i in S0} (1 - beta_{C_i,k})."""
+    """Evaluate 1 - p = sum_k lambda_k prod_{i in S0} (1 - beta_{C_i,k}),
+    and the normalized terms of that sum."""
     counts = np.bincount(np.asarray(strata_s0, dtype=np.int64), minlength=params.n_strata)
     log_weights = stratum_escape_log_weights(counts, params)
     top = log_weights.max()
-    log_omp = top if top == -np.inf else top + np.log(np.exp(log_weights - top).sum())
-    log_omp = min(float(log_omp), 0.0)
-    return EscapeProbability(one_minus_p=float(np.exp(log_omp)), log_one_minus_p=log_omp)
+    if top == -np.inf:
+        return EscapeProbability(one_minus_p=0.0, log_one_minus_p=-np.inf)
+    weights = np.exp(log_weights - top)
+    total = weights.sum()
+    log_omp = min(float(top + np.log(total)), 0.0)
+    return EscapeProbability(
+        one_minus_p=float(np.exp(log_omp)),
+        log_one_minus_p=log_omp,
+        stratum_probabilities=_freeze(weights / total),
+    )
 
 
 def wave_inclusion_probability(strata_counts_s0, params: SbmParams) -> float:

@@ -4,7 +4,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sbm import PopulationGraph, ValidationError, _freeze, pair_totals_from_counts, symmetrize_block_counts
+from .sbm import (
+    PopulationGraph,
+    ValidationError,
+    _freeze,
+    check_int,
+    pair_totals_from_counts,
+    symmetrize_block_counts,
+)
 
 INITIAL_MODES = ("bernoulli", "fixed_size", "degree_biased")
 
@@ -30,11 +37,13 @@ class DesignConfig:
         if self.mode not in INITIAL_MODES:
             raise ValidationError(f"unknown initial design mode {self.mode!r}")
         if self.mode == "bernoulli":
-            if self.q is None or not (0.0 <= self.q <= 1.0):
-                raise ValidationError("bernoulli design requires q in [0, 1]")
+            q = self.q
+            if isinstance(q, bool) or not isinstance(q, (int, float, np.floating)) or not 0.0 <= q <= 1.0:
+                raise ValidationError(f"bernoulli design requires q in [0, 1], got {q!r}")
         else:
-            if self.n0 is None or self.n0 < 0:
+            if self.n0 is None:
                 raise ValidationError(f"{self.mode} design requires n0 >= 0")
+            check_int(self.n0, f"{self.mode} design n0", 0)
 
     @property
     def misspecified(self) -> bool:
@@ -107,16 +116,27 @@ def trace_one_wave(graph: PopulationGraph, s0) -> SnowballSample:
         raise ValidationError("initial sample contains unknown node ids")
     if np.unique(s0).size != s0.size:
         raise ValidationError("initial sample contains duplicate node ids")
-    reached = graph.adjacency[s0].any(axis=0) if s0.size else np.zeros(graph.n_nodes, bool)
+    u, v = graph.edges[:, 0], graph.edges[:, 1]
+    in_s0 = np.zeros(graph.n_nodes, dtype=bool)
+    in_s0[s0] = True
+    from_u, from_v = in_s0[u], in_s0[v]  # edges with that endpoint in S0
+    reached = np.zeros(graph.n_nodes, dtype=bool)
+    reached[v[from_u]] = True
+    reached[u[from_v]] = True
     reached[s0] = False
     s1 = np.flatnonzero(reached)
     final = np.concatenate([s0, s1])
+    position = np.zeros(graph.n_nodes, dtype=np.int64)
+    position[final] = np.arange(final.size)
+    links = np.zeros((s0.size, final.size), dtype=bool)
+    links[position[u[from_u]], position[v[from_u]]] = True
+    links[position[v[from_v]], position[u[from_v]]] = True
     return SnowballSample(
         s0=s0,
         s1=s1,
         strata_s0=graph.strata[s0],
         strata_s1=graph.strata[s1],
-        links_s0_s=graph.adjacency[np.ix_(s0, final)],
+        links_s0_s=links,
         population_hint=graph.n_nodes,
     )
 

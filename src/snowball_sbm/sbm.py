@@ -17,6 +17,19 @@ class ValidationError(ValueError):
     """Raised when inputs violate a documented invariant."""
 
 
+def _is_integer(value) -> bool:
+    """An int or numpy integer; bools, floats such as 2.0 and strings are not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_int(value, name: str, minimum: int) -> int:
+    """Return ``value`` as an int if it is an integer of at least ``minimum``;
+    otherwise raise a ValidationError naming it."""
+    if not _is_integer(value) or value < minimum:
+        raise ValidationError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
@@ -61,12 +74,13 @@ class SbmParams:
 
     def __post_init__(self):
         lam = np.asarray(self.lam, dtype=np.float64).reshape(-1)
-        beta = np.asarray(self.beta, dtype=np.float64)
+        beta = np.array(self.beta, dtype=np.float64)  # a copy: it is frozen below
         g = lam.size
         if beta.shape != (g, g):
             raise ValidationError(f"beta must be {g}x{g}, got shape {beta.shape}")
-        # re-symmetrize from the upper triangle so storage is canonical
-        beta = beta_matrix_from_upper(beta[upper_indices(g)], g)
+        # mirror the upper triangle into the lower so storage is canonical
+        iu = upper_indices(g)
+        beta.T[iu] = beta[iu]
         object.__setattr__(self, "lam", _freeze(lam))
         object.__setattr__(self, "beta", _freeze(beta))
 
@@ -102,25 +116,42 @@ def validate_params(params: SbmParams) -> SbmParams:
 
 @dataclass(frozen=True)
 class PopulationGraph:
-    """A full realization: stratum labels and a symmetric 0/1 adjacency."""
+    """A full realization: stratum labels and an undirected edge list.
+
+    ``edges`` is an (E, 2) int64 array of node-id pairs, stored canonically:
+    u < v in each row, rows sorted, no pair twice. Any pair order and row
+    order is accepted and canonicalized; self-links, ids outside 0..N-1 and
+    repeated pairs (in either orientation) are rejected. Memory and every
+    graph operation are O(N + E).
+    """
 
     strata: np.ndarray
-    adjacency: np.ndarray
+    edges: np.ndarray
 
     def __post_init__(self):
         strata = np.asarray(self.strata, dtype=np.int64).reshape(-1)
-        adj = np.asarray(self.adjacency, dtype=bool)
+        edges = np.asarray(self.edges, dtype=np.int64)
+        if edges.size == 0:
+            edges = edges.reshape(0, 2)
+        if edges.ndim != 2 or edges.shape[1] != 2:
+            raise ValidationError(f"edges must be an (E, 2) array of node pairs, got shape {edges.shape}")
         n = strata.size
-        if adj.shape != (n, n):
-            raise ValidationError(f"adjacency must be {n}x{n}, got {adj.shape}")
-        if np.any(np.diagonal(adj)):
-            raise ValidationError("adjacency has self-links")
-        if not np.array_equal(adj, adj.T):
-            raise ValidationError("adjacency is not symmetric")
         if n and strata.min() < 0:
             raise ValidationError("strata labels must be non-negative")
+        u, v = edges.min(axis=1), edges.max(axis=1)
+        if np.any(u == v):
+            raise ValidationError(f"self-link at node {int(u[u == v][0])}")
+        if u.size and (u.min() < 0 or v.max() >= n):
+            raise ValidationError(f"edge node id outside 0..{n - 1}")
+        key = u * n + v
+        order = np.argsort(key)
+        key = key[order]
+        repeated = np.flatnonzero(key[1:] == key[:-1])
+        if repeated.size:
+            pair = order[repeated[0] + 1]
+            raise ValidationError(f"duplicate edge {int(u[pair])},{int(v[pair])}")
         object.__setattr__(self, "strata", _freeze(strata))
-        object.__setattr__(self, "adjacency", _freeze(adj))
+        object.__setattr__(self, "edges", _freeze(np.column_stack([u[order], v[order]])))
 
     @property
     def n_nodes(self) -> int:
@@ -131,12 +162,23 @@ class PopulationGraph:
         return int(self.strata.max()) + 1 if self.n_nodes else 0
 
     def degrees(self) -> np.ndarray:
-        return self.adjacency.sum(axis=1).astype(np.int64)
+        return np.bincount(self.edges.reshape(-1), minlength=self.n_nodes)
 
     def edge_list(self) -> np.ndarray:
-        """(E, 2) array of node-id pairs u < v."""
-        u, v = np.nonzero(np.triu(self.adjacency, 1))
-        return np.column_stack([u, v]).astype(np.int64)
+        """The stored (E, 2) array of node-id pairs u < v (read-only)."""
+        return self.edges
+
+    @property
+    def adjacency(self) -> np.ndarray:
+        """Dense symmetric N x N bool view, built on each access.
+
+        O(N^2) memory: for tests and small graphs only; no library code
+        path reads it.
+        """
+        adj = np.zeros((self.n_nodes, self.n_nodes), dtype=bool)
+        adj[self.edges[:, 0], self.edges[:, 1]] = True
+        adj[self.edges[:, 1], self.edges[:, 0]] = True
+        return adj
 
 
 @dataclass(frozen=True)
@@ -223,7 +265,7 @@ def generate_population(params: SbmParams, n: int, seed=None) -> PopulationGraph
     rng = np.random.default_rng(seed)
     g = params.n_strata
     strata = rng.choice(g, size=n, p=params.lam) if n else np.zeros(0, dtype=np.int64)
-    adjacency = np.zeros((n, n), dtype=bool)
+    pairs = []
     members = [np.flatnonzero(strata == k) for k in range(g)]
     for k in range(g):
         for l in range(k, g):
@@ -245,9 +287,9 @@ def generate_population(params: SbmParams, n: int, seed=None) -> PopulationGraph
             else:
                 rows = members[k][picks // members[l].size]
                 cols = members[l][picks % members[l].size]
-            adjacency[rows, cols] = True
-            adjacency[cols, rows] = True
-    return PopulationGraph(strata=strata, adjacency=adjacency)
+            pairs.append(np.column_stack([rows, cols]))
+    edges = np.concatenate(pairs) if pairs else np.zeros((0, 2), dtype=np.int64)
+    return PopulationGraph(strata=strata, edges=edges)
 
 
 def sufficient_counts(graph: PopulationGraph, n_strata: int | None = None) -> SufficientCounts:
@@ -256,13 +298,12 @@ def sufficient_counts(graph: PopulationGraph, n_strata: int | None = None) -> Su
     if graph.n_nodes and graph.strata.max() >= g:
         raise ValidationError("graph contains stratum labels outside 0..G-1")
     counts = np.bincount(graph.strata, minlength=g)
-    onehot = np.zeros((graph.n_nodes, g), dtype=np.int64)
-    if graph.n_nodes:
-        onehot[np.arange(graph.n_nodes), graph.strata] = 1
-    raw = onehot.T @ graph.adjacency.astype(np.int64) @ onehot
+    ends = graph.strata[graph.edges]
+    lo, hi = ends.min(axis=1), ends.max(axis=1)
+    upper = np.bincount(lo * g + hi, minlength=g * g).reshape(g, g)
     return SufficientCounts(
         strata_counts=counts,
-        link_counts=symmetrize_block_counts(raw),
+        link_counts=upper + np.triu(upper, 1).T,
         pair_totals=pair_totals_from_counts(counts),
     )
 

@@ -176,7 +176,7 @@ def test_criterion_4_conjugate_posterior_correctness():
     adj = np.zeros((6, 6), dtype=bool)
     for u, v in [(0, 1), (1, 2), (2, 3)]:
         adj[u, v] = adj[v, u] = True
-    graph = PopulationGraph(strata=np.array([0, 0, 0, 1, 1, 1]), adjacency=adj)
+    graph = PopulationGraph(strata=np.array([0, 0, 0, 1, 1, 1]), edges=np.argwhere(np.triu(adj)))
     counts = sufficient_counts(graph)
     cfg = McmcConfig()
 

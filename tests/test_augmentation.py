@@ -339,7 +339,7 @@ class TestConjugateDraws:
             adj[u, v] = adj[v, u] = True
         from snowball_sbm import PopulationGraph
 
-        return PopulationGraph(strata=np.array(strata), adjacency=adj)
+        return PopulationGraph(strata=np.array(strata), edges=np.argwhere(np.triu(adj)))
 
     def test_posterior_parameterizations_exact(self):
         counts = sufficient_counts(self.hand_graph())
@@ -504,7 +504,7 @@ class TestRunChain:
         )
         perm = np.random.default_rng(1).permutation(30)
         relabeled_graph = type(graph)(
-            strata=graph.strata[perm], adjacency=graph.adjacency[np.ix_(perm, perm)]
+            strata=graph.strata[perm], edges=np.argsort(perm)[graph.edges]
         )
         inverse = np.argsort(perm)
         other = run_chain(

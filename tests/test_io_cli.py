@@ -81,7 +81,7 @@ class TestGraphIo:
     def test_isolated_nodes_survive_round_trip(self, tmp_path):
         from snowball_sbm import PopulationGraph
 
-        graph = PopulationGraph(strata=np.array([0, 1, 0]), adjacency=np.zeros((3, 3), bool))
+        graph = PopulationGraph(strata=np.array([0, 1, 0]), edges=np.zeros((0, 2), int))
         e, s = str(tmp_path / "e.tsv"), str(tmp_path / "s.csv")
         io.save_graph(graph, e, s)
         loaded = io.load_graph(e, s)
@@ -351,3 +351,71 @@ class TestCli:
         )
         assert result.returncode == 0
         assert "snowball-sbm" in result.stdout
+
+
+class TestInputHardening:
+    """Malformed inputs fail before any compute, with exit 2 and a message
+    that names the file and the field."""
+
+    SAMPLE = {"n0": 2, "n1": 1, "strata_s0": [1, 2], "strata_s1": [1], "links": [[1, 2], [1, 3]]}
+
+    def estimate(self, tmp_path, capsys, **changes):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({**self.SAMPLE, **changes}))
+        out = tmp_path / "est"
+        code = run_cli("estimate", "--sample", str(path), "--chain-length", "20", "--seed", "1",
+                       "--out", str(out))
+        return code, capsys.readouterr().err, str(path), out.exists()
+
+    def simulate(self, tmp_path, capsys, monkeypatch, population=None, **changes):
+        import snowball_sbm.cli as cli
+
+        monkeypatch.setattr(cli, "run_study", lambda cfg: pytest.fail("a study ran on a bad config"))
+        config = {
+            "population": {"params": {"lambda": [0.5, 0.5], "beta": [0.25, 0.1, 0.2]}, "n": 40,
+                           **(population or {})},
+            "replicates": 2,
+            "design": {"mode": "fixed_size", "n0": 6},
+            "mcmc": {"chain_length": 20},
+            "threads": 1,
+            **changes,
+        }
+        path = tmp_path / "study.json"
+        path.write_text(json.dumps(config))
+        code = run_cli("simulate", "--config", str(path), "--out", str(tmp_path / "study"))
+        return code, capsys.readouterr().err, str(path)
+
+    def test_well_formed_sample_is_accepted(self, tmp_path, capsys):
+        code, _, _, wrote = self.estimate(tmp_path, capsys)
+        assert code == 0 and wrote
+
+    def test_sample_duplicate_link_rejected(self, tmp_path, capsys):
+        code, err, path, wrote = self.estimate(tmp_path, capsys, links=[[1, 2], [1, 3], [1, 2]])
+        assert code == 2 and not wrote
+        assert f"{path}: links: duplicate link [1, 2]" in err
+
+    def test_sample_float_link_index_rejected(self, tmp_path, capsys):
+        code, err, path, wrote = self.estimate(tmp_path, capsys, links=[[1, 2], [1.7, 3]])
+        assert code == 2 and not wrote
+        assert f"{path}: links: [1.7, 3] is not an [i, j] pair of integers" in err
+
+    def test_sample_string_stratum_rejected(self, tmp_path, capsys):
+        code, err, path, wrote = self.estimate(tmp_path, capsys, strata_s0=[1, "2"])
+        assert code == 2 and not wrote
+        assert f"{path}: strata_s0: bad stratum '2': strata are integers labeled 1..G" in err
+
+    def test_study_zero_bins_rejected_before_any_replicate(self, tmp_path, capsys, monkeypatch):
+        code, err, path = self.simulate(tmp_path, capsys, monkeypatch, bins=0)
+        assert code == 2
+        assert f"{path}: bins must be an integer >= 1, got 0" in err
+        assert not (tmp_path / "study").exists()
+
+    def test_study_string_population_size_rejected(self, tmp_path, capsys, monkeypatch):
+        code, err, path = self.simulate(tmp_path, capsys, monkeypatch, population={"n": "40"})
+        assert code == 2
+        assert f"{path}: population size must be an integer >= 1, got '40'" in err
+
+    def test_study_float_replicates_rejected(self, tmp_path, capsys, monkeypatch):
+        code, err, path = self.simulate(tmp_path, capsys, monkeypatch, replicates=2.5)
+        assert code == 2
+        assert f"{path}: replicates must be an integer >= 1, got 2.5" in err

@@ -20,7 +20,7 @@ def star_graph(leaves):
     n = leaves + 1
     adj = np.zeros((n, n), dtype=bool)
     adj[0, 1:] = adj[1:, 0] = True
-    return PopulationGraph(strata=np.zeros(n, dtype=int), adjacency=adj)
+    return PopulationGraph(strata=np.zeros(n, dtype=int), edges=np.argwhere(np.triu(adj)))
 
 
 @pytest.fixture
@@ -39,7 +39,7 @@ class TestDrawInitial:
         assert draw_initial(small_population, cfg).tolist() == list(range(40))
 
     def test_bernoulli_binomial_moments(self):
-        graph = PopulationGraph(strata=np.zeros(595, dtype=int), adjacency=np.zeros((595, 595), bool))
+        graph = PopulationGraph(strata=np.zeros(595, dtype=int), edges=np.zeros((0, 2), int))
         sizes = np.empty(10_000)
         for i in range(10_000):
             sizes[i] = draw_initial(graph, DesignConfig(mode="bernoulli", q=0.15, seed=i)).size
@@ -66,7 +66,7 @@ class TestDrawInitial:
         assert hits > 60
 
     def test_degree_biased_can_pick_isolated_nodes(self):
-        graph = PopulationGraph(strata=np.zeros(5, dtype=int), adjacency=np.zeros((5, 5), bool))
+        graph = PopulationGraph(strata=np.zeros(5, dtype=int), edges=np.zeros((0, 2), int))
         ids = draw_initial(graph, DesignConfig(mode="degree_biased", n0=3, seed=0))
         assert ids.size == 3
 
@@ -116,7 +116,7 @@ class TestTraceOneWave:
 
 class TestToIgnoredData:
     def test_empty_sample(self):
-        graph = PopulationGraph(strata=np.zeros(5, dtype=int), adjacency=np.zeros((5, 5), bool))
+        graph = PopulationGraph(strata=np.zeros(5, dtype=int), edges=np.zeros((0, 2), int))
         data = to_ignored_data(trace_one_wave(graph, []))
         assert data.n0 == 0 and data.n1 == 0
         assert data.links.size == 0
@@ -127,7 +127,7 @@ class TestToIgnoredData:
         adj[0, 1] = adj[1, 0] = True
         adj[0, 2] = adj[2, 0] = True
         adj[1, 2] = adj[2, 1] = True
-        graph = PopulationGraph(strata=np.array([0, 1, 0, 1]), adjacency=adj)
+        graph = PopulationGraph(strata=np.array([0, 1, 0, 1]), edges=np.argwhere(np.triu(adj)))
         data = to_ignored_data(trace_one_wave(graph, [0, 1]))
         assert (data.n0, data.n1) == (2, 1)
         pairs = {(i + 1, j + 1) for i in range(2) for j in range(3) if i < j and data.links[i, j]}
@@ -148,7 +148,7 @@ class TestToIgnoredData:
             perm = rng.permutation(40)
             relabeled = PopulationGraph(
                 strata=small_population.strata[perm],
-                adjacency=small_population.adjacency[np.ix_(perm, perm)],
+                edges=np.argsort(perm)[small_population.edges],
             )
             inverse = np.argsort(perm)
             mapped_s0 = inverse[s0]

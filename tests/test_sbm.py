@@ -25,7 +25,7 @@ def graph_from_edges(strata, edges):
     adj = np.zeros((n, n), dtype=bool)
     for u, v in edges:
         adj[u, v] = adj[v, u] = True
-    return PopulationGraph(strata=np.array(strata), adjacency=adj)
+    return PopulationGraph(strata=np.array(strata), edges=np.argwhere(np.triu(adj)))
 
 
 class TestValidation:
@@ -142,7 +142,7 @@ class TestSufficientCounts:
         for _ in range(5):
             perm = rng.permutation(10)
             permuted = PopulationGraph(
-                strata=graph.strata[perm], adjacency=graph.adjacency[np.ix_(perm, perm)]
+                strata=graph.strata[perm], edges=np.argsort(perm)[graph.edges]
             )
             a, b = sufficient_counts(graph), sufficient_counts(permuted)
             assert np.array_equal(a.strata_counts, b.strata_counts)
@@ -229,7 +229,7 @@ class TestMle:
         assert np.isnan(est.beta[0, 1])
 
     def test_empty_graph_rejected(self):
-        graph = PopulationGraph(strata=np.zeros(0, dtype=int), adjacency=np.zeros((0, 0), bool))
+        graph = PopulationGraph(strata=np.zeros(0, dtype=int), edges=np.zeros((0, 2), int))
         with pytest.raises(ValidationError):
             mle_from_full_graph(graph)
 
