@@ -19,7 +19,7 @@ distribution-exact.
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import betainc
@@ -367,7 +367,3 @@ def run_chain(data: IgnoredData, cfg: McmcConfig, n_strata: int | None = None) -
         seed=cfg.seed,
         n_strata=g,
     )
-
-
-def with_seed(cfg: McmcConfig, seed: int) -> McmcConfig:
-    return replace(cfg, seed=seed)

@@ -20,7 +20,7 @@ from .augmentation import McmcConfig, run_chain
 from .harness import run_study
 from .likelihoods import ignored_log_likelihood, observed_log_likelihood
 from .sampling import DesignConfig, SampleStats, draw_initial, to_ignored_data, trace_one_wave
-from .sbm import ValidationError, generate_population, mle_from_full_graph
+from .sbm import ValidationError, check_int, generate_population, mle_from_full_graph
 
 logger = logging.getLogger("snowball_sbm")
 
@@ -101,7 +101,9 @@ def cmd_estimate(args) -> int:
     data, meta = io.load_sample(args.sample)
     seed = _resolve_seed(args.seed)
     cfg = _mcmc_config(args, seed)
-    n_strata = args.strata_count or meta.get("n_strata")
+    n_strata = meta.get("n_strata")
+    if args.strata_count is not None:
+        n_strata = check_int(args.strata_count, "--strata-count", data.min_strata())
     trace = run_chain(data, cfg, n_strata=n_strata)
     os.makedirs(args.out, exist_ok=True)
     io.save_trace_csv(trace, os.path.join(args.out, "trace.csv"))

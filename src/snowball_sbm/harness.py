@@ -12,6 +12,7 @@ import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -169,7 +170,7 @@ def _run_replicate(population, design, mcmc, master_seed, n_strata, index) -> Re
             estimates=trace.estimates(),
             cap_hits=trace.cap_hits,
         )
-    except Exception as exc:  # deliberate: one bad replicate must not sink the study
+    except (ValueError, ArithmeticError) as exc:  # bad sample or numeric failure; bugs propagate
         logger.warning("replicate %d failed: %s", index, exc)
         return ReplicateResult(index=index, n0=0, n1=0, estimates=None, error=str(exc))
 
@@ -220,16 +221,14 @@ def run_study(cfg: StudyConfig) -> StudySummary:
     g_hint = cfg.params.n_strata if cfg.params is not None else None
     targets = mle_from_full_graph(population, n_strata=g_hint)
     g = targets.n_strata
-    args = (population, cfg.design, cfg.mcmc, cfg.master_seed, g)
+    run = partial(_run_replicate, population, cfg.design, cfg.mcmc, cfg.master_seed, g)
     threads = cfg.threads if cfg.threads is not None else (os.cpu_count() or 1)
     if threads > 1 and cfg.replicates > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             chunk = max(1, cfg.replicates // (threads * 8))
-            results = list(
-                pool.map(_replicate_task, [(args, r) for r in range(cfg.replicates)], chunksize=chunk)
-            )
+            results = list(pool.map(run, range(cfg.replicates), chunksize=chunk))
     else:
-        results = [_run_replicate(*args, r) for r in range(cfg.replicates)]
+        results = [run(r) for r in range(cfg.replicates)]
 
     completed = [r for r in results if r.error is None]
     failures = [(r.index, r.error) for r in results if r.error is not None]
@@ -265,8 +264,3 @@ def run_study(cfg: StudyConfig) -> StudySummary:
         failures=failures,
         master_seed=cfg.master_seed,
     )
-
-
-def _replicate_task(packed) -> ReplicateResult:
-    (population, design, mcmc, master_seed, g), index = packed
-    return _run_replicate(population, design, mcmc, master_seed, g, index)

@@ -15,7 +15,7 @@ import numpy as np
 from .augmentation import ChainTrace, McmcConfig
 from .harness import ClusterOverlay, StudyConfig, StudySummary, estimand_names
 from .sampling import DesignConfig, IgnoredData, SnowballSample
-from .sbm import PopulationGraph, SbmParams, ValidationError, _is_integer, validate_params
+from .sbm import PopulationGraph, SbmParams, ValidationError, _is_integer, check_int, validate_params
 
 EDGE_HEADER = "u\tv"
 STRATA_HEADER = "node_id,stratum"
@@ -127,18 +127,12 @@ def load_graph(edges_path: str, strata_path: str) -> PopulationGraph:
 # ---------------------------------------------------------------- sample
 
 def sample_to_doc(data: IgnoredData, meta: dict | None = None) -> dict:
-    links = []
-    n0 = data.n0
-    for i in range(n0):
-        row = np.flatnonzero(data.links[i])
-        for j in row[row > i]:
-            links.append([i + 1, int(j) + 1])
     doc = {
         "n0": data.n0,
         "n1": data.n1,
         "strata_s0": [int(s) + 1 for s in data.strata_s0],
         "strata_s1": [int(s) + 1 for s in data.strata_s1],
-        "links": links,
+        "links": (data.links + 1).tolist(),
     }
     if meta:
         doc["meta"] = meta
@@ -189,8 +183,7 @@ def load_sample(path: str):
             raise ValidationError(f"{path}: {name}: bad stratum {bad!r}: strata are integers labeled 1..G")
     if not isinstance(links, list):
         raise ValidationError(f"{path}: links: must be a list of [i, j] pairs")
-    n = n0 + n1
-    matrix = np.zeros((n0, n), dtype=bool)
+    n, seen = n0 + n1, set()
     for pair in links:
         if not (isinstance(pair, list) and len(pair) == 2 and all(_is_integer(x) for x in pair)):
             raise ValidationError(f"{path}: links: {pair!r} is not an [i, j] pair of integers")
@@ -199,20 +192,23 @@ def load_sample(path: str):
             raise ValidationError(f"{path}: links: link [{i}, {j}] outside canonical range")
         if i > n0:
             raise ValidationError(f"{path}: links: link [{i}, {j}] has no endpoint in the initial sample")
-        if matrix[i - 1, j - 1]:
+        if (i, j) in seen:
             raise ValidationError(f"{path}: links: duplicate link [{i}, {j}]")
-        matrix[i - 1, j - 1] = True
-        if j <= n0:
-            matrix[j - 1, i - 1] = True
+        seen.add((i, j))
+    meta = doc.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ValidationError(f"{path}: meta: must be an object")
     try:
+        if "n_strata" in meta:  # at least the largest stratum label
+            check_int(meta["n_strata"], "meta: n_strata", max(strata_s0 + strata_s1))
         data = IgnoredData(
             strata_s0=np.array(strata_s0, dtype=np.int64) - 1,
             strata_s1=np.array(strata_s1, dtype=np.int64) - 1,
-            links=matrix,
+            links=np.array(sorted(seen), dtype=np.int64).reshape(-1, 2) - 1,
         )
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
-    return data, doc.get("meta", {})
+    return data, meta
 
 
 # ------------------------------------------------------------ chain trace

@@ -8,9 +8,10 @@ from .sbm import (
     PopulationGraph,
     ValidationError,
     _freeze,
+    canonical_pairs,
     check_int,
     pair_totals_from_counts,
-    symmetrize_block_counts,
+    stratum_pair_counts,
 )
 
 INITIAL_MODES = ("bernoulli", "fixed_size", "degree_biased")
@@ -72,18 +73,17 @@ class SnowballSample:
     incident to the initial sample (absence of links to unsampled units is
     implied by the design).
 
-    ``links_s0_s`` has one row per initial-sample node and one column per
-    final-sample node, columns ordered initial sample first then wave, both
-    ascending by original id. ``population_hint`` carries the true size for
-    harness scoring only; it is dropped when labels are removed and is never
-    visible to the estimator.
+    ``links`` is an (L, 2) array of original node-id pairs, each with an
+    endpoint in ``s0`` and both in ``s0`` or ``s1``. ``population_hint``
+    carries the true size for harness scoring only; it is dropped when
+    labels are removed and is never visible to the estimator.
     """
 
     s0: np.ndarray
     s1: np.ndarray
     strata_s0: np.ndarray
     strata_s1: np.ndarray
-    links_s0_s: np.ndarray
+    links: np.ndarray
     population_hint: int | None = None
 
     def __post_init__(self):
@@ -91,14 +91,15 @@ class SnowballSample:
         s1 = np.asarray(self.s1, dtype=np.int64)
         if np.intersect1d(s0, s1).size:
             raise ValidationError("initial sample and first wave overlap")
-        links = np.asarray(self.links_s0_s, dtype=bool)
-        if links.shape != (s0.size, s0.size + s1.size):
-            raise ValidationError("link matrix shape does not match sample sizes")
+        final = np.concatenate([s0, s1])
+        links = canonical_pairs(self.links, int(final.max()) + 1 if final.size else 0, "link")
+        if not (np.isin(links, s0).any(axis=1).all() and np.isin(links, final).all()):
+            raise ValidationError("links must join the initial sample to the final sample")
         object.__setattr__(self, "s0", _freeze(s0))
         object.__setattr__(self, "s1", _freeze(s1))
         object.__setattr__(self, "strata_s0", _freeze(np.asarray(self.strata_s0, dtype=np.int64)))
         object.__setattr__(self, "strata_s1", _freeze(np.asarray(self.strata_s1, dtype=np.int64)))
-        object.__setattr__(self, "links_s0_s", _freeze(links))
+        object.__setattr__(self, "links", links)
 
     @property
     def n0(self) -> int:
@@ -116,27 +117,19 @@ def trace_one_wave(graph: PopulationGraph, s0) -> SnowballSample:
         raise ValidationError("initial sample contains unknown node ids")
     if np.unique(s0).size != s0.size:
         raise ValidationError("initial sample contains duplicate node ids")
-    u, v = graph.edges[:, 0], graph.edges[:, 1]
     in_s0 = np.zeros(graph.n_nodes, dtype=bool)
     in_s0[s0] = True
-    from_u, from_v = in_s0[u], in_s0[v]  # edges with that endpoint in S0
+    links = graph.edges[in_s0[graph.edges].any(axis=1)]  # edges with an endpoint in S0
     reached = np.zeros(graph.n_nodes, dtype=bool)
-    reached[v[from_u]] = True
-    reached[u[from_v]] = True
+    reached[links.reshape(-1)] = True
     reached[s0] = False
     s1 = np.flatnonzero(reached)
-    final = np.concatenate([s0, s1])
-    position = np.zeros(graph.n_nodes, dtype=np.int64)
-    position[final] = np.arange(final.size)
-    links = np.zeros((s0.size, final.size), dtype=bool)
-    links[position[u[from_u]], position[v[from_u]]] = True
-    links[position[v[from_v]], position[u[from_v]]] = True
     return SnowballSample(
         s0=s0,
         s1=s1,
         strata_s0=graph.strata[s0],
         strata_s1=graph.strata[s1],
-        links_s0_s=links,
+        links=links,
         population_hint=graph.n_nodes,
     )
 
@@ -144,12 +137,15 @@ def trace_one_wave(graph: PopulationGraph, s0) -> SnowballSample:
 @dataclass(frozen=True)
 class IgnoredData:
     """The label-free reduction: sample sizes, stratum vectors, and the
-    observed sub-adjacency under the canonical relabeling (initial-sample
-    units first, then wave units, each block ordered by original id at the
-    time labels were dropped).
+    observed links under the canonical relabeling (initial-sample units
+    first, then wave units, each block ordered by original id at the time
+    labels were dropped).
 
-    This is the validated form of a sample that files hold; the estimator
-    reads it through :class:`SampleStats`.
+    ``links`` is an (L, 2) int64 array of canonical-index pairs (i, j) with
+    i < j and i < n0, rows sorted and unique: the form the sample file
+    holds. Any pair order and row order is accepted and canonicalized. This
+    is the validated form of a sample; the estimator reads it through
+    :class:`SampleStats`.
     """
 
     strata_s0: np.ndarray
@@ -159,22 +155,17 @@ class IgnoredData:
     def __post_init__(self):
         strata_s0 = np.asarray(self.strata_s0, dtype=np.int64)
         strata_s1 = np.asarray(self.strata_s1, dtype=np.int64)
-        links = np.asarray(self.links, dtype=bool)
         n0, n1 = strata_s0.size, strata_s1.size
-        if links.shape != (n0, n0 + n1):
-            raise ValidationError("link matrix shape does not match sample sizes")
-        s0_block = links[:, :n0]
-        if np.any(np.diagonal(s0_block)):
-            raise ValidationError("self-links in the initial-sample block")
-        if not np.array_equal(s0_block, s0_block.T):
-            raise ValidationError("initial-sample link block is not symmetric")
-        if n1 and not links[:, n0:].any(axis=0).all():
+        links = canonical_pairs(self.links, n0 + n1, "link")
+        if links.size and links[:, 0].max() >= n0:
+            raise ValidationError("a link has no endpoint in the initial sample")
+        if not np.bincount(links[:, 1], minlength=n0 + n1)[n0:].all():
             raise ValidationError("a wave unit has no link into the initial sample")
         if (strata_s0.size and strata_s0.min() < 0) or (strata_s1.size and strata_s1.min() < 0):
             raise ValidationError("stratum labels must be non-negative")
         object.__setattr__(self, "strata_s0", _freeze(strata_s0))
         object.__setattr__(self, "strata_s1", _freeze(strata_s1))
-        object.__setattr__(self, "links", _freeze(links))
+        object.__setattr__(self, "links", links)
 
     @property
     def n0(self) -> int:
@@ -201,15 +192,7 @@ class IgnoredData:
 
     def observed_link_counts(self, g: int) -> np.ndarray:
         """Observed links per unordered stratum pair (within S0 plus S0-wave)."""
-        onehot0 = np.zeros((self.n0, g), dtype=np.int64)
-        if self.n0:
-            onehot0[np.arange(self.n0), self.strata_s0] = 1
-        onehot1 = np.zeros((self.n1, g), dtype=np.int64)
-        if self.n1:
-            onehot1[np.arange(self.n1), self.strata_s1] = 1
-        within = onehot0.T @ self.links[:, : self.n0].astype(np.int64) @ onehot0
-        cross = onehot0.T @ self.links[:, self.n0 :].astype(np.int64) @ onehot1
-        return symmetrize_block_counts(within + cross + cross.T)
+        return stratum_pair_counts(np.concatenate([self.strata_s0, self.strata_s1]), self.links, g)
 
 
 @dataclass(frozen=True)
@@ -240,7 +223,6 @@ class SampleStats:
         if data.min_strata() > g:
             raise ValidationError("sample contains stratum labels outside 0..G-1")
         c0, c1 = data.strata_counts_s0(g), data.strata_counts_s1(g)
-        cross = np.outer(c0, c1)  # observed pairs: within S0, plus S0 x wave
         return cls(
             n0=data.n0,
             n1=data.n1,
@@ -248,7 +230,8 @@ class SampleStats:
             counts_s0=c0,
             counts_s1=c1,
             link_counts=data.observed_link_counts(g),
-            pair_totals=pair_totals_from_counts(c0) + symmetrize_block_counts(cross + cross.T),
+            # observed pairs: all sampled pairs except wave-wave ones
+            pair_totals=pair_totals_from_counts(c0 + c1) - pair_totals_from_counts(c1),
         )
 
     @property
@@ -269,9 +252,10 @@ def to_ignored_data(sample: SnowballSample) -> IgnoredData:
     """Drop original unit labels, keeping the sample pattern up to relabeling."""
     order0 = np.argsort(sample.s0, kind="stable")
     order1 = np.argsort(sample.s1, kind="stable")
-    col_order = np.concatenate([order0, sample.n0 + order1])
+    ids = np.concatenate([sample.s0[order0], sample.s1[order1]])  # id of each canonical index
+    by_id = np.argsort(ids)
     return IgnoredData(
         strata_s0=sample.strata_s0[order0],
         strata_s1=sample.strata_s1[order1],
-        links=sample.links_s0_s[np.ix_(order0, col_order)],
+        links=by_id[np.searchsorted(ids, sample.links, sorter=by_id)],
     )

@@ -114,6 +114,43 @@ def validate_params(params: SbmParams) -> SbmParams:
     return params
 
 
+def canonical_pairs(pairs, n: int, what: str) -> np.ndarray:
+    """An (E, 2) int64 array of unordered pairs of ids in 0..n-1, in canonical
+    form: the smaller id first in each row, rows sorted, read-only.
+
+    Any pair order and row order is accepted; a wrong shape, self-links, ids
+    out of range and repeated pairs (in either orientation) are rejected,
+    the message naming each pair a ``what``.
+    """
+    pairs = np.asarray(pairs, dtype=np.int64)
+    if pairs.size == 0:
+        pairs = pairs.reshape(0, 2)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValidationError(f"{what}s must be an (E, 2) array of pairs, got shape {pairs.shape}")
+    u, v = pairs.min(axis=1), pairs.max(axis=1)
+    if np.any(u == v):
+        raise ValidationError(f"self-link at node {int(u[u == v][0])}")
+    if u.size and (u.min() < 0 or v.max() >= n):
+        raise ValidationError(f"{what} node id outside 0..{n - 1}")
+    key = u * n + v
+    order = np.argsort(key)
+    key = key[order]
+    repeated = np.flatnonzero(key[1:] == key[:-1])
+    if repeated.size:
+        pair = order[repeated[0] + 1]
+        raise ValidationError(f"duplicate {what} {int(u[pair])},{int(v[pair])}")
+    return _freeze(np.column_stack([u[order], v[order]]))
+
+
+def stratum_pair_counts(strata: np.ndarray, pairs: np.ndarray, g: int) -> np.ndarray:
+    """Symmetric G x G count of ``pairs`` (rows of node indices into
+    ``strata``) per unordered stratum pair."""
+    ends = strata[pairs]
+    lo, hi = ends.min(axis=1), ends.max(axis=1)
+    upper = np.bincount(lo * g + hi, minlength=g * g).reshape(g, g)
+    return upper + np.triu(upper, 1).T
+
+
 @dataclass(frozen=True)
 class PopulationGraph:
     """A full realization: stratum labels and an undirected edge list.
@@ -130,28 +167,10 @@ class PopulationGraph:
 
     def __post_init__(self):
         strata = np.asarray(self.strata, dtype=np.int64).reshape(-1)
-        edges = np.asarray(self.edges, dtype=np.int64)
-        if edges.size == 0:
-            edges = edges.reshape(0, 2)
-        if edges.ndim != 2 or edges.shape[1] != 2:
-            raise ValidationError(f"edges must be an (E, 2) array of node pairs, got shape {edges.shape}")
-        n = strata.size
-        if n and strata.min() < 0:
+        if strata.size and strata.min() < 0:
             raise ValidationError("strata labels must be non-negative")
-        u, v = edges.min(axis=1), edges.max(axis=1)
-        if np.any(u == v):
-            raise ValidationError(f"self-link at node {int(u[u == v][0])}")
-        if u.size and (u.min() < 0 or v.max() >= n):
-            raise ValidationError(f"edge node id outside 0..{n - 1}")
-        key = u * n + v
-        order = np.argsort(key)
-        key = key[order]
-        repeated = np.flatnonzero(key[1:] == key[:-1])
-        if repeated.size:
-            pair = order[repeated[0] + 1]
-            raise ValidationError(f"duplicate edge {int(u[pair])},{int(v[pair])}")
         object.__setattr__(self, "strata", _freeze(strata))
-        object.__setattr__(self, "edges", _freeze(np.column_stack([u[order], v[order]])))
+        object.__setattr__(self, "edges", canonical_pairs(self.edges, strata.size, "edge"))
 
     @property
     def n_nodes(self) -> int:
@@ -216,20 +235,6 @@ def pair_totals_from_counts(counts: np.ndarray) -> np.ndarray:
     totals = np.outer(counts, counts)
     np.fill_diagonal(totals, counts * (counts - 1) // 2)
     return totals
-
-
-def symmetrize_block_counts(raw: np.ndarray) -> np.ndarray:
-    """Fold an ordered-incidence G x G count matrix into unordered pair counts.
-
-    Input convention: each unordered edge with stratum pair {k, l} contributes
-    1 to raw[k, l] and 1 to raw[l, k] (so twice to raw[k, k] when k == l).
-    """
-    out = np.array(raw, dtype=np.int64, copy=True)
-    diag = np.diagonal(out)
-    if np.any(diag % 2):
-        raise ValidationError("diagonal incidence counts must be even")
-    np.fill_diagonal(out, diag // 2)
-    return out
 
 
 def _unrank_pairs(rank: np.ndarray, n: int):
@@ -298,12 +303,9 @@ def sufficient_counts(graph: PopulationGraph, n_strata: int | None = None) -> Su
     if graph.n_nodes and graph.strata.max() >= g:
         raise ValidationError("graph contains stratum labels outside 0..G-1")
     counts = np.bincount(graph.strata, minlength=g)
-    ends = graph.strata[graph.edges]
-    lo, hi = ends.min(axis=1), ends.max(axis=1)
-    upper = np.bincount(lo * g + hi, minlength=g * g).reshape(g, g)
     return SufficientCounts(
         strata_counts=counts,
-        link_counts=upper + np.triu(upper, 1).T,
+        link_counts=stratum_pair_counts(graph.strata, graph.edges, g),
         pair_totals=pair_totals_from_counts(counts),
     )
 

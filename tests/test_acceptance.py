@@ -49,9 +49,7 @@ def report(criterion, detail):
 
 def synthetic_data(n0, n1):
     """Minimal valid label-free data with the requested block sizes (G=1)."""
-    links = np.zeros((n0, n0 + n1), dtype=bool)
-    if n1:
-        links[0, n0:] = True
+    links = [[0, n0 + j] for j in range(n1)]
     return IgnoredData(
         strata_s0=np.zeros(n0, dtype=int), strata_s1=np.zeros(n1, dtype=int), links=links
     )

@@ -34,6 +34,7 @@ from snowball_sbm.augmentation import (
 )
 from snowball_sbm.sampling import IgnoredData, SampleStats
 
+from dense_links import dense_links
 from test_likelihoods import make_data, stats_of
 
 
@@ -146,6 +147,7 @@ def brute_force_stratum_marginals(data, n, lam_frac, beta_frac):
     n_s = n0 + n1
     n_bar = n - n_s
     strata_s = list(data.strata_s0) + list(data.strata_s1)
+    links = dense_links(data)
 
     def edge_factor(k, l, present):
         return beta_frac[k][l] if present else 1 - beta_frac[k][l]
@@ -155,7 +157,7 @@ def brute_force_stratum_marginals(data, n, lam_frac, beta_frac):
         base *= lam_frac[strata_s[i]]
     for i in range(n0):
         for j in range(i + 1, n_s):
-            base *= edge_factor(strata_s[i], strata_s[j], bool(data.links[i, j]))
+            base *= edge_factor(strata_s[i], strata_s[j], bool(links[i, j]))
 
     total = Fraction(0)
     marg = [Fraction(0)] * g

@@ -1,6 +1,7 @@
-"""The edge-list population graph: every graph operation against the same
-quantity computed from the dense `.adjacency` view, the constructor's and
-the loader's input checks, and a memory bound that O(N^2) code cannot meet."""
+"""The edge-list population graph and sample: every graph operation against
+the same quantity computed from the dense `.adjacency` view, the
+constructor's and the loader's input checks, and memory bounds that dense
+population or sample matrices cannot meet."""
 
 import tracemalloc
 
@@ -11,15 +12,19 @@ from snowball_sbm import (
     ClusterOverlay,
     DesignConfig,
     PopulationGraph,
+    SampleStats,
     SbmParams,
     ValidationError,
     clustered_population,
     draw_initial,
     generate_population,
     sufficient_counts,
+    to_ignored_data,
     trace_one_wave,
 )
 from snowball_sbm import io
+
+from dense_links import dense_links
 
 
 def random_params(rng, g):
@@ -78,7 +83,29 @@ def test_trace_one_wave_matches_dense():
             reached[s0] = False
             s1 = np.flatnonzero(reached)
             assert np.array_equal(sample.s1, s1)
-            assert np.array_equal(sample.links_s0_s, adj[np.ix_(s0, np.concatenate([s0, s1]))])
+            assert np.array_equal(dense_links(sample), adj[np.ix_(s0, np.concatenate([s0, s1]))])
+
+
+def test_sample_statistics_match_dense():
+    """Observed link counts M and pair totals T per stratum pair, by a loop
+    over every observed pair (within S0, and S0 x wave) of the dense view."""
+    rng = np.random.default_rng(9)
+    for _, g, graph in random_graphs():
+        n = graph.n_nodes
+        s0 = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+        data = to_ignored_data(trace_one_wave(graph, s0))
+        strata = np.concatenate([data.strata_s0, data.strata_s1])
+        links = dense_links(data)
+        m = np.zeros((g, g), dtype=np.int64)
+        t = np.zeros((g, g), dtype=np.int64)
+        for i in range(data.n0):
+            for j in range(i + 1, data.n_sampled):
+                k, l = sorted((strata[i], strata[j]))
+                t[k, l] += 1
+                m[k, l] += links[i, j]
+        stats = SampleStats.from_data(data, g)
+        assert np.array_equal(stats.link_counts, m + np.triu(m, 1).T)
+        assert np.array_equal(stats.pair_totals, t + np.triu(t, 1).T)
 
 
 def test_clique_overlay_matches_dense():
@@ -176,3 +203,28 @@ def test_city_scale_population_work_stays_small():
     assert counts.strata_counts.sum() == n
     assert sample.n0 > 0 and sample.n1 > 0
     assert peak < 64 * 2**20, f"peak traced allocation {peak / 2**20:.1f} MB"
+
+
+def test_city_scale_sample_path_stays_small(tmp_path):
+    """One wave, label removal, the sample file's write and read, and the
+    sample statistics at N = 50 000 under tracemalloc. The links stay (L, 2)
+    pairs throughout; an n0 x (n0 + n1) int64 link matrix alone would take
+    over 100 MB at this size."""
+    n = 50_000
+    scale = 595 / n
+    params = SbmParams.from_upper([0.425, 0.575], [0.0046 * scale, 0.0014 * scale, 0.0058 * scale])
+    graph = generate_population(params, n, seed=5)
+    s0 = draw_initial(graph, DesignConfig(mode="bernoulli", q=0.05, seed=6))
+    path = str(tmp_path / "sample.json")
+    tracemalloc.start()
+    try:
+        data = to_ignored_data(trace_one_wave(graph, s0))
+        io.save_sample(data, path)
+        loaded, _ = io.load_sample(path)
+        stats = SampleStats.from_data(loaded, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20, f"peak traced allocation {peak / 2**20:.1f} MB"
+    assert np.array_equal(loaded.links, data.links)
+    assert stats.link_counts[np.triu_indices(2)].sum() == len(data.links)

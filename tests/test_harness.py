@@ -101,6 +101,16 @@ class TestRunStudy:
         assert len(summary.failures) == 3
         assert summary.estimate_rows.shape[0] == 0
 
+    def test_bugs_propagate_instead_of_counting_as_failures(self, monkeypatch):
+        import snowball_sbm.harness as harness
+
+        def broken_chain(*args, **kwargs):
+            raise TypeError("a bug in the chain")
+
+        monkeypatch.setattr(harness, "run_chain", broken_chain)
+        with pytest.raises(TypeError, match="a bug in the chain"):
+            run_study(small_study_config())
+
     def test_sample_fractions(self):
         cfg = small_study_config(replicates=5)
         summary = run_study(cfg)

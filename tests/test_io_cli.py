@@ -23,6 +23,8 @@ from snowball_sbm import (
 from snowball_sbm import io
 from snowball_sbm.cli import main
 
+from dense_links import dense_links
+
 
 def run_cli(*argv):
     return main(list(argv))
@@ -115,7 +117,7 @@ class TestSampleIo:
         io.save_sample(data, path, meta={"n_strata": 2})
         loaded, meta = io.load_sample(path)
         assert loaded.n0 == data.n0 and loaded.n1 == data.n1
-        assert np.array_equal(loaded.links, data.links)
+        assert np.array_equal(dense_links(loaded), dense_links(data))
         assert np.array_equal(loaded.strata_s0, data.strata_s0)
         assert meta["n_strata"] == 2
 
@@ -359,12 +361,12 @@ class TestInputHardening:
 
     SAMPLE = {"n0": 2, "n1": 1, "strata_s0": [1, 2], "strata_s1": [1], "links": [[1, 2], [1, 3]]}
 
-    def estimate(self, tmp_path, capsys, **changes):
+    def estimate(self, tmp_path, capsys, *argv, **changes):
         path = tmp_path / "s.json"
         path.write_text(json.dumps({**self.SAMPLE, **changes}))
         out = tmp_path / "est"
         code = run_cli("estimate", "--sample", str(path), "--chain-length", "20", "--seed", "1",
-                       "--out", str(out))
+                       "--out", str(out), *argv)
         return code, capsys.readouterr().err, str(path), out.exists()
 
     def simulate(self, tmp_path, capsys, monkeypatch, population=None, **changes):
@@ -403,6 +405,24 @@ class TestInputHardening:
         code, err, path, wrote = self.estimate(tmp_path, capsys, strata_s0=[1, "2"])
         assert code == 2 and not wrote
         assert f"{path}: strata_s0: bad stratum '2': strata are integers labeled 1..G" in err
+
+    @pytest.mark.parametrize("n_strata", ["2", 1.5, 1])
+    def test_sample_bad_n_strata_rejected(self, tmp_path, capsys, n_strata):
+        # the sample's labels go up to 2
+        code, err, path, wrote = self.estimate(tmp_path, capsys, meta={"n_strata": n_strata})
+        assert code == 2 and not wrote
+        assert f"{path}: meta: n_strata must be an integer >= 2, got {n_strata!r}" in err
+
+    def test_sample_non_object_meta_rejected(self, tmp_path, capsys):
+        code, err, path, wrote = self.estimate(tmp_path, capsys, meta=[2])
+        assert code == 2 and not wrote
+        assert f"{path}: meta: must be an object" in err
+
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_strata_count_below_labels_rejected(self, tmp_path, capsys, count):
+        code, err, _, wrote = self.estimate(tmp_path, capsys, "--strata-count", str(count), meta={"n_strata": 2})
+        assert code == 2 and not wrote
+        assert f"--strata-count must be an integer >= 2, got {count}" in err
 
     def test_study_zero_bins_rejected_before_any_replicate(self, tmp_path, capsys, monkeypatch):
         code, err, path = self.simulate(tmp_path, capsys, monkeypatch, bins=0)

@@ -8,12 +8,15 @@ from snowball_sbm import (
     IgnoredData,
     PopulationGraph,
     SbmParams,
+    SnowballSample,
     ValidationError,
     draw_initial,
     generate_population,
     to_ignored_data,
     trace_one_wave,
 )
+
+from dense_links import dense_links
 
 
 def star_graph(leaves):
@@ -100,7 +103,7 @@ class TestTraceOneWave:
         s0 = [1, 5, 9]
         a = trace_one_wave(small_population, s0)
         b = trace_one_wave(small_population, s0)
-        assert np.array_equal(a.links_s0_s, b.links_s0_s)
+        assert np.array_equal(dense_links(a), dense_links(b))
         assert np.array_equal(a.s1, b.s1)
 
     def test_unknown_ids_rejected(self, small_population):
@@ -110,8 +113,14 @@ class TestTraceOneWave:
     def test_every_wave_member_linked_to_s0(self, small_population):
         s0 = draw_initial(small_population, DesignConfig(mode="bernoulli", q=0.2, seed=8))
         sample = trace_one_wave(small_population, s0)
-        wave_block = sample.links_s0_s[:, sample.n0 :]
+        wave_block = dense_links(sample)[:, sample.n0 :]
         assert wave_block.any(axis=0).all()
+
+
+    @pytest.mark.parametrize("links", [[[5, 6]], [[1, 4]]])
+    def test_links_must_join_initial_sample_to_final_sample(self, links):
+        with pytest.raises(ValidationError, match="join the initial sample"):
+            SnowballSample(s0=[1, 2], s1=[5, 6], strata_s0=[0, 0], strata_s1=[0, 0], links=links)
 
 
 class TestToIgnoredData:
@@ -119,7 +128,7 @@ class TestToIgnoredData:
         graph = PopulationGraph(strata=np.zeros(5, dtype=int), edges=np.zeros((0, 2), int))
         data = to_ignored_data(trace_one_wave(graph, []))
         assert data.n0 == 0 and data.n1 == 0
-        assert data.links.size == 0
+        assert dense_links(data).size == 0
 
     def test_hand_construction(self):
         # two initial nodes linked to each other, one wave node linked to both
@@ -130,7 +139,8 @@ class TestToIgnoredData:
         graph = PopulationGraph(strata=np.array([0, 1, 0, 1]), edges=np.argwhere(np.triu(adj)))
         data = to_ignored_data(trace_one_wave(graph, [0, 1]))
         assert (data.n0, data.n1) == (2, 1)
-        pairs = {(i + 1, j + 1) for i in range(2) for j in range(3) if i < j and data.links[i, j]}
+        links = dense_links(data)
+        pairs = {(i + 1, j + 1) for i in range(2) for j in range(3) if i < j and links[i, j]}
         assert pairs == {(1, 2), (1, 3), (2, 3)}
 
     def test_population_hint_not_carried(self, small_population):
@@ -157,16 +167,16 @@ class TestToIgnoredData:
             assert sorted(data.strata_s0) == sorted(base.strata_s0)
             assert sorted(data.strata_s1) == sorted(base.strata_s1)
             # degree-into-initial-sample multiset, split by block
-            assert sorted(data.links[:, : data.n0].sum(axis=1)) == sorted(
-                base.links[:, : base.n0].sum(axis=1)
+            assert sorted(dense_links(data)[:, : data.n0].sum(axis=1)) == sorted(
+                dense_links(base)[:, : base.n0].sum(axis=1)
             )
-            assert sorted(data.links[:, data.n0 :].sum(axis=0)) == sorted(
-                base.links[:, base.n0 :].sum(axis=0)
+            assert sorted(dense_links(data)[:, data.n0 :].sum(axis=0)) == sorted(
+                dense_links(base)[:, base.n0 :].sum(axis=0)
             )
-            assert data.links.sum() == base.links.sum()
+            assert dense_links(data).sum() == dense_links(base).sum()
 
     def test_validation_rejects_unlinked_wave_unit(self):
-        links = np.zeros((1, 2), dtype=bool)
+        links = np.zeros((0, 2), dtype=int)
         with pytest.raises(ValidationError, match="no link"):
             IgnoredData(strata_s0=np.array([0]), strata_s1=np.array([0]), links=links)
 
