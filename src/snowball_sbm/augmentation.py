@@ -14,17 +14,19 @@ count vector replaces per-unit labels; the parameter posteriors consume only
 link counts and pair totals, so unobserved links are drawn as binomial pair
 counts rather than materialized edges; and N is drawn as a truncated
 negative binomial (see :func:`draw_population_size`). All three are
-distribution-exact.
+distribution-exact. :func:`run_chains` advances many chains in lockstep, one
+sweep (:func:`lockstep_sweep`) of all of them at a time, each on its own seed.
 """
 
 import logging
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import betainc
 
-from .likelihoods import EscapeProbability, escape_probability
+from .likelihoods import EscapeProbability, escape_probability, escape_terms, stratum_escape_log_weights
 from .logmath import log_binom
 from .sampling import IgnoredData, SampleStats
 from .sbm import (
@@ -32,9 +34,9 @@ from .sbm import (
     SufficientCounts,
     ValidationError,
     _freeze,
-    beta_matrix_from_upper,
     check_int,
     pair_totals_from_counts,
+    symmetric_from_upper,
     upper_indices,
 )
 
@@ -90,6 +92,26 @@ def population_size_log_weights(n0: int, n1: int, log_one_minus_p: float, cap: i
     return support, log_binom(support - n0, n1) + excess * log_one_minus_p
 
 
+def _takes_negative_binomial(n1, k_max, p):
+    """Whether the excess is drawn by rejection: its mass above K is below 1/2 (vectorized)."""
+    return betainc(n1 + 1, k_max + 1, p) > 0.5
+
+
+def _draw_excess(rng, n0: int, n1: int, log_omp: float, k_max: int, rejection, shape):
+    """``shape`` draws of the excess M in 0..K, by rejection or on the grid."""
+    if rejection:
+        p = -math.expm1(log_omp)
+        excess = rng.negative_binomial(n1 + 1, p, shape)
+        over = (excess > k_max).nonzero()[0]
+        while over.size:
+            excess[over] = rng.negative_binomial(n1 + 1, p, over.size)
+            over = over[excess[over] > k_max]
+        return excess
+    _, log_w = population_size_log_weights(n0, n1, log_omp, n0 + n1 + k_max)
+    cdf = np.cumsum(np.exp(log_w - log_w.max()))
+    return np.minimum(np.searchsorted(cdf, rng.random(shape) * cdf[-1], side="right"), k_max)
+
+
 def draw_population_size(
     stats: SampleStats,
     params: SbmParams,
@@ -111,26 +133,15 @@ def draw_population_size(
     when the caller already has it.
     """
     n_sampled = stats.n_sampled
-    cap = cfg.effective_cap(n_sampled)
+    k_max = cfg.effective_cap(n_sampled) - n_sampled
     if escape is None:
         escape = escape_probability(stats.strata_s0, params)
     if escape.one_minus_p == 0.0:
         return n_sampled if size is None else np.full(size, n_sampled, dtype=np.int64)
-    successes, k_max = stats.n1 + 1, cap - n_sampled
-    p = -math.expm1(escape.log_one_minus_p)
-    shape = 1 if size is None else size
-    if p > 0.0 and betainc(successes, k_max + 1, p) > 0.5:
-        excess = rng.negative_binomial(successes, p, shape)
-        over = np.flatnonzero(excess > k_max)
-        while over.size:
-            excess[over] = rng.negative_binomial(successes, p, over.size)
-            over = over[excess[over] > k_max]
-    else:
-        _, log_w = population_size_log_weights(stats.n0, stats.n1, escape.log_one_minus_p, cap)
-        cdf = np.cumsum(np.exp(log_w - log_w.max()))
-        excess = np.minimum(np.searchsorted(cdf, rng.random(shape) * cdf[-1], side="right"), k_max)
-    drawn = n_sampled + excess
-    return int(drawn[0]) if size is None else drawn
+    log_omp = escape.log_one_minus_p
+    rejection = _takes_negative_binomial(stats.n1, k_max, -math.expm1(log_omp))
+    excess = _draw_excess(rng, stats.n0, stats.n1, log_omp, k_max, rejection, 1 if size is None else size)
+    return int(n_sampled + excess[0]) if size is None else n_sampled + excess
 
 
 def imputation_probabilities(
@@ -143,9 +154,16 @@ def imputation_probabilities(
     """
     if escape is None:
         escape = escape_probability(stats.strata_s0, params)
-    if escape.stratum_probabilities is None:
-        raise ValidationError("inconsistent state: an unsampled unit cannot avoid the initial sample")
+    _check_unsampled(1, escape.log_one_minus_p)
     return escape.stratum_probabilities
+
+
+def _check_unsampled(n_missing, log_omp):
+    """Unsampled counts must be >= 0, and 0 where no unit can avoid S0 (vectorized)."""
+    if np.less(n_missing, 0).any():
+        raise ValidationError("population size below sampled count")
+    if (np.greater(n_missing, 0) & (log_omp == -np.inf)).any():
+        raise ValidationError("inconsistent state: an unsampled unit cannot avoid the initial sample")
 
 
 def impute_strata(
@@ -156,13 +174,32 @@ def impute_strata(
     escape: EscapeProbability | None = None,
 ) -> np.ndarray:
     """Impute strata for the N - n0 - n1 unsampled units, as counts per stratum."""
+    if escape is None:
+        escape = escape_probability(stats.strata_s0, params)
     n_missing = n - stats.n_sampled
-    if n_missing < 0:
-        raise ValidationError("population size below sampled count")
+    _check_unsampled(n_missing, escape.log_one_minus_p)
     if n_missing == 0:
         return np.zeros(params.n_strata, dtype=np.int64)
-    probs = imputation_probabilities(stats, params, escape)
-    return rng.multinomial(n_missing, probs).astype(np.int64)
+    return rng.multinomial(n_missing, escape.stratum_probabilities).astype(np.int64)
+
+
+def _unobserved_pair_totals(stats, n, strata_all_counts) -> np.ndarray:
+    """Pairs per stratum pair with both ends outside the initial sample, after
+    checking the completed stratum counts against N and the observed wave.
+    With a :class:`StackedStats`, ``n`` and the counts carry its replicate axis."""
+    strata_all_counts = np.asarray(strata_all_counts, dtype=np.int64)
+    if (strata_all_counts.sum(axis=-1) != n).any():
+        raise ValidationError("stratum counts do not sum to the population size")
+    outside = strata_all_counts - stats.counts_s0
+    if (outside < stats.counts_s1).any():
+        raise ValidationError("stratum counts inconsistent with the observed wave")
+    return pair_totals_from_counts(outside)
+
+
+def _pair_draws(draw, first: list, second: list) -> list:
+    """One scalar ``draw(a, b)`` per stratum pair. It consumes the Generator's
+    stream exactly as one array-valued call, without numpy's array checks."""
+    return [draw(a, b) for a, b in zip(first, second)]
 
 
 def impute_link_counts(
@@ -179,19 +216,10 @@ def impute_link_counts(
     stratum pair the count is Binomial(pairs available, beta).
     """
     g = params.n_strata
-    strata_all_counts = np.asarray(strata_all_counts, dtype=np.int64)
-    if int(strata_all_counts.sum()) != n:
-        raise ValidationError("stratum counts do not sum to the population size")
-    outside = strata_all_counts - stats.counts_s0
-    if (outside < stats.counts_s1).any():
-        raise ValidationError("stratum counts inconsistent with the observed wave")
-    totals = pair_totals_from_counts(outside)
     iu = upper_indices(g)
-    draws = rng.binomial(totals[iu], params.beta[iu])
-    out = np.zeros((g, g), dtype=np.int64)
-    out[iu] = draws
-    out.T[iu] = draws
-    return out
+    totals = _unobserved_pair_totals(stats, n, strata_all_counts)
+    draws = _pair_draws(rng.binomial, totals[iu].tolist(), params.beta[iu].tolist())
+    return symmetric_from_upper(np.array(draws, dtype=np.int64), g)
 
 
 def lambda_posterior_params(strata_counts: np.ndarray, cfg: McmcConfig) -> np.ndarray:
@@ -215,11 +243,11 @@ def draw_beta(counts: SufficientCounts, cfg: McmcConfig, rng: np.random.Generato
     a, b = beta_posterior_params(counts, cfg)
     g = counts.strata_counts.size
     iu = upper_indices(g)
-    return beta_matrix_from_upper(rng.beta(a[iu], b[iu]), g)
+    return symmetric_from_upper(np.array(_pair_draws(rng.beta, a[iu].tolist(), b[iu].tolist())), g)
 
 
 def assemble_full_counts(
-    stats: SampleStats, strata_unsampled: np.ndarray, imputed_links: np.ndarray
+    stats: "SampleStats | StackedStats", strata_unsampled: np.ndarray, imputed_links: np.ndarray
 ) -> SufficientCounts:
     """Sufficient counts of the completed realization: observed plus imputed."""
     strata_counts = stats.counts_sampled + np.asarray(strata_unsampled, dtype=np.int64)
@@ -232,14 +260,25 @@ def assemble_full_counts(
 
 @dataclass(frozen=True)
 class AugmentedState:
-    """One Gibbs state: current N, imputed stratum counts for the unsampled
-    block, imputed link counts, and current (lambda, beta). The arrays are
-    fresh each sweep and never written after the state is built."""
+    """One Gibbs state: N, the unsampled block's imputed stratum counts, imputed
+    link counts, and (lambda, beta). R states advanced together carry a leading
+    replicate axis on every field. The arrays are never written once built."""
 
-    n: int
+    n: int | np.ndarray
     strata_unsampled: np.ndarray
     imputed_link_counts: np.ndarray
-    params: SbmParams
+    lam: np.ndarray
+    beta: np.ndarray
+
+    @property
+    def params(self) -> SbmParams:
+        return SbmParams(lam=self.lam, beta=self.beta)
+
+
+def _stack(cls, items, **given):
+    """A ``cls`` whose fields but those ``given`` stack the same-named attribute of ``items``."""
+    names = [f.name for f in fields(cls) if f.name not in given]
+    return cls(**given, **{name: np.array([getattr(item, name) for item in items]) for name in names})
 
 
 def initial_state(stats: SampleStats) -> AugmentedState:
@@ -249,36 +288,67 @@ def initial_state(stats: SampleStats) -> AugmentedState:
     lam0 = stats.counts_sampled / stats.n_sampled if stats.n_sampled else np.full(g, 1.0 / g)
     beta0 = (stats.link_counts + 1.0) / (stats.pair_totals + 2.0)
     return AugmentedState(
-        n=2 * stats.n_sampled,
-        strata_unsampled=np.zeros(g, dtype=np.int64),
-        imputed_link_counts=np.zeros((g, g), dtype=np.int64),
-        params=SbmParams(lam=lam0, beta=beta0),
+        2 * stats.n_sampled, np.zeros(g, np.int64), np.zeros((g, g), np.int64), lam0, beta0
     )
+
+
+@dataclass(frozen=True)
+class StackedStats:
+    """What a sweep reads of R samples' :class:`SampleStats`, along a leading
+    replicate axis, and each chain's cap on N."""
+
+    n0: np.ndarray
+    n1: np.ndarray
+    n_sampled: np.ndarray
+    counts_s0: np.ndarray
+    counts_s1: np.ndarray
+    counts_sampled: np.ndarray
+    link_counts: np.ndarray
+    cap: np.ndarray
+
+    @classmethod
+    def of(cls, stats: Sequence[SampleStats], cfg: McmcConfig) -> "StackedStats":
+        return _stack(cls, stats, cap=np.array([cfg.effective_cap(s.n_sampled) for s in stats]))
+
+
+def lockstep_sweep(
+    state: AugmentedState, stats: StackedStats, cfg: McmcConfig, rngs: Sequence[np.random.Generator]
+) -> AugmentedState:
+    """One Gibbs sweep (N, unsampled strata, unobserved links, lambda, beta)
+    of R chains. The deterministic work runs once on arrays with a leading
+    replicate axis; chain r makes the Generator calls the sub-draws make
+    alone, in the same order, on ``rngs[r]`` only."""
+    g = state.lam.shape[-1]
+    iu = (slice(None), *upper_indices(g))
+    one_minus_p, log_omp, probs = escape_terms(stratum_escape_log_weights(stats.counts_s0, state))
+    k_max = stats.cap - stats.n_sampled
+    p = -np.array([math.expm1(v) for v in log_omp.tolist()])  # np.expm1 can differ in the last bit
+    rejection = _takes_negative_binomial(stats.n1, k_max, p)
+    n = stats.n_sampled.copy()
+    for r in one_minus_p.nonzero()[0].tolist():
+        n[r] += _draw_excess(rngs[r], stats.n0[r], stats.n1[r], log_omp[r], k_max[r], rejection[r], 1)[0]
+    n_missing = n - stats.n_sampled
+    _check_unsampled(n_missing, log_omp)
+    strata_un = np.zeros_like(stats.counts_s0)
+    for r in n_missing.nonzero()[0].tolist():
+        strata_un[r] = rngs[r].multinomial(n_missing[r], probs[r])
+    totals = _unobserved_pair_totals(stats, n, stats.counts_sampled + strata_un)
+    draws = map(_pair_draws, [rng.binomial for rng in rngs], totals[iu].tolist(), state.beta[iu].tolist())
+    imputed = symmetric_from_upper(np.array(list(draws), dtype=np.int64), g)
+    counts = assemble_full_counts(stats, strata_un, imputed)
+    alpha = lambda_posterior_params(counts.strata_counts, cfg)
+    lam = np.array([rng.dirichlet(row) for rng, row in zip(rngs, alpha)])
+    a, b = beta_posterior_params(counts, cfg)
+    draws = map(_pair_draws, [rng.beta for rng in rngs], a[iu].tolist(), b[iu].tolist())
+    return AugmentedState(n, strata_un, imputed, lam, symmetric_from_upper(np.array(list(draws)), g))
 
 
 def gibbs_sweep(
     state: AugmentedState, stats: SampleStats, cfg: McmcConfig, rng: np.random.Generator
 ) -> AugmentedState:
-    """One full scan; sub-draws happen in a fixed order so the kernel is a
-    well-defined Gibbs cycle.
-
-    The escape probability feeds both the draw of N and the imputed strata,
-    so it is computed once per sweep.
-    """
-    params = state.params
-    escape = escape_probability(stats.strata_s0, params)
-    n_new = draw_population_size(stats, params, cfg, rng, escape=escape)
-    strata_un = impute_strata(stats, n_new, params, rng, escape=escape)
-    imputed = impute_link_counts(stats, n_new, stats.counts_sampled + strata_un, params, rng)
-    counts = assemble_full_counts(stats, strata_un, imputed)
-    lam = draw_lambda(counts.strata_counts, cfg, rng)
-    beta = draw_beta(counts, cfg, rng)
-    return AugmentedState(
-        n=n_new,
-        strata_unsampled=strata_un,
-        imputed_link_counts=imputed,
-        params=SbmParams(lam=lam, beta=beta),
-    )
+    """One full scan of one chain: :func:`lockstep_sweep` on a batch of one."""
+    batch = lockstep_sweep(_stack(AugmentedState, [state]), StackedStats.of([stats], cfg), cfg, [rng])
+    return AugmentedState(int(batch.n[0]), *(getattr(batch, f.name)[0] for f in fields(batch)[1:]))
 
 
 @dataclass(frozen=True)
@@ -329,41 +399,45 @@ class ChainTrace:
         )
 
 
-def run_chain(data: IgnoredData, cfg: McmcConfig, n_strata: int | None = None) -> ChainTrace:
-    """Run the full augmentation chain and record every state.
-
-    ``n_strata`` defaults to the smallest G consistent with the observed
-    labels; pass it explicitly when the population has strata the sample
-    missed. Fully deterministic given ``cfg.seed``.
-    """
+def chain_stats(data: IgnoredData, cfg: McmcConfig, n_strata: int | None = None) -> SampleStats:
+    """The statistics a chain on ``data`` reads, after checking that the sample
+    is not empty and fits under the cap on N. ``n_strata`` defaults to the
+    smallest G consistent with the labels; pass it when the population has
+    strata the sample missed."""
     if data.n0 == 0:
         raise ValidationError("empty initial sample (n0 = 0): the sample carries no information")
-    g = n_strata if n_strata is not None else data.min_strata()
-    stats = SampleStats.from_data(data, g)
-    cap = cfg.effective_cap(stats.n_sampled)
-    rng = np.random.default_rng(cfg.seed)
-    state = initial_state(stats)
-    iu = upper_indices(g)
-    length = cfg.chain_length
-    n_draws = np.zeros(length, dtype=np.int64)
-    lam_draws = np.zeros((length, g))
-    beta_draws = np.zeros((length, g * (g + 1) // 2))
+    stats = SampleStats.from_data(data, n_strata if n_strata is not None else data.min_strata())
+    cfg.effective_cap(stats.n_sampled)
+    return stats
+
+
+def run_chains(stats: Sequence[SampleStats], cfg: McmcConfig, seeds: Sequence) -> list[ChainTrace]:
+    """Run one chain per sample (all with the same G) in lockstep. Chain r
+    draws from ``default_rng(seeds[r])`` alone, so it equals :func:`run_chain`
+    with that seed. R traces of length L hold 8 R L (1 + G + G(G+1)/2) bytes.
+    """
+    batch = StackedStats.of(stats, cfg)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    state = _stack(AugmentedState, [initial_state(s) for s in stats])
+    (replicates, g), length = state.lam.shape, cfg.chain_length
+    iu = (slice(None), *upper_indices(g))
+    n_draws = np.zeros((replicates, length), dtype=np.int64)
+    lam_draws = np.zeros((replicates, length, g))
+    beta_draws = np.zeros((replicates, length, g * (g + 1) // 2))
     for it in range(length):
-        state = gibbs_sweep(state, stats, cfg, rng)
-        n_draws[it] = state.n
-        lam_draws[it] = state.params.lam
-        beta_draws[it] = state.params.beta[iu]
+        state = lockstep_sweep(state, batch, cfg, rngs)
+        n_draws[:, it], lam_draws[:, it], beta_draws[:, it] = state.n, state.lam, state.beta[iu]
+    caps = batch.cap.tolist()
+    cap_hits = np.count_nonzero(n_draws == batch.cap[:, None], axis=1).tolist()
+    for cap, hits in zip(caps, cap_hits):
+        if hits:
+            logger.info("population-size cap %d hit %d times over %d sweeps", cap, hits, length)
     burn = int(length * cfg.burn_in_fraction)
-    cap_hits = int(np.count_nonzero(n_draws == cap))
-    if cap_hits:
-        logger.info("population-size cap %d hit %d times over %d sweeps", cap, cap_hits, length)
-    return ChainTrace(
-        n_draws=_freeze(n_draws),
-        lam_draws=_freeze(lam_draws),
-        beta_upper_draws=_freeze(beta_draws),
-        burn_in=burn,
-        cap=cap,
-        cap_hits=cap_hits,
-        seed=cfg.seed,
-        n_strata=g,
-    )
+    chains = zip(_freeze(n_draws), _freeze(lam_draws), _freeze(beta_draws), caps, cap_hits, seeds)
+    return [ChainTrace(n, lam, beta, burn, cap, hits, seed, g) for n, lam, beta, cap, hits, seed in chains]
+
+
+def run_chain(data: IgnoredData, cfg: McmcConfig, n_strata: int | None = None) -> ChainTrace:
+    """Run the full augmentation chain and record every state; ``n_strata``
+    as in :func:`chain_stats`. Fully deterministic given ``cfg.seed``."""
+    return run_chains([chain_stats(data, cfg, n_strata)], cfg, [cfg.seed])[0]

@@ -219,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run a replication study from a config JSON")
     p.add_argument("--config", required=True)
     p.add_argument("--replicates", type=int, default=None, help="override config replicate count")
-    p.add_argument("--threads", type=int, default=None, help="override worker count")
+    p.add_argument("--threads", type=int, default=None, help="accepted, no effect: chains run in lockstep")
     p.add_argument("--seed", type=int, default=None, help="override master seed")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_simulate)

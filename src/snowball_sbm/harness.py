@@ -9,14 +9,11 @@ clustered contact data.
 """
 
 import logging
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
-from .augmentation import BayesEstimates, McmcConfig, run_chain
+from .augmentation import McmcConfig, chain_stats, run_chains
 from .sampling import DesignConfig, draw_initial, to_ignored_data, trace_one_wave
 from .sbm import (
     MleEstimates,
@@ -94,10 +91,12 @@ class StudyConfig:
     """A full simulation study: population, design, chain, and bookkeeping.
 
     The population is either loaded (``population``) or generated
-    (``params`` + ``population_size``, optionally clustered). Replicate
-    seeds derive from ``master_seed`` by a fixed rule, so a study is
-    reproducible bit for bit; per-replicate seeds in ``design``/``mcmc``
-    are ignored.
+    (``params`` + ``population_size``, optionally clustered). Seeds derive
+    from ``master_seed`` by a fixed rule (:func:`population_seed`,
+    :func:`replicate_seeds`), so a study is reproducible bit for bit and
+    each replicate can be rerun alone; per-replicate seeds in
+    ``design``/``mcmc`` are ignored. All chains run in one process, in
+    lockstep; ``threads`` is validated and otherwise ignored.
     """
 
     replicates: int
@@ -108,7 +107,7 @@ class StudyConfig:
     params: SbmParams | None = None
     population_size: int | None = None
     clustering: ClusterOverlay | None = None
-    threads: int | None = None  # None: use available parallelism
+    threads: int | None = None  # accepted and validated; studies run in one process
     bins: int = 20
 
     def __post_init__(self):
@@ -132,7 +131,8 @@ def population_seed(master_seed: int) -> int:
 
 
 def replicate_seeds(master_seed: int, index: int) -> tuple[int, int]:
-    """Fixed (design seed, chain seed) derivation for one replicate."""
+    """Fixed (design seed, chain seed) derivation for one replicate; chain
+    ``index`` draws from ``default_rng(chain seed)`` alone."""
     state = np.random.SeedSequence([master_seed, 1, index]).generate_state(2)
     return int(state[0]), int(state[1])
 
@@ -144,35 +144,6 @@ def resolve_population(cfg: StudyConfig) -> PopulationGraph:
     if cfg.clustering is not None:
         return clustered_population(cfg.params, cfg.population_size, cfg.clustering, seed)
     return generate_population(cfg.params, cfg.population_size, seed)
-
-
-@dataclass(frozen=True)
-class ReplicateResult:
-    index: int
-    n0: int
-    n1: int
-    estimates: BayesEstimates | None
-    cap_hits: int = 0
-    error: str | None = None
-
-
-def _run_replicate(population, design, mcmc, master_seed, n_strata, index) -> ReplicateResult:
-    design_seed, chain_seed = replicate_seeds(master_seed, index)
-    try:
-        s0 = draw_initial(population, replace(design, seed=design_seed))
-        sample = trace_one_wave(population, s0)
-        data = to_ignored_data(sample)
-        trace = run_chain(data, replace(mcmc, seed=chain_seed), n_strata=n_strata)
-        return ReplicateResult(
-            index=index,
-            n0=data.n0,
-            n1=data.n1,
-            estimates=trace.estimates(),
-            cap_hits=trace.cap_hits,
-        )
-    except (ValueError, ArithmeticError) as exc:  # bad sample or numeric failure; bugs propagate
-        logger.warning("replicate %d failed: %s", index, exc)
-        return ReplicateResult(index=index, n0=0, n1=0, estimates=None, error=str(exc))
 
 
 def estimand_names(g: int) -> list[str]:
@@ -214,53 +185,53 @@ def summarize_histograms(estimate_rows: np.ndarray, column_names: list[str], bin
 def run_study(cfg: StudyConfig) -> StudySummary:
     """Draw, estimate, and summarize ``cfg.replicates`` independent samples.
 
-    Replicates run in parallel when ``threads > 1``; results are collected
-    in index order, so the summary does not depend on scheduling.
+    Samples are drawn in index order. A replicate whose sample, statistics
+    or cap check raises a ValidationError or an ArithmeticError is recorded
+    as failed; the rest run in one process as lockstep chains
+    (:func:`~snowball_sbm.augmentation.run_chains`), each on its own seed.
     """
     population = resolve_population(cfg)
     g_hint = cfg.params.n_strata if cfg.params is not None else None
     targets = mle_from_full_graph(population, n_strata=g_hint)
     g = targets.n_strata
-    run = partial(_run_replicate, population, cfg.design, cfg.mcmc, cfg.master_seed, g)
-    threads = cfg.threads if cfg.threads is not None else (os.cpu_count() or 1)
-    if threads > 1 and cfg.replicates > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            chunk = max(1, cfg.replicates // (threads * 8))
-            results = list(pool.map(run, range(cfg.replicates), chunksize=chunk))
-    else:
-        results = [run(r) for r in range(cfg.replicates)]
-
-    completed = [r for r in results if r.error is None]
-    failures = [(r.index, r.error) for r in results if r.error is not None]
+    indices, samples, seeds, failures = [], [], [], []
+    for index in range(cfg.replicates):
+        design_seed, chain_seed = replicate_seeds(cfg.master_seed, index)
+        try:
+            s0 = draw_initial(population, replace(cfg.design, seed=design_seed))
+            samples.append(chain_stats(to_ignored_data(trace_one_wave(population, s0)), cfg.mcmc, g))
+        except (ValidationError, ArithmeticError) as exc:  # bad sample; bugs propagate
+            logger.warning("replicate %d failed: %s", index, exc)
+            failures.append((index, str(exc)))
+            continue
+        indices.append(index)
+        seeds.append(chain_seed)
+    estimates = [trace.estimates() for trace in run_chains(samples, cfg.mcmc, seeds)] if samples else []
+    completed = len(estimates)
     names = estimand_names(g)
-    rows = np.array(
-        [
-            [r.estimates.n_mean, *r.estimates.lam, *r.estimates.beta_upper]
-            for r in completed
-        ],
-        dtype=np.float64,
-    ).reshape(len(completed), len(names))
-    sizes = np.array([[r.n0, r.n1] for r in completed], dtype=np.int64).reshape(len(completed), 2)
+    rows = np.array([[e.n_mean, *e.lam, *e.beta_upper] for e in estimates], dtype=np.float64)
+    rows = rows.reshape(completed, len(names))
+    sizes = np.array([[s.n0, s.n1] for s in samples], dtype=np.int64).reshape(completed, 2)
     true_n = population.n_nodes
     stats = {
         name: {
-            "mean": float(rows[:, j].mean()) if len(completed) else float("nan"),
-            "median": float(np.median(rows[:, j])) if len(completed) else float("nan"),
-            "sd": float(rows[:, j].std()) if len(completed) else float("nan"),
+            "mean": float(rows[:, j].mean()) if completed else float("nan"),
+            "median": float(np.median(rows[:, j])) if completed else float("nan"),
+            "sd": float(rows[:, j].std()) if completed else float("nan"),
         }
         for j, name in enumerate(names)
     }
     return StudySummary(
         estimate_rows=rows,
         column_names=names,
-        replicate_indices=np.array([r.index for r in completed], dtype=np.int64),
+        replicate_indices=np.array(indices, dtype=np.int64),
         sample_sizes=sizes,
         targets=targets,
         true_n=true_n,
         stats=stats,
-        histograms=summarize_histograms(rows, names, cfg.bins) if len(completed) else {},
-        mean_initial_fraction=float(sizes[:, 0].mean() / true_n) if len(completed) else float("nan"),
-        mean_final_fraction=float(sizes.sum(axis=1).mean() / true_n) if len(completed) else float("nan"),
+        histograms=summarize_histograms(rows, names, cfg.bins) if completed else {},
+        mean_initial_fraction=float(sizes[:, 0].mean() / true_n) if completed else float("nan"),
+        mean_final_fraction=float(sizes.sum(axis=1).mean() / true_n) if completed else float("nan"),
         failures=failures,
         master_seed=cfg.master_seed,
     )

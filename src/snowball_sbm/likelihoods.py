@@ -31,34 +31,37 @@ class EscapeProbability:
     log_one_minus_p: float
     stratum_probabilities: np.ndarray | None = None
 
-    @property
-    def p(self) -> float:
-        return 1.0 - self.one_minus_p
-
 
 def stratum_escape_log_weights(strata_counts_s0: np.ndarray, params: SbmParams) -> np.ndarray:
-    """Per-stratum log(lambda_k * prod_i (1 - beta_{C_i,k})) over the initial sample."""
+    """Per-stratum log(lambda_k * prod_i (1 - beta_{C_i,k})) over the initial sample.
+    ``params`` has ``lam`` (..., G) and ``beta`` (..., G, G), leading axes as the counts'."""
     counts = np.asarray(strata_counts_s0, dtype=np.float64)
     with np.errstate(divide="ignore"):
         log_lam = np.log(params.lam)
-    return log_lam + xlog1py(counts[:, None], -params.beta).sum(axis=0)
+    return log_lam + xlog1py(counts[..., :, None], -params.beta).sum(axis=-2)
+
+
+def escape_terms(log_weights: np.ndarray):
+    """``(1 - p, log(1 - p), stratum probabilities)`` from per-stratum escape
+    log weights (last axis; leading axes are replicates). Where no unit can
+    escape, 1 - p is 0, its log -inf and the probabilities NaN."""
+    top = log_weights.max(axis=-1, keepdims=True)
+    with np.errstate(invalid="ignore"):
+        weights = np.exp(log_weights - top)
+        total = weights.sum(axis=-1, keepdims=True)
+        log_omp = np.where(top == -np.inf, -np.inf, np.minimum(top + np.log(total), 0.0))[..., 0]
+        return np.exp(log_omp), log_omp, weights / total
 
 
 def escape_probability(strata_s0, params: SbmParams) -> EscapeProbability:
     """Evaluate 1 - p = sum_k lambda_k prod_{i in S0} (1 - beta_{C_i,k}),
     and the normalized terms of that sum."""
     counts = np.bincount(np.asarray(strata_s0, dtype=np.int64), minlength=params.n_strata)
-    log_weights = stratum_escape_log_weights(counts, params)
-    top = log_weights.max()
-    if top == -np.inf:
-        return EscapeProbability(one_minus_p=0.0, log_one_minus_p=-np.inf)
-    weights = np.exp(log_weights - top)
-    total = weights.sum()
-    log_omp = min(float(top + np.log(total)), 0.0)
+    one_minus_p, log_omp, probs = escape_terms(stratum_escape_log_weights(counts, params))
     return EscapeProbability(
-        one_minus_p=float(np.exp(log_omp)),
-        log_one_minus_p=log_omp,
-        stratum_probabilities=_freeze(weights / total),
+        one_minus_p=float(one_minus_p),
+        log_one_minus_p=float(log_omp),
+        stratum_probabilities=None if log_omp == -np.inf else _freeze(probs),
     )
 
 

@@ -46,6 +46,21 @@ def upper_indices(g: int):
     return _freeze(rows), _freeze(cols)
 
 
+@lru_cache(maxsize=16)
+def _upper_positions(g: int) -> np.ndarray:
+    """G x G map from each entry to its place in the row-major upper triangle."""
+    rows, cols = upper_indices(g)
+    positions = np.zeros((g, g), dtype=np.intp)
+    positions[rows, cols] = positions[cols, rows] = np.arange(rows.size)
+    return _freeze(positions)
+
+
+def symmetric_from_upper(upper, g: int) -> np.ndarray:
+    """The symmetric G x G matrices whose row-major upper triangles are the
+    last axis of ``upper``; leading axes and the dtype are kept."""
+    return np.asarray(upper)[..., _upper_positions(g)]
+
+
 def beta_matrix_from_upper(upper, g: int) -> np.ndarray:
     """Build the symmetric G x G link matrix from its row-major upper triangle."""
     upper = np.asarray(upper, dtype=np.float64)
@@ -53,11 +68,7 @@ def beta_matrix_from_upper(upper, g: int) -> np.ndarray:
         raise ValidationError(
             f"beta upper triangle must have length {g * (g + 1) // 2}, got {upper.shape}"
         )
-    beta = np.zeros((g, g))
-    iu = upper_indices(g)
-    beta[iu] = upper
-    beta.T[iu] = upper
-    return beta
+    return symmetric_from_upper(upper, g)
 
 
 @dataclass(frozen=True)
@@ -230,10 +241,11 @@ class SufficientCounts:
 
 
 def pair_totals_from_counts(counts: np.ndarray) -> np.ndarray:
-    """Pair totals induced by stratum sizes: C(n_k,2) diagonal, n_k*n_l off."""
+    """Pair totals (..., G, G) induced by stratum sizes (..., G): C(n_k,2) diagonal, n_k*n_l off."""
     counts = np.asarray(counts, dtype=np.int64)
-    totals = np.outer(counts, counts)
-    np.fill_diagonal(totals, counts * (counts - 1) // 2)
+    g = counts.shape[-1]
+    totals = counts[..., :, None] * counts[..., None, :]
+    totals.reshape(*counts.shape[:-1], g * g)[..., :: g + 1] = counts * (counts - 1) // 2
     return totals
 
 

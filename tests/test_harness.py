@@ -107,9 +107,75 @@ class TestRunStudy:
         def broken_chain(*args, **kwargs):
             raise TypeError("a bug in the chain")
 
-        monkeypatch.setattr(harness, "run_chain", broken_chain)
+        monkeypatch.setattr(harness, "run_chains", broken_chain)
         with pytest.raises(TypeError, match="a bug in the chain"):
             run_study(small_study_config())
+
+    @pytest.mark.parametrize("step", ["chain_stats", "run_chains"])
+    def test_broadcast_bugs_propagate(self, monkeypatch, step):
+        """numpy raises ValueError for shape bugs; neither a per-replicate
+        step nor the lockstep chains may record one as a failed replicate."""
+        import snowball_sbm.harness as harness
+
+        def broken(*args, **kwargs):
+            return np.zeros(3) + np.zeros(2)
+
+        monkeypatch.setattr(harness, step, broken)
+        with pytest.raises(ValueError, match="broadcast"):
+            run_study(small_study_config())
+
+    def test_every_replicate_matches_its_own_pipeline(self, monkeypatch):
+        """A G = 3 study with the cap inside the range of sample sizes: some
+        replicates fail on the cap, some bind at it (grid draws of N), the
+        rest take the negative-binomial draw. Each completed replicate must
+        equal its own pipeline bit for bit, and the failures must match."""
+        import snowball_sbm.augmentation as augmentation
+        from dataclasses import replace
+        from scipy.special import betainc
+
+        from snowball_sbm import draw_initial, run_chain, to_ignored_data, trace_one_wave
+        from snowball_sbm.harness import resolve_population
+
+        tails = []
+
+        def recording_betainc(*args):
+            value = betainc(*args)
+            tails.append(np.atleast_1d(value))
+            return value
+
+        monkeypatch.setattr(augmentation, "betainc", recording_betainc)
+        params = SbmParams.from_upper([0.3, 0.3, 0.4], [0.15, 0.05, 0.08, 0.2, 0.06, 0.12])
+        cfg = small_study_config(
+            replicates=10,
+            design=DesignConfig(mode="bernoulli", q=0.15),
+            mcmc=McmcConfig(chain_length=100, n_max_cap=45),
+            master_seed=1,
+            params=params,
+            population_size=60,
+        )
+        summary = run_study(cfg)
+        study_tails = np.concatenate(tails)
+        assert (study_tails > 0.5).any() and (study_tails <= 0.5).any()  # both draws of N ran
+
+        population = resolve_population(cfg)
+        expected_rows, expected_failures, cap_hits = [], [], 0
+        for index in range(cfg.replicates):
+            design_seed, chain_seed = replicate_seeds(cfg.master_seed, index)
+            s0 = draw_initial(population, replace(cfg.design, seed=design_seed))
+            data = to_ignored_data(trace_one_wave(population, s0))
+            try:
+                trace = run_chain(data, replace(cfg.mcmc, seed=chain_seed), n_strata=3)
+            except ValidationError as exc:
+                expected_failures.append((index, str(exc)))
+                continue
+            est = trace.estimates()
+            expected_rows.append([index, est.n_mean, *est.lam, *est.beta_upper])
+            cap_hits += trace.cap_hits
+        assert expected_failures and cap_hits and len(expected_rows) > len(expected_failures)
+        assert summary.failures == expected_failures
+        expected = np.array(expected_rows)
+        assert summary.replicate_indices.tolist() == expected[:, 0].tolist()
+        assert summary.estimate_rows == pytest.approx(expected[:, 1:], abs=0)
 
     def test_sample_fractions(self):
         cfg = small_study_config(replicates=5)
