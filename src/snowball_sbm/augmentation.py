@@ -1,21 +1,23 @@
 """Gibbs data-augmentation sampler for population size and model parameters.
 
-Each sweep draws, in order: the population size from its label-free
-posterior, stratum memberships for the unsampled block, link counts for all
-unobserved pairs, then the conjugate Dirichlet/Beta parameter updates given
-the completed realization.
+Each sweep (:func:`gibbs_sweep`) draws, in order: the population size from
+its label-free posterior, stratum memberships for the unsampled block, link
+counts for all unobserved pairs, then the conjugate Dirichlet/Beta parameter
+updates given the completed realization. It advances R chains at once: the
+deterministic work runs once on arrays with a leading replicate axis, and
+each of the five sub-draws makes row r's draws on ``rngs[r]`` only. Many
+i.i.d. draws of one conditional come from R identical rows that share one
+Generator (``[rng] * R``).
 
-A sweep costs O(G^2), independent of the sample size, and of the cap on N
-unless the cap binds (then N is drawn from a grid over the truncated support).
-The sample enters only through its sufficient statistics
+A sweep costs O(G^2) per chain, independent of the sample size, and of the
+cap on N unless the cap binds (then N is drawn from a grid over the
+truncated support). The sample enters only through its sufficient statistics
 (:class:`~snowball_sbm.sampling.SampleStats`), computed once per chain. The
 unsampled units' strata are exchangeable given the sample, so a multinomial
 count vector replaces per-unit labels; the parameter posteriors consume only
 link counts and pair totals, so unobserved links are drawn as binomial pair
 counts rather than materialized edges; and N is drawn as a truncated
-negative binomial (see :func:`draw_population_size`). All three are
-distribution-exact. :func:`run_chains` advances many chains in lockstep, one
-sweep (:func:`lockstep_sweep`) of all of them at a time, each on its own seed.
+negative binomial. All three are distribution-exact.
 """
 
 import logging
@@ -26,14 +28,15 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy.special import betainc
 
-from .likelihoods import EscapeProbability, escape_probability, escape_terms, stratum_escape_log_weights
+# escape_probability is unused here: bench/test_bench.py checks the tracer patches this reference
+from .likelihoods import escape_probability, escape_terms, stratum_escape_log_weights  # noqa: F401
 from .logmath import log_binom
 from .sampling import IgnoredData, SampleStats
 from .sbm import (
-    SbmParams,
     SufficientCounts,
     ValidationError,
     _freeze,
+    _is_finite_number,
     check_int,
     pair_totals_from_counts,
     symmetric_from_upper,
@@ -41,6 +44,11 @@ from .sbm import (
 )
 
 logger = logging.getLogger(__name__)
+Rngs = Sequence[np.random.Generator]  # one Generator per row of a batch
+
+
+def _positive_numbers(values) -> bool:
+    return all(_is_finite_number(v) and v > 0 for v in values)
 
 
 @dataclass(frozen=True)
@@ -50,7 +58,8 @@ class McmcConfig:
     The flat prior on the population size is improper, so its posterior is
     truncated at a cap: ``n_max_cap`` when given, otherwise
     ``cap_multiplier`` times the sampled count. Cap hits are counted and
-    reported so truncation pressure is visible.
+    reported so truncation pressure is visible. ``prior_alpha`` is one
+    Dirichlet weight for every stratum or a list of G of them.
     """
 
     chain_length: int = 1000
@@ -63,12 +72,28 @@ class McmcConfig:
 
     def __post_init__(self):
         check_int(self.chain_length, "chain_length", 1)
-        if not (0.0 <= self.burn_in_fraction < 1.0):
-            raise ValidationError("burn_in_fraction must be in [0, 1)")
-        if self.cap_multiplier < 1.0:
-            raise ValidationError("cap_multiplier must be >= 1")
-        if np.any(np.asarray(self.prior_alpha) <= 0) or min(self.prior_gamma) <= 0:
-            raise ValidationError("prior hyperparameters must be positive")
+        if self.n_max_cap is not None:
+            check_int(self.n_max_cap, "n_max_cap", 1)
+        if not (_is_finite_number(self.burn_in_fraction) and 0.0 <= self.burn_in_fraction < 1.0):
+            raise ValidationError(f"burn_in_fraction must be in [0, 1), got {self.burn_in_fraction!r}")
+        if not (_is_finite_number(self.cap_multiplier) and self.cap_multiplier >= 1.0):
+            raise ValidationError(f"cap_multiplier must be a finite number >= 1, got {self.cap_multiplier!r}")
+        alpha, gamma = self.prior_alpha, self.prior_gamma
+        if isinstance(alpha, (list, tuple, np.ndarray)):
+            alpha = tuple(alpha)
+            object.__setattr__(self, "prior_alpha", alpha)
+        values = alpha if isinstance(alpha, tuple) else (alpha,)
+        if not (values and _positive_numbers(values)):
+            raise ValidationError(f"prior_alpha must be a positive number or a list of them, got {alpha!r}")
+        if not (isinstance(gamma, (list, tuple, np.ndarray)) and len(gamma) == 2
+                and _positive_numbers(gamma)):
+            raise ValidationError(f"prior_gamma must be a pair of positive numbers, got {gamma!r}")
+        object.__setattr__(self, "prior_gamma", tuple(gamma))
+
+    def check_strata(self, g: int):
+        """Raise unless ``prior_alpha`` fits G strata."""
+        if isinstance(self.prior_alpha, tuple) and len(self.prior_alpha) != g:
+            raise ValidationError(f"prior_alpha must have length G = {g}, got {len(self.prior_alpha)}")
 
     def effective_cap(self, n_sampled: int) -> int:
         cap = self.n_max_cap
@@ -77,6 +102,27 @@ class McmcConfig:
         if cap < n_sampled:
             raise ValidationError(f"cap {cap} below sampled count {n_sampled}")
         return cap
+
+
+@dataclass(frozen=True)
+class StackedStats:
+    """What a sweep reads of R samples' :class:`SampleStats`, along a leading
+    replicate axis, and each chain's cap on N."""
+
+    n0: np.ndarray
+    n1: np.ndarray
+    n_sampled: np.ndarray
+    counts_s0: np.ndarray
+    counts_s1: np.ndarray
+    counts_sampled: np.ndarray
+    link_counts: np.ndarray
+    cap: np.ndarray
+
+    @classmethod
+    def of(cls, stats: Sequence[SampleStats], cfg: McmcConfig) -> "StackedStats":
+        names = [f.name for f in fields(cls) if f.name != "cap"]
+        stacked = {name: np.array([getattr(s, name) for s in stats]) for name in names}
+        return cls(**stacked, cap=np.array([cfg.effective_cap(s.n_sampled) for s in stats]))
 
 
 def population_size_log_weights(n0: int, n1: int, log_one_minus_p: float, cap: int):
@@ -112,88 +158,43 @@ def _draw_excess(rng, n0: int, n1: int, log_omp: float, k_max: int, rejection, s
     return np.minimum(np.searchsorted(cdf, rng.random(shape) * cdf[-1], side="right"), k_max)
 
 
-def draw_population_size(
-    stats: SampleStats,
-    params: SbmParams,
-    cfg: McmcConfig,
-    rng: np.random.Generator,
-    size: int | None = None,
-    escape: EscapeProbability | None = None,
-):
-    """Draw N from its posterior given the sample statistics and current params.
+def draw_population_size(stats: StackedStats, log_omp: np.ndarray, rngs: Rngs, size: int | None = None):
+    """Draw each row's N from its posterior given the sample statistics and
+    ``log_omp``, the log escape probability log(1 - p) at the current params.
 
     The excess M = N - n0 - n1 is NB(n1 + 1, p) truncated at
     K = cap - n0 - n1. While the mass above K is below one half, M comes
     from ``rng.negative_binomial`` and only draws above K are redrawn (under
-    two tries each on average); otherwise, and when p = 0, from the inverse
-    CDF on the grid 0..K, where rejection could take unboundedly long. Both
-    paths draw from the same truncated law, so cap hits stay exact.
-    Vectorized over ``size`` draws; with ``size=None`` a single int is
-    returned. ``escape`` is ``escape_probability(stats.strata_s0, params)``
-    when the caller already has it.
+    two tries each on average); otherwise from the inverse CDF on the grid
+    0..K, where rejection could take unboundedly long. Both paths draw from
+    the same truncated law, so cap hits stay exact. Where 1 - p = 0, N is the
+    sampled count and nothing is drawn. Returns shape (R,), or (R, size)
+    with ``size`` draws per row.
     """
-    n_sampled = stats.n_sampled
-    k_max = cfg.effective_cap(n_sampled) - n_sampled
-    if escape is None:
-        escape = escape_probability(stats.strata_s0, params)
-    if escape.one_minus_p == 0.0:
-        return n_sampled if size is None else np.full(size, n_sampled, dtype=np.int64)
-    log_omp = escape.log_one_minus_p
-    rejection = _takes_negative_binomial(stats.n1, k_max, -math.expm1(log_omp))
-    excess = _draw_excess(rng, stats.n0, stats.n1, log_omp, k_max, rejection, 1 if size is None else size)
-    return int(n_sampled + excess[0]) if size is None else n_sampled + excess
+    k_max = stats.cap - stats.n_sampled
+    p = -np.array([math.expm1(v) for v in log_omp.tolist()])  # np.expm1 can differ in the last bit
+    rejection = _takes_negative_binomial(stats.n1, k_max, p)
+    shape = 1 if size is None else size
+    excess = np.zeros((len(rngs), shape), dtype=np.int64)
+    for r in np.exp(log_omp).nonzero()[0].tolist():
+        excess[r] = _draw_excess(rngs[r], stats.n0[r], stats.n1[r], log_omp[r], k_max[r], rejection[r], shape)
+    n = stats.n_sampled[:, None] + excess
+    return n[:, 0] if size is None else n
 
 
-def imputation_probabilities(
-    stats: SampleStats, params: SbmParams, escape: EscapeProbability | None = None
-) -> np.ndarray:
-    """Stratum distribution of one unsampled unit given the observed data.
-
-    Proportional to lambda_k times the probability of avoiding every
-    initial-sample member; identical for all unsampled units.
-    """
-    if escape is None:
-        escape = escape_probability(stats.strata_s0, params)
-    _check_unsampled(1, escape.log_one_minus_p)
-    return escape.stratum_probabilities
-
-
-def _check_unsampled(n_missing, log_omp):
-    """Unsampled counts must be >= 0, and 0 where no unit can avoid S0 (vectorized)."""
-    if np.less(n_missing, 0).any():
-        raise ValidationError("population size below sampled count")
-    if (np.greater(n_missing, 0) & (log_omp == -np.inf)).any():
-        raise ValidationError("inconsistent state: an unsampled unit cannot avoid the initial sample")
-
-
-def impute_strata(
-    stats: SampleStats,
-    n: int,
-    params: SbmParams,
-    rng: np.random.Generator,
-    escape: EscapeProbability | None = None,
-) -> np.ndarray:
-    """Impute strata for the N - n0 - n1 unsampled units, as counts per stratum."""
-    if escape is None:
-        escape = escape_probability(stats.strata_s0, params)
+def impute_strata(stats: StackedStats, n: np.ndarray, probs: np.ndarray, rngs: Rngs) -> np.ndarray:
+    """Impute strata for each row's N - n0 - n1 unsampled units, as counts per
+    stratum: multinomial over ``probs``, the stratum distribution of a unit
+    linked to no initial-sample member (NaN in rows where no unit can be)."""
     n_missing = n - stats.n_sampled
-    _check_unsampled(n_missing, escape.log_one_minus_p)
-    if n_missing == 0:
-        return np.zeros(params.n_strata, dtype=np.int64)
-    return rng.multinomial(n_missing, escape.stratum_probabilities).astype(np.int64)
-
-
-def _unobserved_pair_totals(stats, n, strata_all_counts) -> np.ndarray:
-    """Pairs per stratum pair with both ends outside the initial sample, after
-    checking the completed stratum counts against N and the observed wave.
-    With a :class:`StackedStats`, ``n`` and the counts carry its replicate axis."""
-    strata_all_counts = np.asarray(strata_all_counts, dtype=np.int64)
-    if (strata_all_counts.sum(axis=-1) != n).any():
-        raise ValidationError("stratum counts do not sum to the population size")
-    outside = strata_all_counts - stats.counts_s0
-    if (outside < stats.counts_s1).any():
-        raise ValidationError("stratum counts inconsistent with the observed wave")
-    return pair_totals_from_counts(outside)
+    if (n_missing < 0).any():
+        raise ValidationError("population size below sampled count")
+    if ((n_missing > 0) & np.isnan(probs[:, 0])).any():
+        raise ValidationError("inconsistent state: an unsampled unit cannot avoid the initial sample")
+    strata_un = np.zeros_like(stats.counts_s0)
+    for r in n_missing.nonzero()[0].tolist():
+        strata_un[r] = rngs[r].multinomial(n_missing[r], probs[r])
+    return strata_un
 
 
 def _pair_draws(draw, first: list, second: list) -> list:
@@ -202,24 +203,25 @@ def _pair_draws(draw, first: list, second: list) -> list:
     return [draw(a, b) for a, b in zip(first, second)]
 
 
-def impute_link_counts(
-    stats: SampleStats,
-    n: int,
-    strata_all_counts: np.ndarray,
-    params: SbmParams,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Impute link counts for every pair not touched by the initial sample.
+def impute_link_counts(stats: StackedStats, n, strata_all_counts, beta: np.ndarray, rngs: Rngs) -> np.ndarray:
+    """Impute each row's link counts for every pair not touched by the initial sample.
 
     Pairs with both endpoints outside the initial sample (wave-wave,
     wave-unsampled, unsampled-unsampled) are the unobserved ones; for each
-    stratum pair the count is Binomial(pairs available, beta).
+    stratum pair the count is Binomial(pairs available, beta). The completed
+    stratum counts are checked against N and the observed wave first.
     """
-    g = params.n_strata
-    iu = upper_indices(g)
-    totals = _unobserved_pair_totals(stats, n, strata_all_counts)
-    draws = _pair_draws(rng.binomial, totals[iu].tolist(), params.beta[iu].tolist())
-    return symmetric_from_upper(np.array(draws, dtype=np.int64), g)
+    strata_all_counts = np.asarray(strata_all_counts, dtype=np.int64)
+    if (strata_all_counts.sum(axis=-1) != n).any():
+        raise ValidationError("stratum counts do not sum to the population size")
+    outside = strata_all_counts - stats.counts_s0
+    if (outside < stats.counts_s1).any():
+        raise ValidationError("stratum counts inconsistent with the observed wave")
+    g = beta.shape[-1]
+    iu = (slice(None), *upper_indices(g))
+    totals = pair_totals_from_counts(outside)[iu].tolist()
+    draws = map(_pair_draws, [rng.binomial for rng in rngs], totals, beta[iu].tolist())
+    return symmetric_from_upper(np.array(list(draws), dtype=np.int64), g)
 
 
 def lambda_posterior_params(strata_counts: np.ndarray, cfg: McmcConfig) -> np.ndarray:
@@ -235,20 +237,23 @@ def beta_posterior_params(counts: SufficientCounts, cfg: McmcConfig):
     return a.astype(np.float64), b.astype(np.float64)
 
 
-def draw_lambda(strata_counts, cfg: McmcConfig, rng: np.random.Generator) -> np.ndarray:
-    return rng.dirichlet(lambda_posterior_params(strata_counts, cfg))
+def draw_lambda(strata_counts: np.ndarray, cfg: McmcConfig, rngs: Rngs) -> np.ndarray:
+    """Each row's stratum probabilities from the Dirichlet posterior given its (R, G) counts."""
+    alpha = lambda_posterior_params(strata_counts, cfg)
+    return np.array([rng.dirichlet(row) for rng, row in zip(rngs, alpha)])
 
 
-def draw_beta(counts: SufficientCounts, cfg: McmcConfig, rng: np.random.Generator) -> np.ndarray:
+def draw_beta(counts: SufficientCounts, cfg: McmcConfig, rngs: Rngs) -> np.ndarray:
+    """Each row's symmetric link probabilities from the per-pair Beta posteriors
+    given its completed (R, ...) counts."""
     a, b = beta_posterior_params(counts, cfg)
-    g = counts.strata_counts.size
-    iu = upper_indices(g)
-    return symmetric_from_upper(np.array(_pair_draws(rng.beta, a[iu].tolist(), b[iu].tolist())), g)
+    g = a.shape[-1]
+    iu = (slice(None), *upper_indices(g))
+    draws = map(_pair_draws, [rng.beta for rng in rngs], a[iu].tolist(), b[iu].tolist())
+    return symmetric_from_upper(np.array(list(draws)), g)
 
 
-def assemble_full_counts(
-    stats: "SampleStats | StackedStats", strata_unsampled: np.ndarray, imputed_links: np.ndarray
-) -> SufficientCounts:
+def assemble_full_counts(stats, strata_unsampled: np.ndarray, imputed_links: np.ndarray) -> SufficientCounts:
     """Sufficient counts of the completed realization: observed plus imputed."""
     strata_counts = stats.counts_sampled + np.asarray(strata_unsampled, dtype=np.int64)
     return SufficientCounts(
@@ -260,95 +265,41 @@ def assemble_full_counts(
 
 @dataclass(frozen=True)
 class AugmentedState:
-    """One Gibbs state: N, the unsampled block's imputed stratum counts, imputed
-    link counts, and (lambda, beta). R states advanced together carry a leading
-    replicate axis on every field. The arrays are never written once built."""
+    """The Gibbs states of R chains, each field with a leading replicate axis:
+    N, the unsampled block's imputed stratum counts, imputed link counts, and
+    (lambda, beta). The arrays are never written once built."""
 
-    n: int | np.ndarray
+    n: np.ndarray
     strata_unsampled: np.ndarray
     imputed_link_counts: np.ndarray
     lam: np.ndarray
     beta: np.ndarray
 
-    @property
-    def params(self) -> SbmParams:
-        return SbmParams(lam=self.lam, beta=self.beta)
 
-
-def _stack(cls, items, **given):
-    """A ``cls`` whose fields but those ``given`` stack the same-named attribute of ``items``."""
-    names = [f.name for f in fields(cls) if f.name not in given]
-    return cls(**given, **{name: np.array([getattr(item, name) for item in items]) for name in names})
-
-
-def initial_state(stats: SampleStats) -> AugmentedState:
-    """Overdispersed-but-plausible start: sample stratum proportions, smoothed
-    observed link fractions, and twice the sampled count for N."""
-    g = stats.n_strata
-    lam0 = stats.counts_sampled / stats.n_sampled if stats.n_sampled else np.full(g, 1.0 / g)
-    beta0 = (stats.link_counts + 1.0) / (stats.pair_totals + 2.0)
+def initial_state(stats: Sequence[SampleStats]) -> AugmentedState:
+    """Overdispersed-but-plausible start of one chain per sample: sample
+    stratum proportions, smoothed observed link fractions, and twice the
+    sampled count for N."""
+    replicates, g = len(stats), stats[0].n_strata
     return AugmentedState(
-        2 * stats.n_sampled, np.zeros(g, np.int64), np.zeros((g, g), np.int64), lam0, beta0
+        np.array([2 * s.n_sampled for s in stats]),
+        np.zeros((replicates, g), np.int64),
+        np.zeros((replicates, g, g), np.int64),
+        np.array([s.counts_sampled / s.n_sampled if s.n_sampled else np.full(g, 1.0 / g) for s in stats]),
+        np.array([(s.link_counts + 1.0) / (s.pair_totals + 2.0) for s in stats]),
     )
 
 
-@dataclass(frozen=True)
-class StackedStats:
-    """What a sweep reads of R samples' :class:`SampleStats`, along a leading
-    replicate axis, and each chain's cap on N."""
-
-    n0: np.ndarray
-    n1: np.ndarray
-    n_sampled: np.ndarray
-    counts_s0: np.ndarray
-    counts_s1: np.ndarray
-    counts_sampled: np.ndarray
-    link_counts: np.ndarray
-    cap: np.ndarray
-
-    @classmethod
-    def of(cls, stats: Sequence[SampleStats], cfg: McmcConfig) -> "StackedStats":
-        return _stack(cls, stats, cap=np.array([cfg.effective_cap(s.n_sampled) for s in stats]))
-
-
-def lockstep_sweep(
-    state: AugmentedState, stats: StackedStats, cfg: McmcConfig, rngs: Sequence[np.random.Generator]
-) -> AugmentedState:
+def gibbs_sweep(state: AugmentedState, stats: StackedStats, cfg: McmcConfig, rngs: Rngs) -> AugmentedState:
     """One Gibbs sweep (N, unsampled strata, unobserved links, lambda, beta)
-    of R chains. The deterministic work runs once on arrays with a leading
-    replicate axis; chain r makes the Generator calls the sub-draws make
-    alone, in the same order, on ``rngs[r]`` only."""
-    g = state.lam.shape[-1]
-    iu = (slice(None), *upper_indices(g))
-    one_minus_p, log_omp, probs = escape_terms(stratum_escape_log_weights(stats.counts_s0, state))
-    k_max = stats.cap - stats.n_sampled
-    p = -np.array([math.expm1(v) for v in log_omp.tolist()])  # np.expm1 can differ in the last bit
-    rejection = _takes_negative_binomial(stats.n1, k_max, p)
-    n = stats.n_sampled.copy()
-    for r in one_minus_p.nonzero()[0].tolist():
-        n[r] += _draw_excess(rngs[r], stats.n0[r], stats.n1[r], log_omp[r], k_max[r], rejection[r], 1)[0]
-    n_missing = n - stats.n_sampled
-    _check_unsampled(n_missing, log_omp)
-    strata_un = np.zeros_like(stats.counts_s0)
-    for r in n_missing.nonzero()[0].tolist():
-        strata_un[r] = rngs[r].multinomial(n_missing[r], probs[r])
-    totals = _unobserved_pair_totals(stats, n, stats.counts_sampled + strata_un)
-    draws = map(_pair_draws, [rng.binomial for rng in rngs], totals[iu].tolist(), state.beta[iu].tolist())
-    imputed = symmetric_from_upper(np.array(list(draws), dtype=np.int64), g)
+    of R chains; chain r draws on ``rngs[r]`` only, in that order."""
+    _, log_omp, probs = escape_terms(stratum_escape_log_weights(stats.counts_s0, state))
+    n = draw_population_size(stats, log_omp, rngs)
+    strata_un = impute_strata(stats, n, probs, rngs)
+    imputed = impute_link_counts(stats, n, stats.counts_sampled + strata_un, state.beta, rngs)
     counts = assemble_full_counts(stats, strata_un, imputed)
-    alpha = lambda_posterior_params(counts.strata_counts, cfg)
-    lam = np.array([rng.dirichlet(row) for rng, row in zip(rngs, alpha)])
-    a, b = beta_posterior_params(counts, cfg)
-    draws = map(_pair_draws, [rng.beta for rng in rngs], a[iu].tolist(), b[iu].tolist())
-    return AugmentedState(n, strata_un, imputed, lam, symmetric_from_upper(np.array(list(draws)), g))
-
-
-def gibbs_sweep(
-    state: AugmentedState, stats: SampleStats, cfg: McmcConfig, rng: np.random.Generator
-) -> AugmentedState:
-    """One full scan of one chain: :func:`lockstep_sweep` on a batch of one."""
-    batch = lockstep_sweep(_stack(AugmentedState, [state]), StackedStats.of([stats], cfg), cfg, [rng])
-    return AugmentedState(int(batch.n[0]), *(getattr(batch, f.name)[0] for f in fields(batch)[1:]))
+    lam = draw_lambda(counts.strata_counts, cfg, rngs)
+    return AugmentedState(n, strata_un, imputed, lam, draw_beta(counts, cfg, rngs))
 
 
 @dataclass(frozen=True)
@@ -401,13 +352,14 @@ class ChainTrace:
 
 def chain_stats(data: IgnoredData, cfg: McmcConfig, n_strata: int | None = None) -> SampleStats:
     """The statistics a chain on ``data`` reads, after checking that the sample
-    is not empty and fits under the cap on N. ``n_strata`` defaults to the
-    smallest G consistent with the labels; pass it when the population has
-    strata the sample missed."""
+    is not empty and fits under the cap on N, and that the prior fits G.
+    ``n_strata`` defaults to the smallest G consistent with the labels; pass
+    it when the population has strata the sample missed."""
     if data.n0 == 0:
         raise ValidationError("empty initial sample (n0 = 0): the sample carries no information")
     stats = SampleStats.from_data(data, n_strata if n_strata is not None else data.min_strata())
     cfg.effective_cap(stats.n_sampled)
+    cfg.check_strata(stats.n_strata)
     return stats
 
 
@@ -418,14 +370,14 @@ def run_chains(stats: Sequence[SampleStats], cfg: McmcConfig, seeds: Sequence) -
     """
     batch = StackedStats.of(stats, cfg)
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    state = _stack(AugmentedState, [initial_state(s) for s in stats])
+    state = initial_state(stats)
     (replicates, g), length = state.lam.shape, cfg.chain_length
     iu = (slice(None), *upper_indices(g))
     n_draws = np.zeros((replicates, length), dtype=np.int64)
     lam_draws = np.zeros((replicates, length, g))
     beta_draws = np.zeros((replicates, length, g * (g + 1) // 2))
     for it in range(length):
-        state = lockstep_sweep(state, batch, cfg, rngs)
+        state = gibbs_sweep(state, batch, cfg, rngs)
         n_draws[:, it], lam_draws[:, it], beta_draws[:, it] = state.n, state.lam, state.beta[iu]
     caps = batch.cap.tolist()
     cap_hits = np.count_nonzero(n_draws == batch.cap[:, None], axis=1).tolist()

@@ -48,17 +48,24 @@ def _check_inputs(*paths):
             raise ValidationError(f"input file not found: {p}")
 
 
+DESIGNS = {  # --design prefix -> (DesignConfig mode, field, parser)
+    "bernoulli": ("bernoulli", "q", float),
+    "fixed": ("fixed_size", "n0", int),
+    "degree": ("degree_biased", "n0", int),
+}
+
+
 def _parse_design(text: str, seed: int) -> DesignConfig:
     kind, _, value = text.partition(":")
-    if not value:
-        raise ValidationError(f"design must look like bernoulli:q, fixed:n0 or degree:n0, got {text!r}")
-    if kind == "bernoulli":
-        return DesignConfig(mode="bernoulli", q=float(value), seed=seed)
-    if kind == "fixed":
-        return DesignConfig(mode="fixed_size", n0=int(value), seed=seed)
-    if kind == "degree":
-        return DesignConfig(mode="degree_biased", n0=int(value), seed=seed)
-    raise ValidationError(f"unknown design {kind!r}")
+    if kind not in DESIGNS or not value:
+        raise ValidationError(f"--design must look like bernoulli:q, fixed:n0 or degree:n0, got {text!r}")
+    mode, field, parse = DESIGNS[kind]
+    try:
+        parsed = parse(value)
+    except ValueError as exc:
+        what = "a number" if parse is float else "an integer"
+        raise ValidationError(f"--design: {kind} needs {field} as {what}, got {value!r}") from exc
+    return DesignConfig(mode=mode, seed=seed, **{field: parsed})
 
 
 def _mcmc_config(args, seed: int) -> McmcConfig:

@@ -120,6 +120,10 @@ class StudyConfig:
             )
         if self.population_size is not None:
             check_int(self.population_size, "population size", 1)
+        try:
+            self.mcmc.check_strata((self.population if has_graph else self.params).n_strata)
+        except ValidationError as exc:
+            raise ValidationError(f"mcmc: {exc}") from exc
         if self.threads is not None:
             check_int(self.threads, "threads", 1)
         check_int(self.master_seed, "master_seed", 0)

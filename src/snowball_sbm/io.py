@@ -15,7 +15,15 @@ import numpy as np
 from .augmentation import ChainTrace, McmcConfig
 from .harness import ClusterOverlay, StudyConfig, StudySummary, estimand_names
 from .sampling import DesignConfig, IgnoredData, SnowballSample
-from .sbm import PopulationGraph, SbmParams, ValidationError, _is_integer, check_int, validate_params
+from .sbm import (
+    PopulationGraph,
+    SbmParams,
+    ValidationError,
+    _is_finite_number,
+    _is_integer,
+    check_int,
+    validate_params,
+)
 
 EDGE_HEADER = "u\tv"
 STRATA_HEADER = "node_id,stratum"
@@ -41,6 +49,12 @@ def _require(mapping, key, path):
     return mapping[key]
 
 
+def _object(value, key, path) -> dict:
+    if not isinstance(value, dict):
+        raise ValidationError(f"{path}: {key}: must be an object, got {value!r}")
+    return value
+
+
 # ---------------------------------------------------------------- params
 
 def save_params(params: SbmParams, path: str):
@@ -57,12 +71,15 @@ def load_params(path: str) -> SbmParams:
     g = _require(doc, "G", path)
     lam = _require(doc, "lambda", path)
     beta = _require(doc, "beta", path)
-    if not isinstance(g, int) or g < 1:
-        raise ValidationError(f"{path}: G must be a positive integer")
-    if len(lam) != g:
-        raise ValidationError(f"{path}: lambda must have length G={g}")
-    params = SbmParams.from_upper(lam, beta)
-    return validate_params(params)
+    if not _is_integer(g) or g < 1:
+        raise ValidationError(f"{path}: G must be a positive integer, got {g!r}")
+    for name, values, size in (("lambda", lam, g), ("beta", beta, g * (g + 1) // 2)):
+        if not (isinstance(values, list) and len(values) == size and all(map(_is_finite_number, values))):
+            raise ValidationError(f"{path}: {name} must be a list of {size} numbers (G={g}), got {values!r}")
+    try:
+        return validate_params(SbmParams.from_upper(lam, beta))
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 # ----------------------------------------------------------------- graph
@@ -259,7 +276,7 @@ def load_study_config(path: str) -> StudyConfig:
     def _resolve(p):
         return p if os.path.isabs(p) else os.path.join(base, p)
 
-    pop = _require(doc, "population", path)
+    pop = _object(_require(doc, "population", path), "population", path)
     kwargs = {}
     if "edges" in pop:
         kwargs["population"] = load_graph(_resolve(pop["edges"]), _resolve(_require(pop, "strata", path)))
@@ -267,7 +284,7 @@ def load_study_config(path: str) -> StudyConfig:
         if "params_file" in pop:
             params = load_params(_resolve(pop["params_file"]))
         elif "params" in pop:
-            spec = pop["params"]
+            spec = _object(pop["params"], "population: params", path)
             params = validate_params(
                 SbmParams.from_upper(_require(spec, "lambda", path), _require(spec, "beta", path))
             )
@@ -281,20 +298,20 @@ def load_study_config(path: str) -> StudyConfig:
             except (TypeError, ValidationError) as exc:
                 raise ValidationError(f"{path}: bad clustering options ({exc})") from exc
 
-    design_doc = dict(_require(doc, "design", path))
+    design_doc = dict(_object(_require(doc, "design", path), "design", path))
     design_doc.pop("seed", None)
-    mcmc_doc = dict(doc.get("mcmc", {}))
+    mcmc_doc = dict(_object(doc.get("mcmc", {}), "mcmc", path))
     mcmc_doc.pop("seed", None)
-    if "prior_gamma" in mcmc_doc:
-        mcmc_doc["prior_gamma"] = tuple(mcmc_doc["prior_gamma"])
-    if isinstance(mcmc_doc.get("prior_alpha"), list):
-        mcmc_doc["prior_alpha"] = tuple(mcmc_doc["prior_alpha"])
+    try:
+        mcmc = McmcConfig(**mcmc_doc)
+    except (TypeError, ValidationError) as exc:
+        raise ValidationError(f"{path}: mcmc: {exc}") from exc
     replicates = _require(doc, "replicates", path)
     try:
         return StudyConfig(
             replicates=replicates,
             design=DesignConfig(**design_doc),
-            mcmc=McmcConfig(**mcmc_doc),
+            mcmc=mcmc,
             master_seed=doc.get("master_seed", 0),
             threads=doc.get("threads"),
             bins=doc.get("bins", 20),

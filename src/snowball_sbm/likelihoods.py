@@ -13,7 +13,7 @@ from scipy.special import xlog1py
 
 from .logmath import count_times_log, log_binom
 from .sampling import SampleStats
-from .sbm import SbmParams, SufficientCounts, ValidationError, _freeze, counts_log_likelihood
+from .sbm import SbmParams, SufficientCounts, ValidationError, counts_log_likelihood
 
 
 @dataclass(frozen=True)
@@ -21,15 +21,10 @@ class EscapeProbability:
     """Probability that a unit outside the initial sample is linked to none
     of its members, given the initial sample's strata. Carried in both plain
     and log form; the log form is what large-N likelihood tails need.
-
-    ``stratum_probabilities`` is the stratum distribution of such a unit,
-    P(stratum k | no link into S0), from which unsampled strata are imputed;
-    ``None`` when no unit can escape (1 - p = 0).
     """
 
     one_minus_p: float
     log_one_minus_p: float
-    stratum_probabilities: np.ndarray | None = None
 
 
 def stratum_escape_log_weights(strata_counts_s0: np.ndarray, params: SbmParams) -> np.ndarray:
@@ -44,7 +39,9 @@ def stratum_escape_log_weights(strata_counts_s0: np.ndarray, params: SbmParams) 
 def escape_terms(log_weights: np.ndarray):
     """``(1 - p, log(1 - p), stratum probabilities)`` from per-stratum escape
     log weights (last axis; leading axes are replicates). Where no unit can
-    escape, 1 - p is 0, its log -inf and the probabilities NaN."""
+    escape, 1 - p is 0, its log -inf and the probabilities NaN. The
+    probabilities are P(stratum k | no link into S0), the stratum law of an
+    unsampled unit."""
     top = log_weights.max(axis=-1, keepdims=True)
     with np.errstate(invalid="ignore"):
         weights = np.exp(log_weights - top)
@@ -54,15 +51,10 @@ def escape_terms(log_weights: np.ndarray):
 
 
 def escape_probability(strata_s0, params: SbmParams) -> EscapeProbability:
-    """Evaluate 1 - p = sum_k lambda_k prod_{i in S0} (1 - beta_{C_i,k}),
-    and the normalized terms of that sum."""
+    """Evaluate 1 - p = sum_k lambda_k prod_{i in S0} (1 - beta_{C_i,k})."""
     counts = np.bincount(np.asarray(strata_s0, dtype=np.int64), minlength=params.n_strata)
-    one_minus_p, log_omp, probs = escape_terms(stratum_escape_log_weights(counts, params))
-    return EscapeProbability(
-        one_minus_p=float(one_minus_p),
-        log_one_minus_p=float(log_omp),
-        stratum_probabilities=None if log_omp == -np.inf else _freeze(probs),
-    )
+    one_minus_p, log_omp, _ = escape_terms(stratum_escape_log_weights(counts, params))
+    return EscapeProbability(one_minus_p=float(one_minus_p), log_one_minus_p=float(log_omp))
 
 
 def wave_inclusion_probability(strata_counts_s0, params: SbmParams) -> float:

@@ -8,6 +8,7 @@ from .sbm import (
     PopulationGraph,
     ValidationError,
     _freeze,
+    _is_finite_number,
     canonical_pairs,
     check_int,
     pair_totals_from_counts,
@@ -39,7 +40,7 @@ class DesignConfig:
             raise ValidationError(f"unknown initial design mode {self.mode!r}")
         if self.mode == "bernoulli":
             q = self.q
-            if isinstance(q, bool) or not isinstance(q, (int, float, np.floating)) or not 0.0 <= q <= 1.0:
+            if not (_is_finite_number(q) and 0.0 <= q <= 1.0):
                 raise ValidationError(f"bernoulli design requires q in [0, 1], got {q!r}")
         else:
             if self.n0 is None:

@@ -4,6 +4,7 @@ Strata are labeled 1..G in every external file format and 0..G-1 in memory;
 all arrays here use the internal convention.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -20,6 +21,12 @@ class ValidationError(ValueError):
 def _is_integer(value) -> bool:
     """An int or numpy integer; bools, floats such as 2.0 and strings are not."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_finite_number(value) -> bool:
+    """A finite int or float, numpy scalars included; bools and strings are not."""
+    number = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    return number and math.isfinite(value)
 
 
 def check_int(value, name: str, minimum: int) -> int:

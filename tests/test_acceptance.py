@@ -20,7 +20,6 @@ from snowball_sbm import (
     draw_beta,
     draw_initial,
     draw_lambda,
-    draw_population_size,
     generate_population,
     impute_link_counts,
     run_study,
@@ -29,17 +28,22 @@ from snowball_sbm import (
     trace_one_wave,
     wave_inclusion_probability,
 )
-from snowball_sbm.augmentation import (
-    beta_posterior_params,
-    imputation_probabilities,
-    lambda_posterior_params,
-)
+from snowball_sbm.augmentation import beta_posterior_params, lambda_posterior_params
 from snowball_sbm.harness import SURVEY_SCALE_N, survey_scale_params
 from snowball_sbm.likelihoods import ignored_log_likelihood, observed_log_likelihood
 from snowball_sbm.logmath import log_binom
 from snowball_sbm.sampling import IgnoredData
 
-from test_augmentation import FRAC_BETA, FRAC_LAM, PARAMS_FRAC, brute_force_stratum_marginals
+from test_augmentation import (
+    FRAC_BETA,
+    FRAC_LAM,
+    PARAMS_FRAC,
+    brute_force_stratum_marginals,
+    draw_n,
+    escape_of,
+    repeat_rows,
+    stacked,
+)
 from test_likelihoods import make_data, stats_of
 
 
@@ -73,9 +77,7 @@ def test_criterion_1_population_size_oracle():
         beta = 1.0 - one_minus_p ** (1.0 / n0)
         params = SbmParams.from_upper([1.0], [beta])
         stats = stats_of(synthetic_data(n0, n1), params)
-        draws = draw_population_size(
-            stats, params, McmcConfig(n_max_cap=cap), np.random.default_rng(trial), size=200_000
-        )
+        draws = draw_n(stats, params, McmcConfig(n_max_cap=cap), np.random.default_rng(trial), size=200_000)
         support = np.arange(n0 + n1, cap + 1)
         weights = np.array(
             [comb(int(n) - n0, n1) * one_minus_p ** (int(n) - n0 - n1) for n in support]
@@ -113,7 +115,7 @@ def test_criterion_2_stratum_imputation_oracle():
                 marginal, joint = brute_force_stratum_marginals(
                     data, n_total, FRAC_LAM, FRAC_BETA
                 )
-                probs = imputation_probabilities(stats_of(data, PARAMS_FRAC), PARAMS_FRAC)
+                probs = escape_of(stats_of(data, PARAMS_FRAC), PARAMS_FRAC)[2]
                 for k in range(2):
                     assert abs(probs[k] - float(marginal[k])) < 1e-10, (
                         f"n0={n0} n1={n1} N={n_total} stratum {k}: "
@@ -140,8 +142,9 @@ def test_criterion_3_link_imputation_equivalence():
     n_draws = 50_000
 
     rng = np.random.default_rng(11)
-    fast = np.array(
-        [impute_link_counts(stats, 6, strata_all, params, rng) for _ in range(n_draws)]
+    fast = impute_link_counts(
+        stacked(stats, rows=n_draws), np.full(n_draws, 6), np.tile(strata_all, (n_draws, 1)),
+        np.broadcast_to(params.beta, (n_draws, 2, 2)), [rng] * n_draws,
     )
     ref_rng = np.random.default_rng(12)
     pairs = [(a, b) for a in range(4) for b in range(a + 1, 4)]
@@ -186,8 +189,8 @@ def test_criterion_4_conjugate_posterior_correctness():
 
     n_draws = 50_000
     rng = np.random.default_rng(40)
-    lam_draws = np.array([draw_lambda(counts.strata_counts, cfg, rng) for _ in range(n_draws)])
-    beta_draws = np.array([draw_beta(counts, cfg, rng) for _ in range(n_draws)])
+    lam_draws = draw_lambda(np.tile(counts.strata_counts, (n_draws, 1)), cfg, [rng] * n_draws)
+    beta_draws = draw_beta(repeat_rows(counts, n_draws), cfg, [rng] * n_draws)
 
     lam_mean, lam_var = 0.5, (4 * 4) / (8**2 * 9)
     assert abs(lam_draws[:, 0].mean() - lam_mean) < 3 * np.sqrt(lam_var / n_draws)

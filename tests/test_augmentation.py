@@ -1,6 +1,7 @@
 """Gibbs sampler pieces against enumeration, reference implementations, and
 closed-form conjugate posteriors."""
 
+from dataclasses import fields
 from fractions import Fraction
 from itertools import product
 from math import comb
@@ -11,6 +12,7 @@ import pytest
 from snowball_sbm import (
     McmcConfig,
     SbmParams,
+    SufficientCounts,
     ValidationError,
     draw_beta,
     draw_lambda,
@@ -25,17 +27,41 @@ from snowball_sbm import (
     trace_one_wave,
 )
 from snowball_sbm.augmentation import (
+    StackedStats,
     assemble_full_counts,
     beta_posterior_params,
-    imputation_probabilities,
     initial_state,
     lambda_posterior_params,
     population_size_log_weights,
 )
+from snowball_sbm.likelihoods import escape_terms, stratum_escape_log_weights
 from snowball_sbm.sampling import IgnoredData, SampleStats
 
 from dense_links import dense_links
 from test_likelihoods import make_data, stats_of
+
+
+def stacked(stats, cfg=None, rows=1):
+    """``rows`` copies of one sample's statistics, as a sweep reads them."""
+    return StackedStats.of([stats] * rows, cfg or McmcConfig())
+
+
+def escape_of(stats, params):
+    """``(1 - p, log(1 - p), unsampled stratum probabilities)``, computed as
+    :func:`gibbs_sweep` computes them; leading axes are those of ``stats``."""
+    return escape_terms(stratum_escape_log_weights(stats.counts_s0, params))
+
+
+def draw_n(stats, params, cfg, rng, size):
+    """``size`` draws of N for one sample, through the sweep's sub-draw."""
+    batch = stacked(stats, cfg)
+    return draw_population_size(batch, escape_of(batch, params)[1], [rng], size)[0]
+
+
+def repeat_rows(counts, rows):
+    """``rows`` copies of ``counts`` along a leading replicate axis."""
+    names = [f.name for f in fields(counts)]
+    return SufficientCounts(**{name: np.repeat([getattr(counts, name)], rows, axis=0) for name in names})
 
 
 def enumerate_population_size_pmf(n0, n1, one_minus_p, cap):
@@ -61,7 +87,7 @@ class TestDrawPopulationSize:
         stats = stats_of(data, params)
         cfg = McmcConfig(n_max_cap=50)
         rng = np.random.default_rng(0)
-        draws = draw_population_size(stats, params, cfg, rng, size=500)
+        draws = draw_n(stats, params, cfg, rng, size=500)
         assert np.all(draws == 3)
 
     def test_pmf_matches_enumeration(self):
@@ -70,7 +96,7 @@ class TestDrawPopulationSize:
         stats = stats_of(data, params)
         cfg = McmcConfig(n_max_cap=200)
         rng = np.random.default_rng(42)
-        draws = draw_population_size(stats, params, cfg, rng, size=200_000)
+        draws = draw_n(stats, params, cfg, rng, size=200_000)
         one_minus_p = (1 - 0.1) ** 5
         support, pmf = enumerate_population_size_pmf(5, 3, one_minus_p, 200)
         tv = 0.5 * np.abs(empirical_pmf(draws, support) - pmf).sum()
@@ -90,9 +116,8 @@ class TestDrawPopulationSize:
         tails = []
         for offset in (0, 3, 10, 40):
             cap = n_s + offset
-            draws = draw_population_size(
-                stats, params, McmcConfig(n_max_cap=cap), np.random.default_rng(offset), size=200_000
-            )
+            rng = np.random.default_rng(offset)
+            draws = draw_n(stats, params, McmcConfig(n_max_cap=cap), rng, size=200_000)
             support, pmf = enumerate_population_size_pmf(5, 3, one_minus_p, cap)
             emp = empirical_pmf(draws, support)
             assert 0.5 * np.abs(emp - pmf).sum() < 0.01
@@ -109,7 +134,7 @@ class TestDrawPopulationSize:
         stats = stats_of(data, params)
         cfg = McmcConfig(n_max_cap=400)
         rng = np.random.default_rng(7)
-        draws = draw_population_size(stats, params, cfg, rng, size=200_000)
+        draws = draw_n(stats, params, cfg, rng, size=200_000)
         expected = 50 + 30 + 31 * 0.5 / 0.5
         assert abs(draws.mean() - expected) / expected < 0.01
 
@@ -117,16 +142,17 @@ class TestDrawPopulationSize:
         params = SbmParams.from_upper([1.0], [0.2])
         data = make_data([0, 0], [0], [(0, 2)])
         stats = stats_of(data, params)
-        value = draw_population_size(stats, params, McmcConfig(), np.random.default_rng(1))
-        assert isinstance(value, int)
-        assert value >= 3
+        batch = stacked(stats)
+        value = draw_population_size(batch, escape_of(batch, params)[1], [np.random.default_rng(1)])
+        assert value.shape == (1,) and value.dtype == np.int64
+        assert value[0] >= 3
 
     def test_cap_below_sample_rejected(self):
         params = SbmParams.from_upper([1.0], [0.2])
         data = make_data([0, 0], [0], [(0, 2)])
         stats = stats_of(data, params)
         with pytest.raises(ValidationError, match="cap"):
-            draw_population_size(stats, params, McmcConfig(n_max_cap=2), np.random.default_rng(1))
+            draw_n(stats, params, McmcConfig(n_max_cap=2), np.random.default_rng(1), size=1)
 
     def test_weights_flat_when_escape_certain_and_no_wave(self):
         support, log_w = population_size_log_weights(4, 0, 0.0, 20)
@@ -201,7 +227,7 @@ class TestImputeStrata:
         params = SbmParams.from_upper([0.3, 0.7], [0.0, 0.0, 0.0])
         data = make_data([0, 1], [], [])
         stats = stats_of(data, params)
-        probs = imputation_probabilities(stats, params)
+        probs = escape_of(stats, params)[2]
         assert probs == pytest.approx([0.3, 0.7], abs=1e-14)
 
     def test_hand_value(self):
@@ -210,7 +236,7 @@ class TestImputeStrata:
         params = SbmParams.from_upper([0.5, 0.5], [0.5, 0.0, 0.5])
         data = make_data([0], [], [])
         stats = stats_of(data, params)
-        probs = imputation_probabilities(stats, params)
+        probs = escape_of(stats, params)[2]
         assert probs == pytest.approx([1 / 3, 2 / 3], abs=1e-14)
 
     def test_counts_are_multinomial_given_probs(self):
@@ -218,7 +244,8 @@ class TestImputeStrata:
         data = make_data([0], [], [])
         stats = stats_of(data, params)
         rng = np.random.default_rng(3)
-        draws = np.array([impute_strata(stats, 31, params, rng) for _ in range(20_000)])
+        batch = stacked(stats, rows=20_000)
+        draws = impute_strata(batch, np.full(20_000, 31), escape_of(batch, params)[2], [rng] * 20_000)
         assert np.all(draws.sum(axis=1) == 30)
         se = np.sqrt(30 * (1 / 3) * (2 / 3) / 20_000)
         assert abs(draws[:, 0].mean() - 10.0) < 3 * se
@@ -227,15 +254,17 @@ class TestImputeStrata:
         params = SbmParams.from_upper([1.0], [1.0])
         data = make_data([0], [0], [(0, 1)])
         stats = stats_of(data, params)
-        counts = impute_strata(stats, 2, params, np.random.default_rng(0))
-        assert counts.tolist() == [0]
+        batch = stacked(stats)
+        counts = impute_strata(batch, np.array([2]), escape_of(batch, params)[2], [np.random.default_rng(0)])
+        assert counts[0].tolist() == [0]
 
     def test_impossible_escape_rejected(self):
         params = SbmParams.from_upper([1.0], [1.0])
         data = make_data([0], [0], [(0, 1)])
         stats = stats_of(data, params)
         with pytest.raises(ValidationError, match="avoid"):
-            impute_strata(stats, 5, params, np.random.default_rng(0))
+            batch = stacked(stats)
+            impute_strata(batch, np.array([5]), escape_of(batch, params)[2], [np.random.default_rng(0)])
 
     @pytest.mark.parametrize(
         "strata_s0,strata_s1,pairs,n_total",
@@ -254,7 +283,7 @@ class TestImputeStrata:
         data = make_data(strata_s0, strata_s1, pairs)
         stats = stats_of(data, PARAMS_FRAC)
         marginal, joint = brute_force_stratum_marginals(data, n_total, FRAC_LAM, FRAC_BETA)
-        probs = imputation_probabilities(stats, PARAMS_FRAC)
+        probs = escape_of(stats, PARAMS_FRAC)[2]
         for k in range(2):
             assert probs[k] == pytest.approx(float(marginal[k]), abs=1e-10)
         if n_total - data.n_sampled >= 2:
@@ -271,14 +300,16 @@ class TestImputeLinkCounts:
         params = SbmParams.from_upper([0.5, 0.5], [0.0, 0.0, 0.0])
         data = make_data([0], [], [])
         stats = stats_of(data, params)
-        counts = impute_link_counts(stats, 10, np.array([5, 5]), params, np.random.default_rng(0))
+        counts = impute_link_counts(stacked(stats), np.array([10]), np.array([[5, 5]]), params.beta[None],
+                                    [np.random.default_rng(0)])
         assert counts.sum() == 0
 
     def test_beta_one_saturates(self):
         params = SbmParams.from_upper([0.5, 0.5], [1.0, 1.0, 1.0])
         data = make_data([0], [], [])
         stats = stats_of(data, params)
-        counts = impute_link_counts(stats, 8, np.array([4, 4]), params, np.random.default_rng(0))
+        counts = impute_link_counts(stacked(stats), np.array([8]), np.array([[4, 4]]), params.beta[None],
+                                    [np.random.default_rng(0)])[0]
         # outside the initial sample: 3 of stratum 1, 4 of stratum 2
         assert counts[0, 0] == 3
         assert counts[1, 1] == 6
@@ -289,7 +320,8 @@ class TestImputeLinkCounts:
         data = make_data([0], [1], [(0, 1)])
         stats = stats_of(data, params)
         with pytest.raises(ValidationError):
-            impute_link_counts(stats, 4, np.array([4, 0]), params, np.random.default_rng(0))
+            impute_link_counts(stacked(stats), np.array([4]), np.array([[4, 0]]), params.beta[None],
+                               [np.random.default_rng(0)])
 
     def test_matches_per_edge_reference(self):
         """Pair-count binomial imputation must be distribution-equal to
@@ -303,8 +335,9 @@ class TestImputeLinkCounts:
         n_draws = 50_000
 
         rng = np.random.default_rng(11)
-        fast = np.array(
-            [impute_link_counts(stats, n_total, strata_all, params, rng) for _ in range(n_draws)]
+        fast = impute_link_counts(
+            stacked(stats, rows=n_draws), np.full(n_draws, n_total), np.tile(strata_all, (n_draws, 1)),
+            np.broadcast_to(params.beta, (n_draws, 2, 2)), [rng] * n_draws,
         )
 
         ref_rng = np.random.default_rng(12)
@@ -354,27 +387,25 @@ class TestConjugateDraws:
 
     def test_lambda_single_stratum_degenerate(self):
         cfg = McmcConfig()
-        draw = draw_lambda(np.array([12]), cfg, np.random.default_rng(0))
-        assert draw.tolist() == [1.0]
+        draw = draw_lambda(np.array([[12]]), cfg, [np.random.default_rng(0)])
+        assert draw[0].tolist() == [1.0]
 
     def test_lambda_prior_only_uniform_mean(self):
         cfg = McmcConfig()
         rng = np.random.default_rng(21)
-        draws = np.array([draw_lambda(np.array([0, 0]), cfg, rng) for _ in range(50_000)])
+        draws = draw_lambda(np.zeros((50_000, 2), dtype=np.int64), cfg, [rng] * 50_000)
         se = np.sqrt(0.25 / (2 + 1) / 50_000)  # Dirichlet(1,1) variance = 1/12
         assert abs(draws[:, 0].mean() - 0.5) < 3 * se
 
     def test_lambda_moments(self):
         cfg = McmcConfig()
         rng = np.random.default_rng(22)
-        draws = np.array([draw_lambda(np.array([30, 70]), cfg, rng) for _ in range(50_000)])
+        draws = draw_lambda(np.tile([30, 70], (50_000, 1)), cfg, [rng] * 50_000)
         mean = 31 / 102
         var = (31 / 102) * (71 / 102) / 103
         assert abs(draws[:, 0].mean() - mean) < 3 * np.sqrt(var / 50_000)
 
     def test_beta_moments_and_prior_only(self):
-        from snowball_sbm import SufficientCounts
-
         counts = SufficientCounts(
             strata_counts=np.array([11, 10]),
             link_counts=np.array([[0, 5], [5, 0]]),
@@ -382,7 +413,7 @@ class TestConjugateDraws:
         )
         cfg = McmcConfig()
         rng = np.random.default_rng(23)
-        draws = np.array([draw_beta(counts, cfg, rng) for _ in range(50_000)])
+        draws = draw_beta(repeat_rows(counts, 50_000), cfg, [rng] * 50_000)
         mean = 6 / 112
         var = (6 * 106) / (112**2 * 113)
         assert abs(draws[:, 0, 1].mean() - mean) < 3 * np.sqrt(var / 50_000)
@@ -393,7 +424,7 @@ class TestConjugateDraws:
             link_counts=np.zeros((2, 2), dtype=int),
             pair_totals=np.zeros((2, 2), dtype=int),
         )
-        uni = np.array([draw_beta(empty, cfg, rng)[0, 0] for _ in range(50_000)])
+        uni = draw_beta(repeat_rows(empty, 50_000), cfg, [rng] * 50_000)[:, 0, 0]
         assert abs(uni.mean() - 0.5) < 3 * np.sqrt(1 / 12 / 50_000)
         assert abs(np.quantile(uni, 0.25) - 0.25) < 0.01
 
@@ -410,40 +441,40 @@ class TestGibbsSweep:
         stats = SampleStats.from_data(data, 2)
         cfg = McmcConfig(n_max_cap=data.n_sampled)
         rng = np.random.default_rng(5)
-        state = initial_state(stats)
+        state = initial_state([stats])
         for _ in range(10):
-            state = gibbs_sweep(state, stats, cfg, rng)
-            assert state.n == data.n_sampled
+            state = gibbs_sweep(state, stacked(stats, cfg), cfg, [rng])
+            assert state.n[0] == data.n_sampled
             assert state.strata_unsampled.sum() == 0
 
     def test_deterministic_given_seed_and_state(self):
         data = self.setup_data()
         stats = SampleStats.from_data(data, 2)
         cfg = McmcConfig(seed=9)
-        state = initial_state(stats)
-        a = gibbs_sweep(state, stats, cfg, np.random.default_rng(9))
-        b = gibbs_sweep(state, stats, cfg, np.random.default_rng(9))
+        state = initial_state([stats])
+        a = gibbs_sweep(state, stacked(stats, cfg), cfg, [np.random.default_rng(9)])
+        b = gibbs_sweep(state, stacked(stats, cfg), cfg, [np.random.default_rng(9)])
         assert a.n == b.n
         assert np.array_equal(a.strata_unsampled, b.strata_unsampled)
-        assert np.array_equal(a.params.lam, b.params.lam)
-        assert np.array_equal(a.params.beta, b.params.beta)
+        assert np.array_equal(a.lam, b.lam)
+        assert np.array_equal(a.beta, b.beta)
 
     def test_state_invariants_preserved(self):
         data = self.setup_data()
         stats = SampleStats.from_data(data, 2)
         cfg = McmcConfig()
         rng = np.random.default_rng(17)
-        state = initial_state(stats)
+        state = initial_state([stats])
         for _ in range(50):
-            state = gibbs_sweep(state, stats, cfg, rng)
-            assert state.n >= data.n_sampled
-            assert state.strata_unsampled.sum() == state.n - data.n_sampled
-            assert state.params.lam.sum() == pytest.approx(1.0)
-            assert np.all(state.params.beta >= 0) and np.all(state.params.beta <= 1)
-            totals = np.outer(state.strata_unsampled + data.strata_counts_s1(2),
-                              state.strata_unsampled + data.strata_counts_s1(2))
+            state = gibbs_sweep(state, stacked(stats, cfg), cfg, [rng])
+            assert state.n[0] >= data.n_sampled
+            assert state.strata_unsampled.sum() == state.n[0] - data.n_sampled
+            assert state.lam[0].sum() == pytest.approx(1.0)
+            assert np.all(state.beta >= 0) and np.all(state.beta <= 1)
+            totals = np.outer(state.strata_unsampled[0] + data.strata_counts_s1(2),
+                              state.strata_unsampled[0] + data.strata_counts_s1(2))
             iu = np.triu_indices(2)
-            assert np.all(state.imputed_link_counts[iu] <= totals[iu])
+            assert np.all(state.imputed_link_counts[0][iu] <= totals[iu])
 
 
 def draw_initial_ids(graph, n0):
@@ -483,19 +514,18 @@ class TestRunChain:
         assert data.n0 == 12 and data.n1 == 0
         full = sufficient_counts(graph)
         stats = SampleStats.from_data(data, 2)
-        state = initial_state(stats)
-        cfg = McmcConfig(n_max_cap=12)
+        state = initial_state([stats])
+        batch = stacked(stats, McmcConfig(n_max_cap=12))
         rng = np.random.default_rng(0)
-        n_new = 12
-        strata_un = impute_strata(stats, n_new, state.params, rng)
+        n_new = np.array([12])
+        strata_un = impute_strata(batch, n_new, escape_of(batch, state)[2], [rng])
         imputed = impute_link_counts(
-            stats, n_new, data.strata_counts_s0(2) + data.strata_counts_s1(2) + strata_un,
-            state.params, rng,
+            batch, n_new, data.strata_counts_s0(2) + data.strata_counts_s1(2) + strata_un, state.beta, [rng]
         )
-        assembled = assemble_full_counts(stats, strata_un, imputed)
-        assert np.array_equal(assembled.strata_counts, full.strata_counts)
-        assert np.array_equal(assembled.link_counts, full.link_counts)
-        assert np.array_equal(assembled.pair_totals, full.pair_totals)
+        assembled = assemble_full_counts(batch, strata_un, imputed)
+        assert np.array_equal(assembled.strata_counts[0], full.strata_counts)
+        assert np.array_equal(assembled.link_counts[0], full.link_counts)
+        assert np.array_equal(assembled.pair_totals[0], full.pair_totals)
 
     def test_estimates_invariant_to_node_relabeling(self):
         params = SbmParams.from_upper([0.4, 0.6], [0.3, 0.15, 0.25])

@@ -369,7 +369,7 @@ class TestInputHardening:
                        "--out", str(out), *argv)
         return code, capsys.readouterr().err, str(path), out.exists()
 
-    def simulate(self, tmp_path, capsys, monkeypatch, population=None, **changes):
+    def simulate(self, tmp_path, capsys, monkeypatch, population=None, sections=None, **changes):
         import snowball_sbm.cli as cli
 
         monkeypatch.setattr(cli, "run_study", lambda cfg: pytest.fail("a study ran on a bad config"))
@@ -381,6 +381,7 @@ class TestInputHardening:
             "mcmc": {"chain_length": 20},
             "threads": 1,
             **changes,
+            **(sections or {}),
         }
         path = tmp_path / "study.json"
         path.write_text(json.dumps(config))
@@ -439,3 +440,67 @@ class TestInputHardening:
         code, err, path = self.simulate(tmp_path, capsys, monkeypatch, replicates=2.5)
         assert code == 2
         assert f"{path}: replicates must be an integer >= 1, got 2.5" in err
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("n_max_cap", 50.5, "n_max_cap must be an integer >= 1, got 50.5"),
+        ("n_max_cap", True, "n_max_cap must be an integer >= 1, got True"),
+        ("burn_in_fraction", "0.1", "burn_in_fraction must be in [0, 1), got '0.1'"),
+        ("prior_gamma", 3, "prior_gamma must be a pair of positive numbers, got 3"),
+        ("prior_gamma", [1], "prior_gamma must be a pair of positive numbers, got [1]"),
+        ("prior_alpha", [1, 1, 1], "prior_alpha must have length G = 2, got 3"),
+    ], ids=["n_max_cap-float", "n_max_cap-bool", "burn_in-string", "prior_gamma-number", "prior_gamma-short",
+            "prior_alpha-length"])
+    def test_study_bad_mcmc_field_rejected(self, tmp_path, capsys, monkeypatch, field, value, message):
+        import snowball_sbm.harness as harness
+
+        monkeypatch.setattr(harness, "generate_population", lambda *a: pytest.fail("a population was built"))
+        mcmc = {"chain_length": 20, field: value}
+        code, err, path = self.simulate(tmp_path, capsys, monkeypatch, mcmc=mcmc)
+        assert code == 2
+        assert f"{path}: mcmc: {message}" in err
+
+    @pytest.mark.parametrize("section", ["population", "design", "mcmc"])
+    def test_study_non_object_section_rejected(self, tmp_path, capsys, monkeypatch, section):
+        code, err, path = self.simulate(tmp_path, capsys, monkeypatch, sections={section: 5})
+        assert code == 2
+        assert f"{path}: {section}: must be an object, got 5" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_cap_multiplier_rejected(self, tmp_path, capsys, monkeypatch, value):
+        import snowball_sbm.cli as cli
+
+        monkeypatch.setattr(cli, "run_chain", lambda *a, **k: pytest.fail("a chain ran"))
+        code, err, _, wrote = self.estimate(tmp_path, capsys, "--cap-multiplier", value)
+        assert code == 2 and not wrote
+        assert f"cap_multiplier must be a finite number >= 1, got {value}" in err
+
+    @pytest.mark.parametrize("doc,message", [
+        ({"G": True, "lambda": [1.0], "beta": [0.2]}, "G must be a positive integer, got True"),
+        ({"G": 2, "lambda": 5, "beta": [0.25, 0.1, 0.2]}, "lambda must be a list of 2 numbers (G=2), got 5"),
+    ], ids=["G-bool", "lambda-number"])
+    def test_params_file_bad_field_rejected(self, tmp_path, capsys, monkeypatch, doc, message):
+        import snowball_sbm.cli as cli
+
+        monkeypatch.setattr(cli, "generate_population", lambda *a, **k: pytest.fail("a population was built"))
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "pop"
+        code = run_cli("generate", "--params", str(path), "--n", "20", "--seed", "1", "--out", str(out))
+        assert code == 2
+        assert f"{path}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("design,message", [
+        ("fixed:1.5", "--design: fixed needs n0 as an integer, got '1.5'"),
+        ("degree:x", "--design: degree needs n0 as an integer, got 'x'"),
+        ("bernoulli:abc", "--design: bernoulli needs q as a number, got 'abc'"),
+    ], ids=["fixed:1.5", "degree:x", "bernoulli:abc"])
+    def test_malformed_design_rejected(self, tmp_path, capsys, monkeypatch, graph_files, design, message):
+        import snowball_sbm.cli as cli
+
+        monkeypatch.setattr(cli, "draw_initial", lambda *a: pytest.fail("a sample was drawn"))
+        _, edges, strata = graph_files
+        out = tmp_path / "s.json"
+        code = run_cli("sample", "--edges", edges, "--strata", strata, "--design", design, "--seed", "1",
+                       "--out", str(out))
+        assert code == 2 and not out.exists()
+        assert message in capsys.readouterr().err
