@@ -1,23 +1,22 @@
 """Gibbs data-augmentation sampler for population size and model parameters.
 
 Each sweep (:func:`gibbs_sweep`) draws, in order: the population size from
-its label-free posterior, stratum memberships for the unsampled block, link
-counts for all unobserved pairs, then the conjugate Dirichlet/Beta parameter
-updates given the completed realization. It advances R chains at once: the
-deterministic work runs once on arrays with a leading replicate axis, and
-each of the five sub-draws makes row r's draws on ``rngs[r]`` only. Many
-i.i.d. draws of one conditional come from R identical rows that share one
-Generator (``[rng] * R``).
+its label-free posterior, stratum memberships for the unsampled block, then
+the conjugate Dirichlet/Beta parameter updates. It advances R chains at
+once: the deterministic work runs once on arrays with a leading replicate
+axis, and each of the four sub-draws makes row r's draws on ``rngs[r]``
+only. Many i.i.d. draws of one conditional come from R identical rows that
+share one Generator (``[rng] * R``).
 
 A sweep costs O(G^2) per chain, independent of the sample size, and of the
 cap on N unless the cap binds (then N is drawn from a grid over the
 truncated support). The sample enters only through its sufficient statistics
 (:class:`~snowball_sbm.sampling.SampleStats`), computed once per chain. The
 unsampled units' strata are exchangeable given the sample, so a multinomial
-count vector replaces per-unit labels; the parameter posteriors consume only
-link counts and pair totals, so unobserved links are drawn as binomial pair
-counts rather than materialized edges; and N is drawn as a truncated
-negative binomial. All three are distribution-exact.
+count vector replaces per-unit labels; N is drawn as a truncated negative
+binomial; and the links among pairs with no endpoint in the initial sample,
+which only beta's conditional would read, are integrated out of it (a
+collapsed Gibbs step, :func:`posterior_counts`). All three are exact.
 """
 
 import logging
@@ -209,7 +208,9 @@ def impute_link_counts(stats: StackedStats, n, strata_all_counts, beta: np.ndarr
     Pairs with both endpoints outside the initial sample (wave-wave,
     wave-unsampled, unsampled-unsampled) are the unobserved ones; for each
     stratum pair the count is Binomial(pairs available, beta). The completed
-    stratum counts are checked against N and the observed wave first.
+    stratum counts are checked against N and the observed wave first. The
+    sweep integrates these links out instead; the tests use this draw as the
+    reference for that collapsed step.
     """
     strata_all_counts = np.asarray(strata_all_counts, dtype=np.int64)
     if (strata_all_counts.sum(axis=-1) != n).any():
@@ -245,7 +246,7 @@ def draw_lambda(strata_counts: np.ndarray, cfg: McmcConfig, rngs: Rngs) -> np.nd
 
 def draw_beta(counts: SufficientCounts, cfg: McmcConfig, rngs: Rngs) -> np.ndarray:
     """Each row's symmetric link probabilities from the per-pair Beta posteriors
-    given its completed (R, ...) counts."""
+    given its (R, ...) :func:`posterior_counts`."""
     a, b = beta_posterior_params(counts, cfg)
     g = a.shape[-1]
     iu = (slice(None), *upper_indices(g))
@@ -253,25 +254,25 @@ def draw_beta(counts: SufficientCounts, cfg: McmcConfig, rngs: Rngs) -> np.ndarr
     return symmetric_from_upper(np.array(list(draws)), g)
 
 
-def assemble_full_counts(stats, strata_unsampled: np.ndarray, imputed_links: np.ndarray) -> SufficientCounts:
-    """Sufficient counts of the completed realization: observed plus imputed."""
-    strata_counts = stats.counts_sampled + np.asarray(strata_unsampled, dtype=np.int64)
-    return SufficientCounts(
-        strata_counts=strata_counts,
-        link_counts=stats.link_counts + np.asarray(imputed_links, dtype=np.int64),
-        pair_totals=pair_totals_from_counts(strata_counts),
-    )
+def posterior_counts(stats, strata_unsampled: np.ndarray) -> SufficientCounts:
+    """The counts lambda's and beta's conditionals read: the completed stratum
+    counts, the observed link counts M, and the totals T* of the pairs with at
+    least one endpoint in the initial sample, all of them observed. The links
+    among the other pairs integrate out, so beta's posterior is
+    Beta(M + g1, T* - M + g2); T* is not the completed pair totals."""
+    counts = stats.counts_sampled + np.asarray(strata_unsampled, dtype=np.int64)
+    touching = pair_totals_from_counts(counts) - pair_totals_from_counts(counts - stats.counts_s0)
+    return SufficientCounts(counts, stats.link_counts, touching)
 
 
 @dataclass(frozen=True)
 class AugmentedState:
     """The Gibbs states of R chains, each field with a leading replicate axis:
-    N, the unsampled block's imputed stratum counts, imputed link counts, and
-    (lambda, beta). The arrays are never written once built."""
+    N, the unsampled block's imputed stratum counts, and (lambda, beta). The
+    arrays are never written once built."""
 
     n: np.ndarray
     strata_unsampled: np.ndarray
-    imputed_link_counts: np.ndarray
     lam: np.ndarray
     beta: np.ndarray
 
@@ -284,22 +285,20 @@ def initial_state(stats: Sequence[SampleStats]) -> AugmentedState:
     return AugmentedState(
         np.array([2 * s.n_sampled for s in stats]),
         np.zeros((replicates, g), np.int64),
-        np.zeros((replicates, g, g), np.int64),
         np.array([s.counts_sampled / s.n_sampled if s.n_sampled else np.full(g, 1.0 / g) for s in stats]),
         np.array([(s.link_counts + 1.0) / (s.pair_totals + 2.0) for s in stats]),
     )
 
 
 def gibbs_sweep(state: AugmentedState, stats: StackedStats, cfg: McmcConfig, rngs: Rngs) -> AugmentedState:
-    """One Gibbs sweep (N, unsampled strata, unobserved links, lambda, beta)
-    of R chains; chain r draws on ``rngs[r]`` only, in that order."""
+    """One Gibbs sweep (N, unsampled strata, lambda, beta) of R chains;
+    chain r draws on ``rngs[r]`` only, in that order."""
     _, log_omp, probs = escape_terms(stratum_escape_log_weights(stats.counts_s0, state))
     n = draw_population_size(stats, log_omp, rngs)
     strata_un = impute_strata(stats, n, probs, rngs)
-    imputed = impute_link_counts(stats, n, stats.counts_sampled + strata_un, state.beta, rngs)
-    counts = assemble_full_counts(stats, strata_un, imputed)
+    counts = posterior_counts(stats, strata_un)
     lam = draw_lambda(counts.strata_counts, cfg, rngs)
-    return AugmentedState(n, strata_un, imputed, lam, draw_beta(counts, cfg, rngs))
+    return AugmentedState(n, strata_un, lam, draw_beta(counts, cfg, rngs))
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,7 @@ def _resolve_seed(seed: int | None) -> int:
     if seed is None:
         seed = secrets.randbits(63)
         print(f"seed: {seed}")
-    return seed
+    return check_int(seed, "--seed", 0)
 
 
 def _check_inputs(*paths):

@@ -20,6 +20,7 @@ from .sbm import (
     PopulationGraph,
     SbmParams,
     ValidationError,
+    _is_finite_number,
     check_int,
     generate_population,
     mle_from_full_graph,
@@ -57,10 +58,9 @@ class ClusterOverlay:
     background_scale: float = 0.0
 
     def __post_init__(self):
-        if self.clique_size < 2:
-            raise ValidationError("clique overlay requires clique_size >= 2")
-        if not (0.0 <= self.background_scale <= 1.0):
-            raise ValidationError("background_scale must be in [0, 1]")
+        check_int(self.clique_size, "clique_size", 2)
+        if not (_is_finite_number(self.background_scale) and 0.0 <= self.background_scale <= 1.0):
+            raise ValidationError(f"background_scale must be a number in [0, 1], got {self.background_scale!r}")
 
 
 def clustered_population(

@@ -69,17 +69,28 @@ def save_params(params: SbmParams, path: str):
 def load_params(path: str) -> SbmParams:
     doc = _load_json(path)
     g = _require(doc, "G", path)
-    lam = _require(doc, "lambda", path)
-    beta = _require(doc, "beta", path)
     if not _is_integer(g) or g < 1:
         raise ValidationError(f"{path}: G must be a positive integer, got {g!r}")
+    return _checked_params(doc, path, g)
+
+
+def _checked_params(doc: dict, where: str, g: int | None = None) -> SbmParams:
+    """Block-model params from ``doc``'s ``lambda`` and ``beta`` (upper
+    triangle), each a list of finite numbers of the length G gives; G is
+    ``len(lambda)`` when not given. Errors read ``<where>: <field> ...``."""
+    lam = _require(doc, "lambda", where)
+    beta = _require(doc, "beta", where)
+    if g is None:
+        if not (isinstance(lam, list) and lam):
+            raise ValidationError(f"{where}: lambda must be a non-empty list of numbers, got {lam!r}")
+        g = len(lam)
     for name, values, size in (("lambda", lam, g), ("beta", beta, g * (g + 1) // 2)):
         if not (isinstance(values, list) and len(values) == size and all(map(_is_finite_number, values))):
-            raise ValidationError(f"{path}: {name} must be a list of {size} numbers (G={g}), got {values!r}")
+            raise ValidationError(f"{where}: {name} must be a list of {size} numbers (G={g}), got {values!r}")
     try:
         return validate_params(SbmParams.from_upper(lam, beta))
     except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
+        raise ValidationError(f"{where}: {exc}") from exc
 
 
 # ----------------------------------------------------------------- graph
@@ -285,9 +296,7 @@ def load_study_config(path: str) -> StudyConfig:
             params = load_params(_resolve(pop["params_file"]))
         elif "params" in pop:
             spec = _object(pop["params"], "population: params", path)
-            params = validate_params(
-                SbmParams.from_upper(_require(spec, "lambda", path), _require(spec, "beta", path))
-            )
+            params = _checked_params(spec, f"{path}: population: params")
         else:
             raise ValidationError(f"{path}: population needs 'edges' or 'params'/'params_file'")
         kwargs["params"] = params

@@ -6,7 +6,8 @@ criterion fails its test with the measured value in the message.
 
 import json
 import time
-from math import comb
+from fractions import Fraction
+from math import comb, prod
 
 import numpy as np
 from scipy.stats import binomtest, chi2_contingency, chisquare, nbinom
@@ -28,11 +29,11 @@ from snowball_sbm import (
     trace_one_wave,
     wave_inclusion_probability,
 )
-from snowball_sbm.augmentation import beta_posterior_params, lambda_posterior_params
+from snowball_sbm.augmentation import beta_posterior_params, lambda_posterior_params, posterior_counts
 from snowball_sbm.harness import SURVEY_SCALE_N, survey_scale_params
 from snowball_sbm.likelihoods import ignored_log_likelihood, observed_log_likelihood
 from snowball_sbm.logmath import log_binom
-from snowball_sbm.sampling import IgnoredData
+from snowball_sbm.sampling import IgnoredData, SampleStats
 
 from test_augmentation import (
     FRAC_BETA,
@@ -167,6 +168,51 @@ def test_criterion_3_link_imputation_equivalence():
     elapsed = time.time() - start
     assert elapsed < 30
     report(3, f"chi-square p-values {['%.3f' % p for p in pvals]}, {elapsed:.1f}s")
+
+
+def rising(x, k):
+    return prod(x + i for i in range(k))
+
+
+def test_collapsed_beta_conditional_matches_link_mixture():
+    """The sweep's beta conditional, with the links among pairs that miss the
+    initial sample integrated out, against the two-step draw it replaces:
+    X unobserved links ~ beta-binomial given the observed pairs, then
+    Beta(M + X + g1, T_all - M - X + g2). First two moments, exactly."""
+    strata_s0, strata_s1, unsampled = [0, 1, 1], [0, 1], [0, 0, 1]
+    links = [(0, 1), (0, 3), (2, 4), (1, 4)]
+    units = strata_s0 + strata_s1 + unsampled
+    stats = SampleStats.from_data(make_data(strata_s0, strata_s1, links), 2)
+    cfg = McmcConfig(prior_gamma=(0.5, 2.0))
+    a, b = beta_posterior_params(posterior_counts(stacked(stats), [np.bincount(unsampled, minlength=2)]), cfg)
+
+    # by hand, one pair of units at a time: unit i < n0 is in the initial sample
+    n0, g1, g2 = len(strata_s0), Fraction(0.5), Fraction(2)
+    observed, t_all, t_unobs = {}, {}, {}
+    for i in range(len(units)):
+        for j in range(i + 1, len(units)):
+            kl = tuple(sorted((units[i], units[j])))
+            t_all[kl] = t_all.get(kl, 0) + 1
+            t_unobs[kl] = t_unobs.get(kl, 0) + (i >= n0)
+            observed[kl] = observed.get(kl, 0) + ((i, j) in links)
+
+    # the two-step reference imputes links on exactly the pairs counted above
+    saturated = impute_link_counts(stacked(stats), [len(units)], [np.bincount(units)], np.ones((1, 2, 2)),
+                                   [np.random.default_rng(0)])[0]
+    for (k, l), t in t_unobs.items():
+        assert saturated[k, l] == t
+        m, t_obs = observed[k, l], t_all[k, l] - t
+        mean = second = Fraction(0)
+        for x in range(t + 1):
+            weight = (comb(t, x) * rising(m + g1, x) * rising(t_obs - m + g2, t - x)
+                      / rising(t_obs + g1 + g2, t))
+            aa, bb = m + x + g1, t_all[k, l] - m - x + g2
+            mean += weight * aa / (aa + bb)
+            second += weight * aa * (aa + 1) / ((aa + bb) * (aa + bb + 1))
+        fa, fb = Fraction(a[0, k, l]), Fraction(b[0, k, l])
+        assert fa / (fa + fb) == mean, f"pair ({k},{l}) mean"
+        assert fa * (fa + 1) / ((fa + fb) * (fa + fb + 1)) == second, f"pair ({k},{l}) second moment"
+    print(f"collapsed beta conditional: exact moments on {len(t_unobs)} pairs, T_unobs {t_unobs}")
 
 
 def test_criterion_4_conjugate_posterior_correctness():

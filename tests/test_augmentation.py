@@ -28,11 +28,11 @@ from snowball_sbm import (
 )
 from snowball_sbm.augmentation import (
     StackedStats,
-    assemble_full_counts,
     beta_posterior_params,
     initial_state,
     lambda_posterior_params,
     population_size_log_weights,
+    posterior_counts,
 )
 from snowball_sbm.likelihoods import escape_terms, stratum_escape_log_weights
 from snowball_sbm.sampling import IgnoredData, SampleStats
@@ -429,6 +429,19 @@ class TestConjugateDraws:
         assert abs(np.quantile(uni, 0.25) - 0.25) < 0.01
 
 
+def touching_pair_totals(data, strata_unsampled):
+    """Pairs with at least one endpoint in the initial sample, per stratum
+    pair, counted one pair of units at a time."""
+    units = [*data.strata_s0, *data.strata_s1, *np.repeat(np.arange(2), strata_unsampled)]
+    totals = np.zeros((2, 2), dtype=np.int64)
+    for a in range(data.n0):
+        for b in range(a + 1, len(units)):
+            k, l = sorted((units[a], units[b]))
+            totals[k, l] += 1
+    totals[1, 0] = totals[0, 1]
+    return totals
+
+
 class TestGibbsSweep:
     def setup_data(self):
         params = SbmParams.from_upper([0.5, 0.5], [0.3, 0.1, 0.2])
@@ -471,10 +484,8 @@ class TestGibbsSweep:
             assert state.strata_unsampled.sum() == state.n[0] - data.n_sampled
             assert state.lam[0].sum() == pytest.approx(1.0)
             assert np.all(state.beta >= 0) and np.all(state.beta <= 1)
-            totals = np.outer(state.strata_unsampled[0] + data.strata_counts_s1(2),
-                              state.strata_unsampled[0] + data.strata_counts_s1(2))
-            iu = np.triu_indices(2)
-            assert np.all(state.imputed_link_counts[0][iu] <= totals[iu])
+            counts = posterior_counts(stacked(stats), state.strata_unsampled)
+            assert np.array_equal(counts.pair_totals[0], touching_pair_totals(data, state.strata_unsampled[0]))
 
 
 def draw_initial_ids(graph, n0):
@@ -519,10 +530,7 @@ class TestRunChain:
         rng = np.random.default_rng(0)
         n_new = np.array([12])
         strata_un = impute_strata(batch, n_new, escape_of(batch, state)[2], [rng])
-        imputed = impute_link_counts(
-            batch, n_new, data.strata_counts_s0(2) + data.strata_counts_s1(2) + strata_un, state.beta, [rng]
-        )
-        assembled = assemble_full_counts(batch, strata_un, imputed)
+        assembled = posterior_counts(batch, strata_un)
         assert np.array_equal(assembled.strata_counts[0], full.strata_counts)
         assert np.array_equal(assembled.link_counts[0], full.link_counts)
         assert np.array_equal(assembled.pair_totals[0], full.pair_totals)

@@ -1,9 +1,11 @@
 """Byte-for-byte regression of the command line's outputs.
 
-The digests below were recorded with the dense N x N adjacency matrix that
-`PopulationGraph` held before it became an edge list. The RNG calls and the
-output formats did not change with it, so every file must come out the same
-bytes for the same seeds.
+The population, sample and MLE digests below were recorded with the dense
+N x N adjacency matrix that `PopulationGraph` held before it became an edge
+list. The RNG calls and the output formats did not change with it, so every
+file must come out the same bytes for the same seeds. The chain digests
+(`est/*`, `study/*`) were re-recorded when the Gibbs sweep stopped imputing
+the unobserved links and began drawing beta with them integrated out.
 
 NumPy does not promise the same Generator streams across releases, and
 scipy's special functions change between releases too, so the digests hold
@@ -44,15 +46,15 @@ CITY_DIGESTS = {
     "sample.json": "895eef1a8c16c77d781741a061ff5b5288bc4324e9701cf76b7cd8260cc1ab23",
     "sample_degree.json": "dd71d91f8e411b5676cb815f63ef6d32c053141fb60b4f612c763592b0f08efa",
     "mle.json": "d690f3c2688b354a4cb92b2b3244d40fb34f62cee627f89a42202cb06db450d3",
-    "est/trace.csv": "479aee0d8701343dd13a120b4a3a6697ed43a2d0349e82698ca8a514d77dcd9e",
-    "est/summary.json": "c87f02c7f94bf03a533129e391a5c06c30a833c9aed7f3f4764383864064694c",
+    "est/trace.csv": "fe95673d600d412f02e946c98aca0289db91a24ca9dd910314f070edd771d2e7",
+    "est/summary.json": "9b92322ee292b5c1cac1e7f456fdf291dcec368f039ec40e7c00209a6fb7990f",
 }
 CLUSTERED_DIGESTS = {
     "edges.tsv": "8c8fa489902c82bf0a368dcc3f48b1d9f8f6fae165d3efda6c2cdbe72cd63e01",
     "strata.csv": "a5e45f89dd46f73f000d47e6761cf1653adf5a5fd57e0398352009479310dfa6",
-    "study/estimates.csv": "281497460afa799d07fb0f8280e9e0b28277c423bec722c6b72b127877654642",
-    "study/summary.json": "bd68d0516f0744d80919bf9dacc4984cb1e49501d5d146ce816e7c625998900e",
-    "study/hist_N.csv": "e61301929b689a27011a358112bfdbb19dbf9e78d059e1415e99943b61e447e3",
+    "study/estimates.csv": "2d4db34fce3f620fba8ceebf9e97dfbbca357149b80659cabde8f5d8231ea70a",
+    "study/summary.json": "47e1b9a4e0cd1e010532a9100cf7886e4163501e5475a5531727d18e9d061bff",
+    "study/hist_N.csv": "47e1a9315bd50dbfc151e6eed5a9a64fd71c2a85e6f69374eb0c5f78a772d0de",
 }
 
 

@@ -504,3 +504,35 @@ class TestInputHardening:
                        "--out", str(out))
         assert code == 2 and not out.exists()
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["generate", "sample", "estimate"])
+    def test_negative_seed_rejected(self, tmp_path, capsys, params_file, graph_files, command):
+        _, edges, strata = graph_files
+        sample = tmp_path / "s.json"
+        sample.write_text(json.dumps(self.SAMPLE))
+        out = tmp_path / "out"
+        inputs = {
+            "generate": ["--params", params_file, "--n", "20"],
+            "sample": ["--edges", edges, "--strata", strata, "--design", "fixed:5"],
+            "estimate": ["--sample", str(sample), "--chain-length", "20"],
+        }[command]
+        code = run_cli(command, *inputs, "--seed", "-1", "--out", str(out))
+        assert code == 2 and not out.exists()
+        assert "--seed must be an integer >= 0, got -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec,message", [
+        ({"lambda": "ab", "beta": [0.25, 0.1, 0.2]}, "lambda must be a non-empty list of numbers, got 'ab'"),
+        ({"lambda": [0.5, 0.5], "beta": [0.1, 0.1, "x"]},
+         "beta must be a list of 3 numbers (G=2), got [0.1, 0.1, 'x']"),
+        ({"lambda": [0.5, 0.5], "beta": [0.1, 0.1]}, "beta must be a list of 3 numbers (G=2), got [0.1, 0.1]"),
+    ], ids=["lambda-string", "beta-string-entry", "beta-short"])
+    def test_study_inline_params_bad_field_rejected(self, tmp_path, capsys, monkeypatch, spec, message):
+        code, err, path = self.simulate(tmp_path, capsys, monkeypatch, population={"params": spec})
+        assert code == 2
+        assert f"{path}: population: params: {message}" in err
+
+    def test_study_float_clique_size_rejected(self, tmp_path, capsys, monkeypatch):
+        code, err, path = self.simulate(tmp_path, capsys, monkeypatch,
+                                        population={"clustering": {"clique_size": 2.5}})
+        assert code == 2
+        assert f"{path}: bad clustering options (clique_size must be an integer >= 2, got 2.5)" in err
