@@ -25,11 +25,9 @@ from collections.abc import Sequence
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import betainc
 
 # escape_probability is unused here: bench/test_bench.py checks the tracer patches this reference
 from .likelihoods import escape_probability, escape_terms, stratum_escape_log_weights  # noqa: F401
-from .logmath import log_binom
 from .sampling import IgnoredData, SampleStats
 from .sbm import (
     SufficientCounts,
@@ -134,12 +132,16 @@ def population_size_log_weights(n0: int, n1: int, log_one_minus_p: float, cap: i
     """
     support = np.arange(n0 + n1, cap + 1, dtype=np.int64)
     excess = np.arange(support.size, dtype=np.float64)
-    return support, log_binom(support - n0, n1) + excess * log_one_minus_p
+    # log C(n1 + M, n1) = sum_{i=1..M} log(1 + n1 / i), accumulated along the grid
+    log_head = np.zeros(support.size)
+    np.cumsum(np.log1p(n1 / excess[1:]), out=log_head[1:])
+    return support, log_head + excess * log_one_minus_p
 
 
 def _takes_negative_binomial(n1, k_max, p):
-    """Whether the excess is drawn by rejection: its mass above K is below 1/2 (vectorized)."""
-    return betainc(n1 + 1, k_max + 1, p) > 0.5
+    """Whether the excess is drawn by rejection: its mean (n1 + 1)(1 - p)/p is
+    at most K (vectorized). The mass above K is then below about 1/2."""
+    return (p > 0) & ((n1 + 1) * (1 - p) <= k_max * p)
 
 
 def _draw_excess(rng, n0: int, n1: int, log_omp: float, k_max: int, rejection, shape):
@@ -162,13 +164,13 @@ def draw_population_size(stats: StackedStats, log_omp: np.ndarray, rngs: Rngs, s
     ``log_omp``, the log escape probability log(1 - p) at the current params.
 
     The excess M = N - n0 - n1 is NB(n1 + 1, p) truncated at
-    K = cap - n0 - n1. While the mass above K is below one half, M comes
-    from ``rng.negative_binomial`` and only draws above K are redrawn (under
-    two tries each on average); otherwise from the inverse CDF on the grid
-    0..K, where rejection could take unboundedly long. Both paths draw from
-    the same truncated law, so cap hits stay exact. Where 1 - p = 0, N is the
-    sampled count and nothing is drawn. Returns shape (R,), or (R, size)
-    with ``size`` draws per row.
+    K = cap - n0 - n1. While the mean of M is at most K, its mass above K is
+    below about one half, so M comes from ``rng.negative_binomial`` and only
+    draws above K are redrawn (fewer than two tries each on average);
+    otherwise from the inverse CDF on the grid 0..K, where rejection could
+    take unboundedly long. Both paths draw from the same truncated law, so
+    cap hits stay exact. Where 1 - p = 0, N is the sampled count and nothing
+    is drawn. Returns shape (R,), or (R, size) with ``size`` draws per row.
     """
     k_max = stats.cap - stats.n_sampled
     p = -np.array([math.expm1(v) for v in log_omp.tolist()])  # np.expm1 can differ in the last bit

@@ -48,6 +48,24 @@ def _check_inputs(*paths):
             raise ValidationError(f"input file not found: {p}")
 
 
+def _check_out(path: str, is_dir: bool):
+    """Raise unless ``--out`` can be written. A directory is made with its
+    parents, so its deepest existing ancestor must be a directory; a file
+    needs an existing parent directory and must not be a directory itself."""
+    if not path:
+        raise ValidationError("--out: must not be empty")
+    if is_dir:
+        head = path
+        while head and not os.path.exists(head):
+            head = os.path.dirname(head)
+        if head and not os.path.isdir(head):
+            raise ValidationError(f"--out: {path}: {head} is not a directory")
+    elif os.path.isdir(path):
+        raise ValidationError(f"--out: {path} is a directory, not a file")
+    elif not os.path.isdir(os.path.dirname(path) or "."):
+        raise ValidationError(f"--out: {path}: {os.path.dirname(path)} is not an existing directory")
+
+
 DESIGNS = {  # --design prefix -> (DesignConfig mode, field, parser)
     "bernoulli": ("bernoulli", "q", float),
     "fixed": ("fixed_size", "n0", int),
@@ -196,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="population size")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True, help="output directory for edges.tsv and strata.csv")
-    p.set_defaults(func=cmd_generate)
+    p.set_defaults(func=cmd_generate, out_is_dir=True)
 
     p = sub.add_parser("sample", help="draw a one-wave snowball sample")
     p.add_argument("--edges", required=True)
@@ -204,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--design", required=True, help="bernoulli:q | fixed:n0 | degree:n0")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True, help="output sample JSON path")
-    p.set_defaults(func=cmd_sample)
+    p.set_defaults(func=cmd_sample, out_is_dir=False)
 
     p = sub.add_parser("estimate", help="run the augmentation chain on a sample")
     p.add_argument("--sample", required=True, help="sample JSON")
@@ -215,13 +233,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strata-count", type=int, default=None, help="override the number of strata G")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True, help="output directory for trace.csv and summary.json")
-    p.set_defaults(func=cmd_estimate)
+    p.set_defaults(func=cmd_estimate, out_is_dir=True)
 
     p = sub.add_parser("mle", help="full-graph maximum likelihood estimates")
     p.add_argument("--edges", required=True)
     p.add_argument("--strata", required=True)
     p.add_argument("--out", required=True, help="output JSON path")
-    p.set_defaults(func=cmd_mle)
+    p.set_defaults(func=cmd_mle, out_is_dir=False)
 
     p = sub.add_parser("simulate", help="run a replication study from a config JSON")
     p.add_argument("--config", required=True)
@@ -229,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, default=None, help="accepted, no effect: chains run in lockstep")
     p.add_argument("--seed", type=int, default=None, help="override master seed")
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, out_is_dir=True)
 
     p = sub.add_parser("profile", help="log-likelihood profile over a grid of N")
     p.add_argument("--sample", required=True)
@@ -238,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--n-step", type=int, default=1)
     p.add_argument("--out", required=True, help="output CSV path")
-    p.set_defaults(func=cmd_profile)
+    p.set_defaults(func=cmd_profile, out_is_dir=False)
 
     return parser
 
@@ -247,6 +265,7 @@ def main(argv=None) -> int:
     _setup_logging()
     args = build_parser().parse_args(argv)
     try:
+        _check_out(args.out, args.out_is_dir)
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

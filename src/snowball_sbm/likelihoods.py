@@ -9,9 +9,8 @@ to the last bit.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlog1py
 
-from .logmath import count_times_log, log_binom
+from .logmath import count_times_log, log_binom, xlog1py
 from .sampling import SampleStats
 from .sbm import SbmParams, SufficientCounts, ValidationError, counts_log_likelihood
 
@@ -95,7 +94,7 @@ def observed_log_likelihood(stats: SampleStats, n: int, params: SbmParams) -> fl
     _check_support(stats, n)
     escape = escape_probability(stats.strata_s0, params)
     tail = count_times_log(n - stats.n_sampled, escape.log_one_minus_p)
-    return -float(log_binom(n, stats.n0)) + _sampled_block_log_terms(stats, params) + tail
+    return -log_binom(n, stats.n0) + _sampled_block_log_terms(stats, params) + tail
 
 
 def ignored_log_likelihood(stats: SampleStats, n: int, params: SbmParams) -> float:
@@ -107,5 +106,5 @@ def ignored_log_likelihood(stats: SampleStats, n: int, params: SbmParams) -> flo
     _check_support(stats, n)
     escape = escape_probability(stats.strata_s0, params)
     tail = count_times_log(n - stats.n_sampled, escape.log_one_minus_p)
-    head = float(log_binom(n - stats.n0, stats.n1))
+    head = log_binom(n - stats.n0, stats.n1)
     return head + _sampled_block_log_terms(stats, params) + tail

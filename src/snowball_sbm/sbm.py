@@ -9,7 +9,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import xlog1py, xlogy
+
+from .logmath import xlog1py, xlogy
 
 LAMBDA_SUM_TOL = 1e-12
 

@@ -131,19 +131,19 @@ class TestRunStudy:
         equal its own pipeline bit for bit, and the failures must match."""
         import snowball_sbm.augmentation as augmentation
         from dataclasses import replace
-        from scipy.special import betainc
 
         from snowball_sbm import draw_initial, run_chain, to_ignored_data, trace_one_wave
         from snowball_sbm.harness import resolve_population
 
-        tails = []
+        decisions = []
+        takes_negative_binomial = augmentation._takes_negative_binomial
 
-        def recording_betainc(*args):
-            value = betainc(*args)
-            tails.append(np.atleast_1d(value))
-            return value
+        def recording_decision(*args):
+            rejection = takes_negative_binomial(*args)
+            decisions.append(np.atleast_1d(rejection))
+            return rejection
 
-        monkeypatch.setattr(augmentation, "betainc", recording_betainc)
+        monkeypatch.setattr(augmentation, "_takes_negative_binomial", recording_decision)
         params = SbmParams.from_upper([0.3, 0.3, 0.4], [0.15, 0.05, 0.08, 0.2, 0.06, 0.12])
         cfg = small_study_config(
             replicates=10,
@@ -154,8 +154,8 @@ class TestRunStudy:
             population_size=60,
         )
         summary = run_study(cfg)
-        study_tails = np.concatenate(tails)
-        assert (study_tails > 0.5).any() and (study_tails <= 0.5).any()  # both draws of N ran
+        rejection = np.concatenate(decisions)
+        assert rejection.any() and not rejection.all()  # both draws of N ran
 
         population = resolve_population(cfg)
         expected_rows, expected_failures, cap_hits = [], [], 0

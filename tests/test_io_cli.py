@@ -520,6 +520,52 @@ class TestInputHardening:
         assert code == 2 and not out.exists()
         assert "--seed must be an integer >= 0, got -1" in capsys.readouterr().err
 
+    # the first compute step of each command, as the cli module names it
+    COMPUTE = {"generate": "generate_population", "sample": "draw_initial", "estimate": "run_chain",
+               "mle": "mle_from_full_graph", "simulate": "run_study", "profile": "observed_log_likelihood"}
+
+    @pytest.mark.parametrize("command,out,message", [
+        ("generate", "file.json/pop", "file.json is not a directory"),
+        ("generate", "file.json", "file.json is not a directory"),
+        ("sample", "file.json/s.json", "file.json is not an existing directory"),
+        ("sample", "missing/s.json", "missing is not an existing directory"),
+        ("estimate", "file.json/est", "file.json is not a directory"),
+        ("mle", "missing/dir/m.json", "missing/dir is not an existing directory"),
+        ("mle", ".", ". is a directory, not a file"),
+        ("simulate", "file.json/study/deeper", "file.json is not a directory"),
+        ("profile", "file.json/p.csv", "file.json is not an existing directory"),
+        ("estimate", "", "must not be empty"),
+        ("profile", "", "must not be empty"),
+    ], ids=["generate-under-file", "generate-is-file", "sample-under-file", "sample-missing-parent",
+            "estimate-under-file", "mle-missing-parent", "mle-is-directory", "simulate-under-file",
+            "profile-under-file", "estimate-empty", "profile-empty"])
+    def test_unwritable_out_rejected_before_compute(self, tmp_path, capsys, monkeypatch, params_file,
+                                                    graph_files, command, out, message):
+        import snowball_sbm.cli as cli
+
+        monkeypatch.setattr(cli, self.COMPUTE[command], lambda *a, **k: pytest.fail("compute started"))
+        monkeypatch.chdir(tmp_path)
+        _, edges, strata = graph_files
+        (tmp_path / "file.json").write_text("{}")
+        sample = tmp_path / "s.json"
+        sample.write_text(json.dumps(self.SAMPLE))
+        config = tmp_path / "study.json"
+        config.write_text(json.dumps({
+            "population": {"params": {"lambda": [0.5, 0.5], "beta": [0.25, 0.1, 0.2]}, "n": 40},
+            "replicates": 2, "design": {"mode": "fixed_size", "n0": 6}, "mcmc": {"chain_length": 20},
+        }))
+        inputs = {
+            "generate": ["--params", params_file, "--n", "20", "--seed", "1"],
+            "sample": ["--edges", edges, "--strata", strata, "--design", "fixed:5", "--seed", "1"],
+            "estimate": ["--sample", str(sample), "--chain-length", "20", "--seed", "1"],
+            "mle": ["--edges", edges, "--strata", strata],
+            "simulate": ["--config", str(config)],
+            "profile": ["--sample", str(sample), "--params", params_file, "--n-min", "3", "--n-max", "9"],
+        }[command]
+        assert run_cli(command, *inputs, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --out: {out}") and message in err
+
     @pytest.mark.parametrize("spec,message", [
         ({"lambda": "ab", "beta": [0.25, 0.1, 0.2]}, "lambda must be a non-empty list of numbers, got 'ab'"),
         ({"lambda": [0.5, 0.5], "beta": [0.1, 0.1, "x"]},
