@@ -22,7 +22,7 @@ collapsed Gibbs step, :func:`posterior_counts`). All three are exact.
 import logging
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,27 +101,6 @@ class McmcConfig:
         return cap
 
 
-@dataclass(frozen=True)
-class StackedStats:
-    """What a sweep reads of R samples' :class:`SampleStats`, along a leading
-    replicate axis, and each chain's cap on N."""
-
-    n0: np.ndarray
-    n1: np.ndarray
-    n_sampled: np.ndarray
-    counts_s0: np.ndarray
-    counts_s1: np.ndarray
-    counts_sampled: np.ndarray
-    link_counts: np.ndarray
-    cap: np.ndarray
-
-    @classmethod
-    def of(cls, stats: Sequence[SampleStats], cfg: McmcConfig) -> "StackedStats":
-        names = [f.name for f in fields(cls) if f.name != "cap"]
-        stacked = {name: np.array([getattr(s, name) for s in stats]) for name in names}
-        return cls(**stacked, cap=np.array([cfg.effective_cap(s.n_sampled) for s in stats]))
-
-
 def population_size_log_weights(n0: int, n1: int, log_one_minus_p: float, cap: int):
     """Unnormalized log posterior of N on its truncated support.
 
@@ -159,9 +138,11 @@ def _draw_excess(rng, n0: int, n1: int, log_omp: float, k_max: int, rejection, s
     return np.minimum(np.searchsorted(cdf, rng.random(shape) * cdf[-1], side="right"), k_max)
 
 
-def draw_population_size(stats: StackedStats, log_omp: np.ndarray, rngs: Rngs, size: int | None = None):
-    """Draw each row's N from its posterior given the sample statistics and
-    ``log_omp``, the log escape probability log(1 - p) at the current params.
+def draw_population_size(stats: SampleStats, cap: np.ndarray, log_omp: np.ndarray, rngs: Rngs,
+                         size: int | None = None):
+    """Draw each row's N from its posterior given the stacked sample
+    statistics, each row's ``cap`` on N and ``log_omp``, the log escape
+    probability log(1 - p) at the current params.
 
     The excess M = N - n0 - n1 is NB(n1 + 1, p) truncated at
     K = cap - n0 - n1. While the mean of M is at most K, its mass above K is
@@ -172,7 +153,7 @@ def draw_population_size(stats: StackedStats, log_omp: np.ndarray, rngs: Rngs, s
     cap hits stay exact. Where 1 - p = 0, N is the sampled count and nothing
     is drawn. Returns shape (R,), or (R, size) with ``size`` draws per row.
     """
-    k_max = stats.cap - stats.n_sampled
+    k_max = cap - stats.n_sampled
     p = -np.array([math.expm1(v) for v in log_omp.tolist()])  # np.expm1 can differ in the last bit
     rejection = _takes_negative_binomial(stats.n1, k_max, p)
     shape = 1 if size is None else size
@@ -183,7 +164,7 @@ def draw_population_size(stats: StackedStats, log_omp: np.ndarray, rngs: Rngs, s
     return n[:, 0] if size is None else n
 
 
-def impute_strata(stats: StackedStats, n: np.ndarray, probs: np.ndarray, rngs: Rngs) -> np.ndarray:
+def impute_strata(stats: SampleStats, n: np.ndarray, probs: np.ndarray, rngs: Rngs) -> np.ndarray:
     """Impute strata for each row's N - n0 - n1 unsampled units, as counts per
     stratum: multinomial over ``probs``, the stratum distribution of a unit
     linked to no initial-sample member (NaN in rows where no unit can be)."""
@@ -204,7 +185,7 @@ def _pair_draws(draw, first: list, second: list) -> list:
     return [draw(a, b) for a, b in zip(first, second)]
 
 
-def impute_link_counts(stats: StackedStats, n, strata_all_counts, beta: np.ndarray, rngs: Rngs) -> np.ndarray:
+def impute_link_counts(stats: SampleStats, n, strata_all_counts, beta: np.ndarray, rngs: Rngs) -> np.ndarray:
     """Impute each row's link counts for every pair not touched by the initial sample.
 
     Pairs with both endpoints outside the initial sample (wave-wave,
@@ -279,24 +260,26 @@ class AugmentedState:
     beta: np.ndarray
 
 
-def initial_state(stats: Sequence[SampleStats]) -> AugmentedState:
-    """Overdispersed-but-plausible start of one chain per sample: sample
-    stratum proportions, smoothed observed link fractions, and twice the
-    sampled count for N."""
-    replicates, g = len(stats), stats[0].n_strata
+def initial_state(stats: SampleStats) -> AugmentedState:
+    """Overdispersed-but-plausible start of one chain per row of the stacked
+    ``stats``: sample stratum proportions and smoothed observed link
+    fractions. The sweep reads only (lambda, beta) of a state, so the start N
+    (twice the sampled count) and unsampled strata (none) are placeholders."""
     return AugmentedState(
-        np.array([2 * s.n_sampled for s in stats]),
-        np.zeros((replicates, g), np.int64),
-        np.array([s.counts_sampled / s.n_sampled if s.n_sampled else np.full(g, 1.0 / g) for s in stats]),
-        np.array([(s.link_counts + 1.0) / (s.pair_totals + 2.0) for s in stats]),
+        2 * stats.n_sampled,
+        np.zeros_like(stats.counts_s0),
+        stats.counts_sampled / stats.n_sampled[:, None],
+        (stats.link_counts + 1.0) / (stats.pair_totals + 2.0),
     )
 
 
-def gibbs_sweep(state: AugmentedState, stats: StackedStats, cfg: McmcConfig, rngs: Rngs) -> AugmentedState:
-    """One Gibbs sweep (N, unsampled strata, lambda, beta) of R chains;
-    chain r draws on ``rngs[r]`` only, in that order."""
+def gibbs_sweep(state: AugmentedState, stats: SampleStats, cap: np.ndarray, cfg: McmcConfig,
+                rngs: Rngs) -> AugmentedState:
+    """One Gibbs sweep (N, unsampled strata, lambda, beta) of R chains on the
+    stacked ``stats`` under their caps on N; chain r draws on ``rngs[r]``
+    only, in that order."""
     _, log_omp, probs = escape_terms(stratum_escape_log_weights(stats.counts_s0, state))
-    n = draw_population_size(stats, log_omp, rngs)
+    n = draw_population_size(stats, cap, log_omp, rngs)
     strata_un = impute_strata(stats, n, probs, rngs)
     counts = posterior_counts(stats, strata_un)
     lam = draw_lambda(counts.strata_counts, cfg, rngs)
@@ -365,26 +348,28 @@ def chain_stats(data: IgnoredData, cfg: McmcConfig, n_strata: int | None = None)
 
 
 def run_chains(stats: Sequence[SampleStats], cfg: McmcConfig, seeds: Sequence) -> list[ChainTrace]:
-    """Run one chain per sample (all with the same G) in lockstep. Chain r
-    draws from ``default_rng(seeds[r])`` alone, so it equals :func:`run_chain`
-    with that seed. R traces of length L hold 8 R L (1 + G + G(G+1)/2) bytes.
+    """Run one chain per sample (all with the same G, each from
+    :func:`chain_stats`) in lockstep. Chain r draws from
+    ``default_rng(seeds[r])`` alone, so it equals :func:`run_chain` with that
+    seed. R traces of length L hold 8 R L (1 + G + G(G+1)/2) bytes.
     """
-    batch = StackedStats.of(stats, cfg)
+    cap = np.array([cfg.effective_cap(s.n_sampled) for s in stats])
+    batch = SampleStats.stack(stats)
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    state = initial_state(stats)
+    state = initial_state(batch)
     (replicates, g), length = state.lam.shape, cfg.chain_length
     iu = (slice(None), *upper_indices(g))
     n_draws = np.zeros((replicates, length), dtype=np.int64)
     lam_draws = np.zeros((replicates, length, g))
     beta_draws = np.zeros((replicates, length, g * (g + 1) // 2))
     for it in range(length):
-        state = gibbs_sweep(state, batch, cfg, rngs)
+        state = gibbs_sweep(state, batch, cap, cfg, rngs)
         n_draws[:, it], lam_draws[:, it], beta_draws[:, it] = state.n, state.lam, state.beta[iu]
-    caps = batch.cap.tolist()
-    cap_hits = np.count_nonzero(n_draws == batch.cap[:, None], axis=1).tolist()
-    for cap, hits in zip(caps, cap_hits):
+    caps = cap.tolist()
+    cap_hits = np.count_nonzero(n_draws == cap[:, None], axis=1).tolist()
+    for chain_cap, hits in zip(caps, cap_hits):
         if hits:
-            logger.info("population-size cap %d hit %d times over %d sweeps", cap, hits, length)
+            logger.info("population-size cap %d hit %d times over %d sweeps", chain_cap, hits, length)
     burn = int(length * cfg.burn_in_fraction)
     chains = zip(_freeze(n_draws), _freeze(lam_draws), _freeze(beta_draws), caps, cap_hits, seeds)
     return [ChainTrace(n, lam, beta, burn, cap, hits, seed, g) for n, lam, beta, cap, hits, seed in chains]

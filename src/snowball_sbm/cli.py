@@ -161,8 +161,6 @@ def cmd_simulate(args) -> int:
     overrides = {}
     if args.replicates is not None:
         overrides["replicates"] = args.replicates
-    if args.threads is not None:
-        overrides["threads"] = args.threads
     if args.seed is not None:
         overrides["master_seed"] = args.seed
     if overrides:

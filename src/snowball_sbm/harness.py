@@ -96,7 +96,7 @@ class StudyConfig:
     :func:`replicate_seeds`), so a study is reproducible bit for bit and
     each replicate can be rerun alone; per-replicate seeds in
     ``design``/``mcmc`` are ignored. All chains run in one process, in
-    lockstep; ``threads`` is validated and otherwise ignored.
+    lockstep.
     """
 
     replicates: int
@@ -107,7 +107,6 @@ class StudyConfig:
     params: SbmParams | None = None
     population_size: int | None = None
     clustering: ClusterOverlay | None = None
-    threads: int | None = None  # accepted and validated; studies run in one process
     bins: int = 20
 
     def __post_init__(self):
@@ -124,8 +123,6 @@ class StudyConfig:
             self.mcmc.check_strata((self.population if has_graph else self.params).n_strata)
         except ValidationError as exc:
             raise ValidationError(f"mcmc: {exc}") from exc
-        if self.threads is not None:
-            check_int(self.threads, "threads", 1)
         check_int(self.master_seed, "master_seed", 0)
         check_int(self.bins, "bins", 1)
 

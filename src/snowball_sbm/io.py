@@ -322,7 +322,6 @@ def load_study_config(path: str) -> StudyConfig:
             design=DesignConfig(**design_doc),
             mcmc=mcmc,
             master_seed=doc.get("master_seed", 0),
-            threads=doc.get("threads"),
             bins=doc.get("bins", 20),
             **kwargs,
         )

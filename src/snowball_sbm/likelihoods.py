@@ -26,10 +26,10 @@ class EscapeProbability:
     log_one_minus_p: float
 
 
-def stratum_escape_log_weights(strata_counts_s0: np.ndarray, params: SbmParams) -> np.ndarray:
+def stratum_escape_log_weights(counts_s0: np.ndarray, params: SbmParams) -> np.ndarray:
     """Per-stratum log(lambda_k * prod_i (1 - beta_{C_i,k})) over the initial sample.
     ``params`` has ``lam`` (..., G) and ``beta`` (..., G, G), leading axes as the counts'."""
-    counts = np.asarray(strata_counts_s0, dtype=np.float64)
+    counts = np.asarray(counts_s0, dtype=np.float64)
     with np.errstate(divide="ignore"):
         log_lam = np.log(params.lam)
     return log_lam + xlog1py(counts[..., :, None], -params.beta).sum(axis=-2)
@@ -56,14 +56,14 @@ def escape_probability(strata_s0, params: SbmParams) -> EscapeProbability:
     return EscapeProbability(one_minus_p=float(one_minus_p), log_one_minus_p=float(log_omp))
 
 
-def wave_inclusion_probability(strata_counts_s0, params: SbmParams) -> float:
+def wave_inclusion_probability(counts_s0, params: SbmParams) -> float:
     """p' = sum_k lambda_k (1 - prod_l (1 - beta_{k,l})^{n0l}).
 
     The marginal probability that a unit outside the initial sample joins the
     wave, given only the initial sample's stratum composition; the wave size
     is Binomial(N - n0, p') under the model.
     """
-    counts = np.asarray(strata_counts_s0, dtype=np.float64)
+    counts = np.asarray(counts_s0, dtype=np.float64)
     log_avoid = xlog1py(counts[None, :], -params.beta).sum(axis=1)
     return float(np.sum(params.lam * -np.expm1(log_avoid)))
 
@@ -76,6 +76,13 @@ def _sampled_block_log_terms(stats: SampleStats, params: SbmParams) -> float:
         pair_totals=stats.pair_totals,
     )
     return counts_log_likelihood(observed, params)
+
+
+def _escape_tail(stats: SampleStats, n: int, params: SbmParams) -> float:
+    """(n - n0 - n1) log(1 - p): no unsampled unit links into the initial
+    sample. The sweep takes log(1 - p) the same way."""
+    _, log_omp, _ = escape_terms(stratum_escape_log_weights(stats.counts_s0, params))
+    return count_times_log(n - stats.n_sampled, log_omp)
 
 
 def _check_support(stats: SampleStats, n: int):
@@ -92,9 +99,7 @@ def observed_log_likelihood(stats: SampleStats, n: int, params: SbmParams) -> fl
     sample size, so the value is monotonically decreasing in ``n``.
     """
     _check_support(stats, n)
-    escape = escape_probability(stats.strata_s0, params)
-    tail = count_times_log(n - stats.n_sampled, escape.log_one_minus_p)
-    return -log_binom(n, stats.n0) + _sampled_block_log_terms(stats, params) + tail
+    return -log_binom(n, stats.n0) + _sampled_block_log_terms(stats, params) + _escape_tail(stats, n, params)
 
 
 def ignored_log_likelihood(stats: SampleStats, n: int, params: SbmParams) -> float:
@@ -104,7 +109,5 @@ def ignored_log_likelihood(stats: SampleStats, n: int, params: SbmParams) -> flo
     population, which is what makes this likelihood informative about ``n``.
     """
     _check_support(stats, n)
-    escape = escape_probability(stats.strata_s0, params)
-    tail = count_times_log(n - stats.n_sampled, escape.log_one_minus_p)
     head = log_binom(n - stats.n0, stats.n1)
-    return head + _sampled_block_log_terms(stats, params) + tail
+    return head + _sampled_block_log_terms(stats, params) + _escape_tail(stats, n, params)

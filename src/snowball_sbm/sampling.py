@@ -1,6 +1,7 @@
 """One-wave snowball sampling: initial draw, wave tracing, label removal."""
 
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -185,12 +186,6 @@ class IgnoredData:
         observed = [s.max() for s in (self.strata_s0, self.strata_s1) if s.size]
         return int(max(observed)) + 1 if observed else 1
 
-    def strata_counts_s0(self, g: int) -> np.ndarray:
-        return np.bincount(self.strata_s0, minlength=g)
-
-    def strata_counts_s1(self, g: int) -> np.ndarray:
-        return np.bincount(self.strata_s1, minlength=g)
-
     def observed_link_counts(self, g: int) -> np.ndarray:
         """Observed links per unordered stratum pair (within S0 plus S0-wave)."""
         return stratum_pair_counts(np.concatenate([self.strata_s0, self.strata_s1]), self.links, g)
@@ -201,33 +196,31 @@ class SampleStats:
     """What the chain and the likelihoods read from a sample, for G strata.
 
     The data enter the label-free posterior only through these: the block
-    sizes n0 and n1, the initial sample's labels (for the escape
-    probability), the stratum counts of both blocks, and the observed link
+    sizes n0 and n1, the stratum counts of both blocks, and the observed link
     counts M and pair totals T per unordered stratum pair. Built once per
-    chain or likelihood profile with :meth:`from_data`.
+    chain or likelihood profile with :meth:`from_data`; every field may carry
+    a leading replicate axis, as :meth:`stack` builds for lockstep chains.
     """
 
-    n0: int
-    n1: int
-    strata_s0: np.ndarray
+    n0: int | np.ndarray
+    n1: int | np.ndarray
     counts_s0: np.ndarray
     counts_s1: np.ndarray
     link_counts: np.ndarray
     pair_totals: np.ndarray
 
     def __post_init__(self):
-        for name in ("strata_s0", "counts_s0", "counts_s1", "link_counts", "pair_totals"):
+        for name in ("counts_s0", "counts_s1", "link_counts", "pair_totals"):
             object.__setattr__(self, name, _freeze(np.asarray(getattr(self, name), dtype=np.int64)))
 
     @classmethod
     def from_data(cls, data: IgnoredData, g: int) -> "SampleStats":
         if data.min_strata() > g:
             raise ValidationError("sample contains stratum labels outside 0..G-1")
-        c0, c1 = data.strata_counts_s0(g), data.strata_counts_s1(g)
+        c0, c1 = np.bincount(data.strata_s0, minlength=g), np.bincount(data.strata_s1, minlength=g)
         return cls(
             n0=data.n0,
             n1=data.n1,
-            strata_s0=data.strata_s0,
             counts_s0=c0,
             counts_s1=c1,
             link_counts=data.observed_link_counts(g),
@@ -235,13 +228,18 @@ class SampleStats:
             pair_totals=pair_totals_from_counts(c0 + c1) - pair_totals_from_counts(c1),
         )
 
+    @classmethod
+    def stack(cls, stats: Sequence["SampleStats"]) -> "SampleStats":
+        """R samples' statistics (all with the same G), row r being sample r's."""
+        return cls(**{f.name: np.array([getattr(s, f.name) for s in stats]) for f in fields(cls)})
+
     @property
-    def n_sampled(self) -> int:
+    def n_sampled(self):
         return self.n0 + self.n1
 
     @property
     def n_strata(self) -> int:
-        return self.counts_s0.size
+        return self.counts_s0.shape[-1]
 
     @property
     def counts_sampled(self) -> np.ndarray:

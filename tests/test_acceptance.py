@@ -294,7 +294,6 @@ def test_criterion_6_desk_scale_study_well_specified():
         master_seed=20240601,
         params=survey_scale_params(),
         population_size=SURVEY_SCALE_N,
-        threads=2,
     )
     summary = run_study(cfg)
     assert not summary.failures
@@ -332,7 +331,6 @@ def test_criterion_7_bias_direction_on_clustered_population():
         params=survey_scale_params(),
         population_size=SURVEY_SCALE_N,
         clustering=ClusterOverlay(),
-        threads=2,
     )
     summary = run_study(cfg)
     assert not summary.failures

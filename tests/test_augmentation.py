@@ -27,7 +27,6 @@ from snowball_sbm import (
     trace_one_wave,
 )
 from snowball_sbm.augmentation import (
-    StackedStats,
     beta_posterior_params,
     initial_state,
     lambda_posterior_params,
@@ -41,9 +40,14 @@ from dense_links import dense_links
 from test_likelihoods import make_data, stats_of
 
 
-def stacked(stats, cfg=None, rows=1):
+def stacked(stats, rows=1):
     """``rows`` copies of one sample's statistics, as a sweep reads them."""
-    return StackedStats.of([stats] * rows, cfg or McmcConfig())
+    return SampleStats.stack([stats] * rows)
+
+
+def cap_of(stats, cfg):
+    """One chain's cap on N, as :func:`run_chains` passes it to a sweep."""
+    return np.array([cfg.effective_cap(stats.n_sampled)])
 
 
 def escape_of(stats, params):
@@ -54,8 +58,8 @@ def escape_of(stats, params):
 
 def draw_n(stats, params, cfg, rng, size):
     """``size`` draws of N for one sample, through the sweep's sub-draw."""
-    batch = stacked(stats, cfg)
-    return draw_population_size(batch, escape_of(batch, params)[1], [rng], size)[0]
+    batch = stacked(stats)
+    return draw_population_size(batch, cap_of(stats, cfg), escape_of(batch, params)[1], [rng], size)[0]
 
 
 def repeat_rows(counts, rows):
@@ -143,7 +147,8 @@ class TestDrawPopulationSize:
         data = make_data([0, 0], [0], [(0, 2)])
         stats = stats_of(data, params)
         batch = stacked(stats)
-        value = draw_population_size(batch, escape_of(batch, params)[1], [np.random.default_rng(1)])
+        value = draw_population_size(batch, cap_of(stats, McmcConfig()), escape_of(batch, params)[1],
+                                     [np.random.default_rng(1)])
         assert value.shape == (1,) and value.dtype == np.int64
         assert value[0] >= 3
 
@@ -454,9 +459,9 @@ class TestGibbsSweep:
         stats = SampleStats.from_data(data, 2)
         cfg = McmcConfig(n_max_cap=data.n_sampled)
         rng = np.random.default_rng(5)
-        state = initial_state([stats])
+        state = initial_state(stacked(stats))
         for _ in range(10):
-            state = gibbs_sweep(state, stacked(stats, cfg), cfg, [rng])
+            state = gibbs_sweep(state, stacked(stats), cap_of(stats, cfg), cfg, [rng])
             assert state.n[0] == data.n_sampled
             assert state.strata_unsampled.sum() == 0
 
@@ -464,9 +469,9 @@ class TestGibbsSweep:
         data = self.setup_data()
         stats = SampleStats.from_data(data, 2)
         cfg = McmcConfig(seed=9)
-        state = initial_state([stats])
-        a = gibbs_sweep(state, stacked(stats, cfg), cfg, [np.random.default_rng(9)])
-        b = gibbs_sweep(state, stacked(stats, cfg), cfg, [np.random.default_rng(9)])
+        state = initial_state(stacked(stats))
+        a = gibbs_sweep(state, stacked(stats), cap_of(stats, cfg), cfg, [np.random.default_rng(9)])
+        b = gibbs_sweep(state, stacked(stats), cap_of(stats, cfg), cfg, [np.random.default_rng(9)])
         assert a.n == b.n
         assert np.array_equal(a.strata_unsampled, b.strata_unsampled)
         assert np.array_equal(a.lam, b.lam)
@@ -477,9 +482,9 @@ class TestGibbsSweep:
         stats = SampleStats.from_data(data, 2)
         cfg = McmcConfig()
         rng = np.random.default_rng(17)
-        state = initial_state([stats])
+        state = initial_state(stacked(stats))
         for _ in range(50):
-            state = gibbs_sweep(state, stacked(stats, cfg), cfg, [rng])
+            state = gibbs_sweep(state, stacked(stats), cap_of(stats, cfg), cfg, [rng])
             assert state.n[0] >= data.n_sampled
             assert state.strata_unsampled.sum() == state.n[0] - data.n_sampled
             assert state.lam[0].sum() == pytest.approx(1.0)
@@ -525,8 +530,8 @@ class TestRunChain:
         assert data.n0 == 12 and data.n1 == 0
         full = sufficient_counts(graph)
         stats = SampleStats.from_data(data, 2)
-        state = initial_state([stats])
-        batch = stacked(stats, McmcConfig(n_max_cap=12))
+        state = initial_state(stacked(stats))
+        batch = stacked(stats)
         rng = np.random.default_rng(0)
         n_new = np.array([12])
         strata_un = impute_strata(batch, n_new, escape_of(batch, state)[2], [rng])

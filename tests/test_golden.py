@@ -5,7 +5,10 @@ N x N adjacency matrix that `PopulationGraph` held before it became an edge
 list. The RNG calls and the output formats did not change with it, so every
 file must come out the same bytes for the same seeds. The chain digests
 (`est/*`, `study/*`) were re-recorded when the Gibbs sweep stopped imputing
-the unobserved links and began drawing beta with them integrated out.
+the unobserved links and began drawing beta with them integrated out. The
+`profile.csv` digest was recorded while the likelihoods still read the
+initial sample's per-unit labels; they now read its stratum counts, and the
+file must not change.
 
 NumPy does not promise the same Generator streams or the same last bits of
 its log functions across releases, so the digests hold only for the numpy
@@ -47,6 +50,7 @@ CITY_DIGESTS = {
     "mle.json": "d690f3c2688b354a4cb92b2b3244d40fb34f62cee627f89a42202cb06db450d3",
     "est/trace.csv": "fe95673d600d412f02e946c98aca0289db91a24ca9dd910314f070edd771d2e7",
     "est/summary.json": "9b92322ee292b5c1cac1e7f456fdf291dcec368f039ec40e7c00209a6fb7990f",
+    "profile.csv": "885f0171c0d4322637c2e3b5b135322c3d9a99ecf69d84c7559356378b825eeb",
 }
 CLUSTERED_DIGESTS = {
     "edges.tsv": "8c8fa489902c82bf0a368dcc3f48b1d9f8f6fae165d3efda6c2cdbe72cd63e01",
@@ -66,7 +70,8 @@ def digests(root, names):
 
 
 def run_city_chain(root):
-    """generate -> sample (Bernoulli and degree-biased) -> mle -> estimate."""
+    """generate -> sample (Bernoulli and degree-biased) -> mle -> estimate,
+    and the likelihood profile of the Bernoulli sample at the true params."""
     params = os.path.join(root, "params.json")
     with open(params, "w") as fh:
         json.dump({"G": 2, "lambda": CITY_LAMBDA, "beta": CITY_BETA}, fh)
@@ -81,6 +86,8 @@ def run_city_chain(root):
         ["mle", "--edges", edges, "--strata", strata, "--out", os.path.join(root, "mle.json")],
         ["estimate", "--sample", sample, "--chain-length", "300", "--seed", "14",
          "--out", os.path.join(root, "est")],
+        ["profile", "--sample", sample, "--params", params, "--n-min", "1000", "--n-max", "20000",
+         "--n-step", "100", "--out", os.path.join(root, "profile.csv")],
     ]
     for argv in commands:
         assert main(argv) == 0, argv

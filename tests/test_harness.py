@@ -32,7 +32,6 @@ def small_study_config(**overrides):
         master_seed=31,
         params=params,
         population_size=50,
-        threads=1,
     )
     base.update(overrides)
     return StudyConfig(**base)
@@ -81,9 +80,7 @@ class TestRunStudy:
     def test_reproducible_and_thread_count_invariant(self):
         a = run_study(small_study_config())
         b = run_study(small_study_config())
-        c = run_study(small_study_config(threads=2))
         assert np.array_equal(a.estimate_rows, b.estimate_rows)
-        assert np.array_equal(a.estimate_rows, c.estimate_rows)
 
     def test_targets_are_full_graph_mles(self):
         from snowball_sbm import mle_from_full_graph
@@ -211,7 +208,6 @@ class TestSurveyScaleBehavior:
             master_seed=77,
             params=survey_scale_params(),
             population_size=SURVEY_SCALE_N,
-            threads=2,
         )
         summary = run_study(cfg)
         assert not summary.failures

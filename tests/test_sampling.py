@@ -1,5 +1,7 @@
 """Initial designs, wave tracing, and the label-free reduction."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from snowball_sbm import (
     DesignConfig,
     IgnoredData,
     PopulationGraph,
+    SampleStats,
     SbmParams,
     SnowballSample,
     ValidationError,
@@ -201,3 +204,25 @@ class TestWaveSizeLaw:
         mean = (n - n0) * p_prime
         var = (n - n0) * p_prime * (1 - p_prime)
         assert abs(waves.mean() - mean) < 3 * np.sqrt(var / waves.size)
+
+
+def test_sample_stats_are_sufficient_statistics_only():
+    """What the chain reads of a sample is O(G^2), whatever n0: no field
+    holds one entry per unit. Stacking R samples' statistics puts sample r's
+    in row r of every field."""
+    graph = generate_population(SbmParams.from_upper([0.4, 0.6], [0.002, 0.001, 0.003]), 3000, seed=2)
+    stats = [
+        SampleStats.from_data(
+            to_ignored_data(trace_one_wave(graph, draw_initial(graph, DesignConfig("fixed_size", n0=n0, seed=n0)))), 2
+        )
+        for n0 in (750, 40)
+    ]
+    assert stats[0].n0 == 750
+    for f in fields(SampleStats):
+        assert np.size(getattr(stats[0], f.name)) <= 2 * 2, f.name
+    stacked = SampleStats.stack(stats)
+    for f in fields(SampleStats):
+        for r, one in enumerate(stats):
+            assert np.array_equal(getattr(stacked, f.name)[r], getattr(one, f.name)), f.name
+    assert stacked.n_strata == 2
+    assert stacked.n_sampled.tolist() == [one.n_sampled for one in stats]
