@@ -36,8 +36,6 @@ from .sbm import (
     _is_finite_number,
     check_int,
     pair_totals_from_counts,
-    symmetric_from_upper,
-    upper_indices,
 )
 
 logger = logging.getLogger(__name__)
@@ -186,7 +184,7 @@ def _pair_draws(draw, first: list, second: list) -> list:
 
 
 def impute_link_counts(stats: SampleStats, n, strata_all_counts, beta: np.ndarray, rngs: Rngs) -> np.ndarray:
-    """Impute each row's link counts for every pair not touched by the initial sample.
+    """Impute each row's link counts (R, P) for every pair not touched by the initial sample.
 
     Pairs with both endpoints outside the initial sample (wave-wave,
     wave-unsampled, unsampled-unsampled) are the unobserved ones; for each
@@ -201,11 +199,9 @@ def impute_link_counts(stats: SampleStats, n, strata_all_counts, beta: np.ndarra
     outside = strata_all_counts - stats.counts_s0
     if (outside < stats.counts_s1).any():
         raise ValidationError("stratum counts inconsistent with the observed wave")
-    g = beta.shape[-1]
-    iu = (slice(None), *upper_indices(g))
-    totals = pair_totals_from_counts(outside)[iu].tolist()
-    draws = map(_pair_draws, [rng.binomial for rng in rngs], totals, beta[iu].tolist())
-    return symmetric_from_upper(np.array(list(draws), dtype=np.int64), g)
+    totals = pair_totals_from_counts(outside).tolist()
+    draws = map(_pair_draws, [rng.binomial for rng in rngs], totals, beta.tolist())
+    return np.array(list(draws), dtype=np.int64)
 
 
 def lambda_posterior_params(strata_counts: np.ndarray, cfg: McmcConfig) -> np.ndarray:
@@ -228,13 +224,11 @@ def draw_lambda(strata_counts: np.ndarray, cfg: McmcConfig, rngs: Rngs) -> np.nd
 
 
 def draw_beta(counts: SufficientCounts, cfg: McmcConfig, rngs: Rngs) -> np.ndarray:
-    """Each row's symmetric link probabilities from the per-pair Beta posteriors
+    """Each row's (R, P) link probabilities from the per-pair Beta posteriors
     given its (R, ...) :func:`posterior_counts`."""
     a, b = beta_posterior_params(counts, cfg)
-    g = a.shape[-1]
-    iu = (slice(None), *upper_indices(g))
-    draws = map(_pair_draws, [rng.beta for rng in rngs], a[iu].tolist(), b[iu].tolist())
-    return symmetric_from_upper(np.array(list(draws)), g)
+    draws = map(_pair_draws, [rng.beta for rng in rngs], a.tolist(), b.tolist())
+    return np.array(list(draws))
 
 
 def posterior_counts(stats, strata_unsampled: np.ndarray) -> SufficientCounts:
@@ -251,8 +245,9 @@ def posterior_counts(stats, strata_unsampled: np.ndarray) -> SufficientCounts:
 @dataclass(frozen=True)
 class AugmentedState:
     """The Gibbs states of R chains, each field with a leading replicate axis:
-    N, the unsampled block's imputed stratum counts, and (lambda, beta). The
-    arrays are never written once built."""
+    N, the unsampled block's imputed stratum counts, and (lambda, beta), beta
+    per stratum pair in upper-triangle order. The arrays are never written
+    once built."""
 
     n: np.ndarray
     strata_unsampled: np.ndarray
@@ -358,13 +353,12 @@ def run_chains(stats: Sequence[SampleStats], cfg: McmcConfig, seeds: Sequence) -
     rngs = [np.random.default_rng(seed) for seed in seeds]
     state = initial_state(batch)
     (replicates, g), length = state.lam.shape, cfg.chain_length
-    iu = (slice(None), *upper_indices(g))
     n_draws = np.zeros((replicates, length), dtype=np.int64)
     lam_draws = np.zeros((replicates, length, g))
-    beta_draws = np.zeros((replicates, length, g * (g + 1) // 2))
+    beta_draws = np.zeros((replicates, length, state.beta.shape[-1]))
     for it in range(length):
         state = gibbs_sweep(state, batch, cap, cfg, rngs)
-        n_draws[:, it], lam_draws[:, it], beta_draws[:, it] = state.n, state.lam, state.beta[iu]
+        n_draws[:, it], lam_draws[:, it], beta_draws[:, it] = state.n, state.lam, state.beta
     caps = cap.tolist()
     cap_hits = np.count_nonzero(n_draws == cap[:, None], axis=1).tolist()
     for chain_cap, hits in zip(caps, cap_hits):

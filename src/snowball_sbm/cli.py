@@ -147,7 +147,7 @@ def cmd_mle(args) -> int:
     doc = {
         "N": est.n,
         "lambda": [float(x) for x in est.lam],
-        "beta_upper": [io._float_or_none(x) for x in est.beta_upper()],
+        "beta_upper": [io._float_or_none(x) for x in est.beta],
     }
     io._dump_json(doc, args.out)
     print(f"N: {est.n}")

@@ -24,6 +24,7 @@ from .sbm import (
     check_int,
     generate_population,
     mle_from_full_graph,
+    upper_indices,
 )
 
 logger = logging.getLogger(__name__)
@@ -36,7 +37,7 @@ _SURVEY_BETA_UPPER = (0.0046, 0.0014, 0.0058)
 def survey_scale_params() -> SbmParams:
     """Two-stratum parameters at a realistic risk-network survey scale:
     a minority/majority stratum split and per-thousand link probabilities."""
-    return SbmParams.from_upper(_SURVEY_LAMBDA, _SURVEY_BETA_UPPER)
+    return SbmParams(_SURVEY_LAMBDA, _SURVEY_BETA_UPPER)
 
 
 @dataclass(frozen=True)
@@ -68,8 +69,9 @@ def clustered_population(
 ) -> PopulationGraph:
     """Clustered surrogate: sparse background plus disjoint within-stratum cliques."""
     rng = np.random.default_rng(seed)
-    beta_bg = np.array(params.beta, copy=True)
-    np.fill_diagonal(beta_bg, np.diagonal(params.beta) * overlay.background_scale)
+    rows, cols = upper_indices(params.n_strata)
+    within_beta = params.beta[rows == cols]
+    beta_bg = np.where(rows == cols, params.beta * overlay.background_scale, params.beta)
     base = generate_population(SbmParams(lam=params.lam, beta=beta_bg), n, seed=rng)
     size = overlay.clique_size
     clique_pairs = size * (size - 1) // 2
@@ -78,7 +80,7 @@ def clustered_population(
     for k in range(params.n_strata):
         members = rng.permutation(np.flatnonzero(base.strata == k))
         n_k = members.size
-        removed = (1.0 - overlay.background_scale) * params.beta[k, k] * n_k * (n_k - 1) / 2.0
+        removed = (1.0 - overlay.background_scale) * within_beta[k] * n_k * (n_k - 1) / 2.0
         n_cliques = min(int(round(removed / clique_pairs)), n_k // size)
         groups = members[: n_cliques * size].reshape(n_cliques, size)
         pairs.append(np.column_stack([groups[:, within[0]].ravel(), groups[:, within[1]].ravel()]))

@@ -61,7 +61,7 @@ def save_params(params: SbmParams, path: str):
     doc = {
         "G": params.n_strata,
         "lambda": [float(x) for x in params.lam],
-        "beta": [float(x) for x in params.beta_upper()],
+        "beta": [float(x) for x in params.beta],
     }
     _dump_json(doc, path)
 
@@ -88,7 +88,7 @@ def _checked_params(doc: dict, where: str, g: int | None = None) -> SbmParams:
         if not (isinstance(values, list) and len(values) == size and all(map(_is_finite_number, values))):
             raise ValidationError(f"{where}: {name} must be a list of {size} numbers (G={g}), got {values!r}")
     try:
-        return validate_params(SbmParams.from_upper(lam, beta))
+        return validate_params(SbmParams(lam, beta))
     except ValidationError as exc:
         raise ValidationError(f"{where}: {exc}") from exc
 
@@ -354,7 +354,7 @@ def save_study_outputs(summary: StudySummary, out_dir: str):
         "targets": {
             "N": summary.targets.n,
             "lambda": [float(x) for x in summary.targets.lam],
-            "beta_upper": [_float_or_none(x) for x in summary.targets.beta_upper()],
+            "beta_upper": [_float_or_none(x) for x in summary.targets.beta],
         },
         "stats": {
             name: {k: _float_or_none(v) for k, v in entry.items()}

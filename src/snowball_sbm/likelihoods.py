@@ -12,7 +12,7 @@ import numpy as np
 
 from .logmath import count_times_log, log_binom, xlog1py
 from .sampling import SampleStats
-from .sbm import SbmParams, SufficientCounts, ValidationError, counts_log_likelihood
+from .sbm import SbmParams, SufficientCounts, ValidationError, counts_log_likelihood, symmetric_from_upper
 
 
 @dataclass(frozen=True)
@@ -28,11 +28,12 @@ class EscapeProbability:
 
 def stratum_escape_log_weights(counts_s0: np.ndarray, params: SbmParams) -> np.ndarray:
     """Per-stratum log(lambda_k * prod_i (1 - beta_{C_i,k})) over the initial sample.
-    ``params`` has ``lam`` (..., G) and ``beta`` (..., G, G), leading axes as the counts'."""
+    ``params`` has ``lam`` (..., G) and ``beta`` (..., P), leading axes as the counts'."""
     counts = np.asarray(counts_s0, dtype=np.float64)
+    beta = symmetric_from_upper(params.beta, counts.shape[-1])  # G x G, read by a member's stratum C_i
     with np.errstate(divide="ignore"):
         log_lam = np.log(params.lam)
-    return log_lam + xlog1py(counts[..., :, None], -params.beta).sum(axis=-2)
+    return log_lam + xlog1py(counts[..., :, None], -beta).sum(axis=-2)
 
 
 def escape_terms(log_weights: np.ndarray):
@@ -64,7 +65,8 @@ def wave_inclusion_probability(counts_s0, params: SbmParams) -> float:
     is Binomial(N - n0, p') under the model.
     """
     counts = np.asarray(counts_s0, dtype=np.float64)
-    log_avoid = xlog1py(counts[None, :], -params.beta).sum(axis=1)
+    beta = symmetric_from_upper(params.beta, counts.size)
+    log_avoid = xlog1py(counts[None, :], -beta).sum(axis=1)
     return float(np.sum(params.lam * -np.expm1(log_avoid)))
 
 

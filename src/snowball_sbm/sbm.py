@@ -5,7 +5,7 @@ all arrays here use the internal convention.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -69,23 +69,13 @@ def symmetric_from_upper(upper, g: int) -> np.ndarray:
     return np.asarray(upper)[..., _upper_positions(g)]
 
 
-def beta_matrix_from_upper(upper, g: int) -> np.ndarray:
-    """Build the symmetric G x G link matrix from its row-major upper triangle."""
-    upper = np.asarray(upper, dtype=np.float64)
-    if upper.shape != (g * (g + 1) // 2,):
-        raise ValidationError(
-            f"beta upper triangle must have length {g * (g + 1) // 2}, got {upper.shape}"
-        )
-    return symmetric_from_upper(upper, g)
-
-
 @dataclass(frozen=True)
 class SbmParams:
-    """Stratum probabilities and the symmetric link-probability matrix.
+    """Stratum probabilities and the link probability of each stratum pair.
 
-    ``beta`` is stored as a full symmetric matrix but is always constructed
-    from an upper triangle (directly or via :meth:`from_upper`), so the two
-    halves cannot drift apart.
+    ``beta`` holds one probability per unordered pair k <= l, in the
+    row-major upper-triangle order of :func:`upper_indices`: the order every
+    file holds it in.
     """
 
     lam: np.ndarray
@@ -94,12 +84,9 @@ class SbmParams:
     def __post_init__(self):
         lam = np.asarray(self.lam, dtype=np.float64).reshape(-1)
         beta = np.array(self.beta, dtype=np.float64)  # a copy: it is frozen below
-        g = lam.size
-        if beta.shape != (g, g):
-            raise ValidationError(f"beta must be {g}x{g}, got shape {beta.shape}")
-        # mirror the upper triangle into the lower so storage is canonical
-        iu = upper_indices(g)
-        beta.T[iu] = beta[iu]
+        pairs = lam.size * (lam.size + 1) // 2
+        if beta.shape != (pairs,):
+            raise ValidationError(f"beta upper triangle must have length {pairs}, got {beta.shape}")
         object.__setattr__(self, "lam", _freeze(lam))
         object.__setattr__(self, "beta", _freeze(beta))
 
@@ -107,14 +94,9 @@ class SbmParams:
     def n_strata(self) -> int:
         return self.lam.size
 
-    @classmethod
-    def from_upper(cls, lam, beta_upper) -> "SbmParams":
-        lam = np.asarray(lam, dtype=np.float64).reshape(-1)
-        return cls(lam=lam, beta=beta_matrix_from_upper(beta_upper, lam.size))
-
     def beta_upper(self) -> np.ndarray:
-        """Row-major upper triangle of beta (the external storage order)."""
-        return self.beta[upper_indices(self.n_strata)].copy()
+        """A copy of ``beta``; kept only because bench/workloads.py calls it."""
+        return self.beta.copy()
 
 
 def validate_params(params: SbmParams) -> SbmParams:
@@ -122,14 +104,16 @@ def validate_params(params: SbmParams) -> SbmParams:
     lam, beta = params.lam, params.beta
     if lam.size < 1:
         raise ValidationError("at least one stratum is required (G >= 1)")
+    if not np.isfinite(lam).all():
+        raise ValidationError("lambda has non-finite entries")
+    if not np.isfinite(beta).all():
+        raise ValidationError("beta has non-finite entries")
     if np.any(lam < 0):
         raise ValidationError("lambda has negative entries")
     if abs(float(lam.sum()) - 1.0) > LAMBDA_SUM_TOL:
         raise ValidationError(f"lambda does not sum to 1 (sum={float(lam.sum())!r})")
     if np.any(beta < 0) or np.any(beta > 1):
         raise ValidationError("beta out of range [0, 1]")
-    if not np.array_equal(beta, beta.T):
-        raise ValidationError("beta is not symmetric")
     return params
 
 
@@ -162,12 +146,10 @@ def canonical_pairs(pairs, n: int, what: str) -> np.ndarray:
 
 
 def stratum_pair_counts(strata: np.ndarray, pairs: np.ndarray, g: int) -> np.ndarray:
-    """Symmetric G x G count of ``pairs`` (rows of node indices into
-    ``strata``) per unordered stratum pair."""
+    """Count of ``pairs`` (rows of node indices into ``strata``) per
+    unordered stratum pair, in :func:`upper_indices` order."""
     ends = strata[pairs]
-    lo, hi = ends.min(axis=1), ends.max(axis=1)
-    upper = np.bincount(lo * g + hi, minlength=g * g).reshape(g, g)
-    return upper + np.triu(upper, 1).T
+    return np.bincount(_upper_positions(g)[ends[:, 0], ends[:, 1]], minlength=g * (g + 1) // 2)
 
 
 @dataclass(frozen=True)
@@ -221,9 +203,10 @@ class PopulationGraph:
 
 @dataclass(frozen=True)
 class SufficientCounts:
-    """Stratum sizes N_k, symmetric link counts M, and pair totals.
+    """Stratum sizes N_k, and link counts M and pair totals per unordered
+    stratum pair in :func:`upper_indices` order.
 
-    ``pair_totals`` holds C(N_k, 2) on the diagonal and N_k * N_l off it.
+    ``pair_totals`` holds C(N_k, 2) for k = l and N_k * N_l for k < l.
     """
 
     strata_counts: np.ndarray
@@ -231,15 +214,8 @@ class SufficientCounts:
     pair_totals: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "strata_counts", _freeze(np.asarray(self.strata_counts, dtype=np.int64))
-        )
-        object.__setattr__(
-            self, "link_counts", _freeze(np.asarray(self.link_counts, dtype=np.int64))
-        )
-        object.__setattr__(
-            self, "pair_totals", _freeze(np.asarray(self.pair_totals, dtype=np.int64))
-        )
+        for name in ("strata_counts", "link_counts", "pair_totals"):
+            object.__setattr__(self, name, _freeze(np.asarray(getattr(self, name), dtype=np.int64)))
         if (self.link_counts < 0).any() or (self.link_counts > self.pair_totals).any():
             raise ValidationError("link counts exceed pair totals")
 
@@ -249,11 +225,13 @@ class SufficientCounts:
 
 
 def pair_totals_from_counts(counts: np.ndarray) -> np.ndarray:
-    """Pair totals (..., G, G) induced by stratum sizes (..., G): C(n_k,2) diagonal, n_k*n_l off."""
+    """Pair totals (..., P) induced by stratum sizes (..., G), in
+    :func:`upper_indices` order: C(n_k, 2) for k = l, n_k * n_l for k < l."""
     counts = np.asarray(counts, dtype=np.int64)
     g = counts.shape[-1]
-    totals = counts[..., :, None] * counts[..., None, :]
-    totals.reshape(*counts.shape[:-1], g * g)[..., :: g + 1] = counts * (counts - 1) // 2
+    rows, cols = upper_indices(g)
+    totals = counts[..., rows] * counts[..., cols]
+    totals[..., _upper_positions(g).diagonal()] = counts * (counts - 1) // 2
     return totals
 
 
@@ -292,27 +270,26 @@ def generate_population(params: SbmParams, n: int, seed=None) -> PopulationGraph
     strata = rng.choice(g, size=n, p=params.lam) if n else np.zeros(0, dtype=np.int64)
     pairs = []
     members = [np.flatnonzero(strata == k) for k in range(g)]
-    for k in range(g):
-        for l in range(k, g):
-            prob = float(params.beta[k, l])
-            if k == l:
-                size = members[k].size
-                total = size * (size - 1) // 2
-            else:
-                total = members[k].size * members[l].size
-            if total == 0 or prob == 0.0:
-                continue
-            n_edges = int(rng.binomial(total, prob))
-            if n_edges == 0:
-                continue
-            picks = rng.choice(total, size=n_edges, replace=False)
-            if k == l:
-                a, b = _unrank_pairs(picks, members[k].size)
-                rows, cols = members[k][a], members[k][b]
-            else:
-                rows = members[k][picks // members[l].size]
-                cols = members[l][picks % members[l].size]
-            pairs.append(np.column_stack([rows, cols]))
+    first, second = upper_indices(g)
+    for k, l, prob in zip(first.tolist(), second.tolist(), params.beta.tolist()):
+        if k == l:
+            size = members[k].size
+            total = size * (size - 1) // 2
+        else:
+            total = members[k].size * members[l].size
+        if total == 0 or prob == 0.0:
+            continue
+        n_edges = int(rng.binomial(total, prob))
+        if n_edges == 0:
+            continue
+        picks = rng.choice(total, size=n_edges, replace=False)
+        if k == l:
+            a, b = _unrank_pairs(picks, members[k].size)
+            rows, cols = members[k][a], members[k][b]
+        else:
+            rows = members[k][picks // members[l].size]
+            cols = members[l][picks % members[l].size]
+        pairs.append(np.column_stack([rows, cols]))
     edges = np.concatenate(pairs) if pairs else np.zeros((0, 2), dtype=np.int64)
     return PopulationGraph(strata=strata, edges=edges)
 
@@ -332,10 +309,7 @@ def sufficient_counts(graph: PopulationGraph, n_strata: int | None = None) -> Su
 
 def counts_log_likelihood(counts: SufficientCounts, params: SbmParams) -> float:
     """Log-likelihood of the block model given full-graph sufficient counts."""
-    iu = upper_indices(params.n_strata)
-    m = counts.link_counts[iu]
-    t = counts.pair_totals[iu]
-    b = params.beta[iu]
+    m, t, b = counts.link_counts, counts.pair_totals, params.beta
     ll = float(xlogy(counts.strata_counts, params.lam).sum())
     ll += float(xlogy(m, b).sum() + xlog1py(t - m, -b).sum())
     return ll
@@ -355,8 +329,9 @@ def full_log_likelihood(graph: PopulationGraph, params: SbmParams) -> float:
 class MleEstimates:
     """Full-graph maximum likelihood estimates.
 
-    Entries of ``beta`` whose pair total is zero are undefined and reported
-    as NaN rather than an arbitrary value.
+    ``beta`` is per stratum pair in :func:`upper_indices` order. Entries
+    whose pair total is zero are undefined and reported as NaN rather than
+    an arbitrary value.
     """
 
     n: int
@@ -370,9 +345,6 @@ class MleEstimates:
     @property
     def n_strata(self) -> int:
         return self.lam.size
-
-    def beta_upper(self) -> np.ndarray:
-        return self.beta[upper_indices(self.n_strata)].copy()
 
 
 def mle_from_full_graph(graph: PopulationGraph, n_strata: int | None = None) -> MleEstimates:

@@ -34,6 +34,7 @@ from snowball_sbm.harness import SURVEY_SCALE_N, survey_scale_params
 from snowball_sbm.likelihoods import ignored_log_likelihood, observed_log_likelihood
 from snowball_sbm.logmath import log_binom
 from snowball_sbm.sampling import IgnoredData, SampleStats
+from snowball_sbm.sbm import symmetric_from_upper
 
 from test_augmentation import (
     FRAC_BETA,
@@ -76,7 +77,7 @@ def test_criterion_1_population_size_oracle():
         cap = n0 + n1 + int(np.ceil(mu + 20 * sd + 50))
         assert nbinom.sf(cap - n0 - n1, n1 + 1, p) < 1e-6  # cap tail is negligible
         beta = 1.0 - one_minus_p ** (1.0 / n0)
-        params = SbmParams.from_upper([1.0], [beta])
+        params = SbmParams([1.0], [beta])
         stats = stats_of(synthetic_data(n0, n1), params)
         draws = draw_n(stats, params, McmcConfig(n_max_cap=cap), np.random.default_rng(trial), size=200_000)
         support = np.arange(n0 + n1, cap + 1)
@@ -136,20 +137,21 @@ def test_criterion_3_link_imputation_equivalence():
     """Binomial pair counts vs a per-edge Bernoulli reference, two-sample
     chi-square per stratum pair."""
     start = time.time()
-    params = SbmParams.from_upper([0.5, 0.5], [0.4, 0.25, 0.6])
+    params = SbmParams([0.5, 0.5], [0.4, 0.25, 0.6])
     stats = stats_of(make_data([0, 1], [0, 1], [(0, 2), (1, 3)]), params)
     strata_all = np.array([3, 3])
     outside = [0, 1, 0, 1]  # wave plus unsampled strata
     n_draws = 50_000
 
     rng = np.random.default_rng(11)
-    fast = impute_link_counts(
+    fast = symmetric_from_upper(impute_link_counts(
         stacked(stats, rows=n_draws), np.full(n_draws, 6), np.tile(strata_all, (n_draws, 1)),
-        np.broadcast_to(params.beta, (n_draws, 2, 2)), [rng] * n_draws,
-    )
+        np.broadcast_to(params.beta, (n_draws, 3)), [rng] * n_draws,
+    ), 2)
     ref_rng = np.random.default_rng(12)
+    beta = symmetric_from_upper(params.beta, 2)
     pairs = [(a, b) for a in range(4) for b in range(a + 1, 4)]
-    pair_probs = np.array([params.beta[outside[a], outside[b]] for a, b in pairs])
+    pair_probs = np.array([beta[outside[a], outside[b]] for a, b in pairs])
     bern = ref_rng.random((n_draws, len(pairs))) < pair_probs
     ref = np.zeros((n_draws, 2, 2), dtype=int)
     for idx, (a, b) in enumerate(pairs):
@@ -184,7 +186,8 @@ def test_collapsed_beta_conditional_matches_link_mixture():
     units = strata_s0 + strata_s1 + unsampled
     stats = SampleStats.from_data(make_data(strata_s0, strata_s1, links), 2)
     cfg = McmcConfig(prior_gamma=(0.5, 2.0))
-    a, b = beta_posterior_params(posterior_counts(stacked(stats), [np.bincount(unsampled, minlength=2)]), cfg)
+    a, b = (symmetric_from_upper(x, 2) for x in
+            beta_posterior_params(posterior_counts(stacked(stats), [np.bincount(unsampled, minlength=2)]), cfg))
 
     # by hand, one pair of units at a time: unit i < n0 is in the initial sample
     n0, g1, g2 = len(strata_s0), Fraction(0.5), Fraction(2)
@@ -197,8 +200,8 @@ def test_collapsed_beta_conditional_matches_link_mixture():
             observed[kl] = observed.get(kl, 0) + ((i, j) in links)
 
     # the two-step reference imputes links on exactly the pairs counted above
-    saturated = impute_link_counts(stacked(stats), [len(units)], [np.bincount(units)], np.ones((1, 2, 2)),
-                                   [np.random.default_rng(0)])[0]
+    saturated = symmetric_from_upper(impute_link_counts(stacked(stats), [len(units)], [np.bincount(units)],
+                                                        np.ones((1, 3)), [np.random.default_rng(0)])[0], 2)
     for (k, l), t in t_unobs.items():
         assert saturated[k, l] == t
         m, t_obs = observed[k, l], t_all[k, l] - t
@@ -228,7 +231,7 @@ def test_criterion_4_conjugate_posterior_correctness():
     cfg = McmcConfig()
 
     assert lambda_posterior_params(counts.strata_counts, cfg).tolist() == [4.0, 4.0]
-    a, b = beta_posterior_params(counts, cfg)
+    a, b = (symmetric_from_upper(x, 2) for x in beta_posterior_params(counts, cfg))
     assert (a[0, 0], b[0, 0]) == (3.0, 2.0)
     assert (a[0, 1], b[0, 1]) == (2.0, 9.0)
     assert (a[1, 1], b[1, 1]) == (1.0, 4.0)
@@ -236,7 +239,7 @@ def test_criterion_4_conjugate_posterior_correctness():
     n_draws = 50_000
     rng = np.random.default_rng(40)
     lam_draws = draw_lambda(np.tile(counts.strata_counts, (n_draws, 1)), cfg, [rng] * n_draws)
-    beta_draws = draw_beta(repeat_rows(counts, n_draws), cfg, [rng] * n_draws)
+    beta_draws = symmetric_from_upper(draw_beta(repeat_rows(counts, n_draws), cfg, [rng] * n_draws), 2)
 
     lam_mean, lam_var = 0.5, (4 * 4) / (8**2 * 9)
     assert abs(lam_draws[:, 0].mean() - lam_mean) < 3 * np.sqrt(lam_var / n_draws)
@@ -260,7 +263,7 @@ def test_criterion_5_likelihood_properties():
     for instance in range(50):
         g = int(rng.integers(1, 4))
         lam = rng.dirichlet(np.ones(g))
-        params = SbmParams.from_upper(lam, rng.uniform(0.02, 0.5, g * (g + 1) // 2))
+        params = SbmParams(lam, rng.uniform(0.02, 0.5, g * (g + 1) // 2))
         n0 = int(rng.integers(1, 12))
         n1 = int(rng.integers(0, 10))
         strata_s0 = rng.integers(0, g, n0).tolist()
@@ -300,7 +303,7 @@ def test_criterion_6_desk_scale_study_well_specified():
     mean_lam1 = summary.stats["lambda_1"]["mean"]
     assert abs(mean_lam1 - 0.425) < 0.04, f"mean lambda_1 {mean_lam1:.4f}"
     beta_names = ["beta_1_1", "beta_1_2", "beta_2_2"]
-    targets = summary.targets.beta_upper()
+    targets = summary.targets.beta
     ratios = []
     for name, target in zip(beta_names, targets):
         mean_beta = summary.stats[name]["mean"]
@@ -352,7 +355,7 @@ def test_criterion_8_wave_size_law():
     """Wave size against Binomial(N - n0, p') by chi-square goodness of fit,
     conditioning on the modal initial stratum composition."""
     start = time.time()
-    params = SbmParams.from_upper([0.5, 0.5], [0.08, 0.04, 0.06])
+    params = SbmParams([0.5, 0.5], [0.08, 0.04, 0.06])
     n, n0 = 40, 6
     by_comp = {}
     for seed in range(10_000):
@@ -398,7 +401,7 @@ def test_criterion_9_cli_determinism(tmp_path):
     from snowball_sbm import io
     from snowball_sbm.cli import main
 
-    params = SbmParams.from_upper([0.5, 0.5], [0.2, 0.08, 0.15])
+    params = SbmParams([0.5, 0.5], [0.2, 0.08, 0.15])
     params_path = str(tmp_path / "params.json")
     io.save_params(params, params_path)
     pop_dir = str(tmp_path / "pop")

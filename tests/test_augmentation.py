@@ -35,6 +35,7 @@ from snowball_sbm.augmentation import (
 )
 from snowball_sbm.likelihoods import escape_terms, stratum_escape_log_weights
 from snowball_sbm.sampling import IgnoredData, SampleStats
+from snowball_sbm.sbm import symmetric_from_upper
 
 from dense_links import dense_links
 from test_likelihoods import make_data, stats_of
@@ -86,7 +87,7 @@ def empirical_pmf(draws, support):
 class TestDrawPopulationSize:
     def test_mass_collapses_when_no_escape(self):
         # every stratum certainly links to the initial sample: 1 - p = 0
-        params = SbmParams.from_upper([1.0], [1.0])
+        params = SbmParams([1.0], [1.0])
         data = make_data([0, 0], [0], [(0, 2), (1, 2)])
         stats = stats_of(data, params)
         cfg = McmcConfig(n_max_cap=50)
@@ -95,7 +96,7 @@ class TestDrawPopulationSize:
         assert np.all(draws == 3)
 
     def test_pmf_matches_enumeration(self):
-        params = SbmParams.from_upper([1.0], [0.1])  # escape prob fixed by n0
+        params = SbmParams([1.0], [0.1])  # escape prob fixed by n0
         data = make_data([0] * 5, [0] * 3, [(i, 5 + i) for i in range(3)])
         stats = stats_of(data, params)
         cfg = McmcConfig(n_max_cap=200)
@@ -112,7 +113,7 @@ class TestDrawPopulationSize:
         match enumeration."""
         from scipy.stats import nbinom
 
-        params = SbmParams.from_upper([1.0], [0.1])
+        params = SbmParams([1.0], [0.1])
         data = make_data([0] * 5, [0] * 3, [(i, 5 + i) for i in range(3)])
         stats = stats_of(data, params)
         one_minus_p = 0.9**5
@@ -133,7 +134,7 @@ class TestDrawPopulationSize:
 
     def test_untruncated_mean_identity(self):
         # cap chosen far enough out that truncation is negligible
-        params = SbmParams.from_upper([1.0], [1 - 0.5 ** (1 / 50)])  # (1-b)^50 = 0.5
+        params = SbmParams([1.0], [1 - 0.5 ** (1 / 50)])  # (1-b)^50 = 0.5
         data = make_data([0] * 50, [0] * 30, [(i, 50 + i) for i in range(30)])
         stats = stats_of(data, params)
         cfg = McmcConfig(n_max_cap=400)
@@ -143,7 +144,7 @@ class TestDrawPopulationSize:
         assert abs(draws.mean() - expected) / expected < 0.01
 
     def test_single_draw_is_int(self):
-        params = SbmParams.from_upper([1.0], [0.2])
+        params = SbmParams([1.0], [0.2])
         data = make_data([0, 0], [0], [(0, 2)])
         stats = stats_of(data, params)
         batch = stacked(stats)
@@ -153,7 +154,7 @@ class TestDrawPopulationSize:
         assert value[0] >= 3
 
     def test_cap_below_sample_rejected(self):
-        params = SbmParams.from_upper([1.0], [0.2])
+        params = SbmParams([1.0], [0.2])
         data = make_data([0, 0], [0], [(0, 2)])
         stats = stats_of(data, params)
         with pytest.raises(ValidationError, match="cap"):
@@ -221,7 +222,7 @@ FRAC_BETA = [
     [Fraction(1, 4), Fraction(1, 10)],
     [Fraction(1, 10), Fraction(1, 3)],
 ]
-PARAMS_FRAC = SbmParams.from_upper(
+PARAMS_FRAC = SbmParams(
     [float(x) for x in FRAC_LAM],
     [float(FRAC_BETA[0][0]), float(FRAC_BETA[0][1]), float(FRAC_BETA[1][1])],
 )
@@ -229,7 +230,7 @@ PARAMS_FRAC = SbmParams.from_upper(
 
 class TestImputeStrata:
     def test_zero_beta_reduces_to_lambda(self):
-        params = SbmParams.from_upper([0.3, 0.7], [0.0, 0.0, 0.0])
+        params = SbmParams([0.3, 0.7], [0.0, 0.0, 0.0])
         data = make_data([0, 1], [], [])
         stats = stats_of(data, params)
         probs = escape_of(stats, params)[2]
@@ -238,14 +239,14 @@ class TestImputeStrata:
     def test_hand_value(self):
         # lam (.5,.5), one initial member of stratum 1, within-stratum beta .5:
         # unsampled stratum-1 weight .5*.5, stratum-2 weight .5*1 -> P(1) = 1/3
-        params = SbmParams.from_upper([0.5, 0.5], [0.5, 0.0, 0.5])
+        params = SbmParams([0.5, 0.5], [0.5, 0.0, 0.5])
         data = make_data([0], [], [])
         stats = stats_of(data, params)
         probs = escape_of(stats, params)[2]
         assert probs == pytest.approx([1 / 3, 2 / 3], abs=1e-14)
 
     def test_counts_are_multinomial_given_probs(self):
-        params = SbmParams.from_upper([0.5, 0.5], [0.5, 0.0, 0.5])
+        params = SbmParams([0.5, 0.5], [0.5, 0.0, 0.5])
         data = make_data([0], [], [])
         stats = stats_of(data, params)
         rng = np.random.default_rng(3)
@@ -256,7 +257,7 @@ class TestImputeStrata:
         assert abs(draws[:, 0].mean() - 10.0) < 3 * se
 
     def test_no_unsampled_units(self):
-        params = SbmParams.from_upper([1.0], [1.0])
+        params = SbmParams([1.0], [1.0])
         data = make_data([0], [0], [(0, 1)])
         stats = stats_of(data, params)
         batch = stacked(stats)
@@ -264,7 +265,7 @@ class TestImputeStrata:
         assert counts[0].tolist() == [0]
 
     def test_impossible_escape_rejected(self):
-        params = SbmParams.from_upper([1.0], [1.0])
+        params = SbmParams([1.0], [1.0])
         data = make_data([0], [0], [(0, 1)])
         stats = stats_of(data, params)
         with pytest.raises(ValidationError, match="avoid"):
@@ -302,7 +303,7 @@ class TestImputeStrata:
 
 class TestImputeLinkCounts:
     def test_zero_beta_all_zero(self):
-        params = SbmParams.from_upper([0.5, 0.5], [0.0, 0.0, 0.0])
+        params = SbmParams([0.5, 0.5], [0.0, 0.0, 0.0])
         data = make_data([0], [], [])
         stats = stats_of(data, params)
         counts = impute_link_counts(stacked(stats), np.array([10]), np.array([[5, 5]]), params.beta[None],
@@ -310,18 +311,16 @@ class TestImputeLinkCounts:
         assert counts.sum() == 0
 
     def test_beta_one_saturates(self):
-        params = SbmParams.from_upper([0.5, 0.5], [1.0, 1.0, 1.0])
+        params = SbmParams([0.5, 0.5], [1.0, 1.0, 1.0])
         data = make_data([0], [], [])
         stats = stats_of(data, params)
         counts = impute_link_counts(stacked(stats), np.array([8]), np.array([[4, 4]]), params.beta[None],
                                     [np.random.default_rng(0)])[0]
         # outside the initial sample: 3 of stratum 1, 4 of stratum 2
-        assert counts[0, 0] == 3
-        assert counts[1, 1] == 6
-        assert counts[0, 1] == 12
+        assert counts.tolist() == [3, 12, 6]
 
     def test_inconsistent_counts_rejected(self):
-        params = SbmParams.from_upper([0.5, 0.5], [0.1, 0.1, 0.1])
+        params = SbmParams([0.5, 0.5], [0.1, 0.1, 0.1])
         data = make_data([0], [1], [(0, 1)])
         stats = stats_of(data, params)
         with pytest.raises(ValidationError):
@@ -331,7 +330,7 @@ class TestImputeLinkCounts:
     def test_matches_per_edge_reference(self):
         """Pair-count binomial imputation must be distribution-equal to
         imputing each unobserved link as an independent Bernoulli."""
-        params = SbmParams.from_upper([0.5, 0.5], [0.4, 0.25, 0.6])
+        params = SbmParams([0.5, 0.5], [0.4, 0.25, 0.6])
         data = make_data([0, 1], [0, 1], [(0, 2), (1, 3)])
         stats = stats_of(data, params)
         strata_all = np.array([3, 3])  # adds one unsampled unit per stratum
@@ -340,14 +339,15 @@ class TestImputeLinkCounts:
         n_draws = 50_000
 
         rng = np.random.default_rng(11)
-        fast = impute_link_counts(
+        fast = symmetric_from_upper(impute_link_counts(
             stacked(stats, rows=n_draws), np.full(n_draws, n_total), np.tile(strata_all, (n_draws, 1)),
-            np.broadcast_to(params.beta, (n_draws, 2, 2)), [rng] * n_draws,
-        )
+            np.broadcast_to(params.beta, (n_draws, 3)), [rng] * n_draws,
+        ), 2)
 
         ref_rng = np.random.default_rng(12)
+        beta = symmetric_from_upper(params.beta, 2)
         pairs = [(a, b) for a in range(4) for b in range(a + 1, 4)]
-        pair_probs = np.array([params.beta[outside[a], outside[b]] for a, b in pairs])
+        pair_probs = np.array([beta[outside[a], outside[b]] for a, b in pairs])
         bern = ref_rng.random((n_draws, len(pairs))) < pair_probs
         ref = np.zeros((n_draws, 2, 2), dtype=int)
         for idx, (a, b) in enumerate(pairs):
@@ -357,7 +357,7 @@ class TestImputeLinkCounts:
         for k in range(2):
             for l in range(k, 2):
                 t = {(0, 0): 1, (0, 1): 4, (1, 1): 1}[(k, l)]
-                b = params.beta[k, l]
+                b = beta[k, l]
                 for sample in (fast[:, k, l], ref[:, k, l]):
                     se_mean = np.sqrt(t * b * (1 - b) / n_draws)
                     assert abs(sample.mean() - t * b) < 3 * se_mean
@@ -386,9 +386,9 @@ class TestConjugateDraws:
         cfg = McmcConfig()
         assert lambda_posterior_params(counts.strata_counts, cfg).tolist() == [4.0, 4.0]
         a, b = beta_posterior_params(counts, cfg)
-        assert a[0, 0] == 3.0 and b[0, 0] == 2.0  # M=2 of C(3,2)=3
-        assert a[0, 1] == 2.0 and b[0, 1] == 9.0  # M=1 of 9
-        assert a[1, 1] == 1.0 and b[1, 1] == 4.0  # M=0 of 3
+        # pairs (1,1): M=2 of C(3,2)=3; (1,2): M=1 of 9; (2,2): M=0 of 3
+        assert a.tolist() == [3.0, 2.0, 1.0]
+        assert b.tolist() == [2.0, 9.0, 4.0]
 
     def test_lambda_single_stratum_degenerate(self):
         cfg = McmcConfig()
@@ -413,43 +413,42 @@ class TestConjugateDraws:
     def test_beta_moments_and_prior_only(self):
         counts = SufficientCounts(
             strata_counts=np.array([11, 10]),
-            link_counts=np.array([[0, 5], [5, 0]]),
-            pair_totals=np.array([[55, 110], [110, 45]]),
+            link_counts=np.array([0, 5, 0]),
+            pair_totals=np.array([55, 110, 45]),
         )
         cfg = McmcConfig()
         rng = np.random.default_rng(23)
         draws = draw_beta(repeat_rows(counts, 50_000), cfg, [rng] * 50_000)
         mean = 6 / 112
         var = (6 * 106) / (112**2 * 113)
-        assert abs(draws[:, 0, 1].mean() - mean) < 3 * np.sqrt(var / 50_000)
-        assert np.array_equal(draws[:, 0, 1], draws[:, 1, 0])
+        assert draws.shape == (50_000, 3)  # one draw per stratum pair
+        assert abs(draws[:, 1].mean() - mean) < 3 * np.sqrt(var / 50_000)
         # pair total 0 on a diagonal cell -> Beta(1,1): uniform
         empty = SufficientCounts(
             strata_counts=np.array([1, 0]),
-            link_counts=np.zeros((2, 2), dtype=int),
-            pair_totals=np.zeros((2, 2), dtype=int),
+            link_counts=np.zeros(3, dtype=int),
+            pair_totals=np.zeros(3, dtype=int),
         )
-        uni = draw_beta(repeat_rows(empty, 50_000), cfg, [rng] * 50_000)[:, 0, 0]
+        uni = draw_beta(repeat_rows(empty, 50_000), cfg, [rng] * 50_000)[:, 0]
         assert abs(uni.mean() - 0.5) < 3 * np.sqrt(1 / 12 / 50_000)
         assert abs(np.quantile(uni, 0.25) - 0.25) < 0.01
 
 
 def touching_pair_totals(data, strata_unsampled):
     """Pairs with at least one endpoint in the initial sample, per stratum
-    pair, counted one pair of units at a time."""
+    pair in upper-triangle order, counted one pair of units at a time."""
     units = [*data.strata_s0, *data.strata_s1, *np.repeat(np.arange(2), strata_unsampled)]
     totals = np.zeros((2, 2), dtype=np.int64)
     for a in range(data.n0):
         for b in range(a + 1, len(units)):
             k, l = sorted((units[a], units[b]))
             totals[k, l] += 1
-    totals[1, 0] = totals[0, 1]
-    return totals
+    return totals[np.triu_indices(2)]
 
 
 class TestGibbsSweep:
     def setup_data(self):
-        params = SbmParams.from_upper([0.5, 0.5], [0.3, 0.1, 0.2])
+        params = SbmParams([0.5, 0.5], [0.3, 0.1, 0.2])
         graph = generate_population(params, 30, seed=3)
         sample = trace_one_wave(graph, draw_initial_ids(graph, 6))
         return to_ignored_data(sample)
@@ -501,7 +500,7 @@ def draw_initial_ids(graph, n0):
 
 class TestRunChain:
     def test_single_iteration_trace(self):
-        params = SbmParams.from_upper([0.5, 0.5], [0.3, 0.1, 0.2])
+        params = SbmParams([0.5, 0.5], [0.3, 0.1, 0.2])
         graph = generate_population(params, 20, seed=8)
         data = to_ignored_data(trace_one_wave(graph, draw_initial_ids(graph, 4)))
         trace = run_chain(data, McmcConfig(chain_length=1, burn_in_fraction=0.0, seed=2))
@@ -511,7 +510,7 @@ class TestRunChain:
         assert est.lam.tolist() == trace.lam_draws[0].tolist()
 
     def test_estimates_are_retained_column_means(self):
-        params = SbmParams.from_upper([0.5, 0.5], [0.3, 0.1, 0.2])
+        params = SbmParams([0.5, 0.5], [0.3, 0.1, 0.2])
         graph = generate_population(params, 25, seed=12)
         data = to_ignored_data(trace_one_wave(graph, draw_initial_ids(graph, 5)))
         trace = run_chain(data, McmcConfig(chain_length=40, burn_in_fraction=0.1, seed=3))
@@ -523,7 +522,7 @@ class TestRunChain:
     def test_full_observation_reduces_to_full_graph_posterior(self):
         """With the whole population sampled and the cap at N, the parameter
         draws must use the full-graph conjugate posteriors exactly."""
-        params = SbmParams.from_upper([0.5, 0.5], [0.4, 0.2, 0.3])
+        params = SbmParams([0.5, 0.5], [0.4, 0.2, 0.3])
         graph = generate_population(params, 12, seed=14)
         sample = trace_one_wave(graph, np.arange(12))
         data = to_ignored_data(sample)
@@ -541,7 +540,7 @@ class TestRunChain:
         assert np.array_equal(assembled.pair_totals[0], full.pair_totals)
 
     def test_estimates_invariant_to_node_relabeling(self):
-        params = SbmParams.from_upper([0.4, 0.6], [0.3, 0.15, 0.25])
+        params = SbmParams([0.4, 0.6], [0.3, 0.15, 0.25])
         graph = generate_population(params, 30, seed=21)
         s0 = draw_initial_ids(graph, 6)
         base = run_chain(
@@ -565,7 +564,7 @@ class TestRunChain:
         match a 10x longer chain from the same kernel."""
         from scipy.stats import ks_2samp
 
-        params = SbmParams.from_upper([0.5, 0.5], [0.3, 0.1, 0.2])
+        params = SbmParams([0.5, 0.5], [0.3, 0.1, 0.2])
         graph = generate_population(params, 60, seed=31)
         data = to_ignored_data(trace_one_wave(graph, draw_initial_ids(graph, 12)))
         short = run_chain(data, McmcConfig(chain_length=1000, seed=100))

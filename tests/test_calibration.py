@@ -46,7 +46,7 @@ def test_simulation_based_calibration():
         n = int(rng.integers(N0, CAP + 1))
         lam = rng.dirichlet([1.0, 1.0])  # prior_alpha = 1
         beta_upper = rng.beta(*cfg.prior_gamma, size=3)
-        graph = generate_population(SbmParams.from_upper(lam, beta_upper), n, seed=int(rng.integers(2**31)))
+        graph = generate_population(SbmParams(lam, beta_upper), n, seed=int(rng.integers(2**31)))
         design = DesignConfig(mode="fixed_size", n0=N0, seed=int(rng.integers(2**31)))
         sample = trace_one_wave(graph, draw_initial(graph, design))
         stats.append(chain_stats(to_ignored_data(sample), cfg, 2))

@@ -97,7 +97,7 @@ def run_clustered(root):
     """A clustered population whose cliques overlap the background links,
     and a small clustered simulate study."""
     graph = clustered_population(
-        SbmParams.from_upper([0.5, 0.5], [0.3, 0.05, 0.2]), 120,
+        SbmParams([0.5, 0.5], [0.3, 0.05, 0.2]), 120,
         ClusterOverlay(clique_size=3, background_scale=0.5), seed=4,
     )
     io.save_graph(graph, os.path.join(root, "edges.tsv"), os.path.join(root, "strata.csv"))

@@ -24,7 +24,7 @@ from snowball_sbm.harness import (
 
 
 def small_study_config(**overrides):
-    params = SbmParams.from_upper([0.5, 0.5], [0.2, 0.08, 0.15])
+    params = SbmParams([0.5, 0.5], [0.2, 0.08, 0.15])
     base = dict(
         replicates=3,
         design=DesignConfig(mode="fixed_size", n0=8),
@@ -39,7 +39,7 @@ def small_study_config(**overrides):
 
 class TestStudyConfig:
     def test_requires_exactly_one_population_source(self):
-        params = SbmParams.from_upper([1.0], [0.2])
+        params = SbmParams([1.0], [0.2])
         with pytest.raises(ValidationError, match="population source"):
             StudyConfig(replicates=1, design=DesignConfig(mode="bernoulli", q=0.1))
         graph = generate_population(params, 10, seed=0)
@@ -141,7 +141,7 @@ class TestRunStudy:
             return rejection
 
         monkeypatch.setattr(augmentation, "_takes_negative_binomial", recording_decision)
-        params = SbmParams.from_upper([0.3, 0.3, 0.4], [0.15, 0.05, 0.08, 0.2, 0.06, 0.12])
+        params = SbmParams([0.3, 0.3, 0.4], [0.15, 0.05, 0.08, 0.2, 0.06, 0.12])
         cfg = small_study_config(
             replicates=10,
             design=DesignConfig(mode="bernoulli", q=0.15),
@@ -211,7 +211,7 @@ class TestSurveyScaleBehavior:
         )
         summary = run_study(cfg)
         assert not summary.failures
-        for name, target in zip(["beta_1_1", "beta_1_2", "beta_2_2"], summary.targets.beta_upper()):
+        for name, target in zip(["beta_1_1", "beta_1_2", "beta_2_2"], summary.targets.beta):
             median = summary.stats[name]["median"]
             assert target / 3 < median < target * 3, f"{name}: {median} vs {target}"
 
@@ -244,9 +244,7 @@ class TestSurrogates:
     def test_survey_scale_params(self):
         params = survey_scale_params()
         assert params.lam.tolist() == [0.425, 0.575]
-        assert params.beta[0, 0] == 0.0046
-        assert params.beta[0, 1] == 0.0014
-        assert params.beta[1, 1] == 0.0058
+        assert params.beta.tolist() == [0.0046, 0.0014, 0.0058]
         assert SURVEY_SCALE_N == 595
 
     def test_clustered_population_preserves_edge_budget(self):

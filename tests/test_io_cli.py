@@ -33,13 +33,13 @@ def run_cli(*argv):
 @pytest.fixture
 def params_file(tmp_path):
     path = tmp_path / "params.json"
-    io.save_params(SbmParams.from_upper([0.5, 0.5], [0.25, 0.1, 0.2]), str(path))
+    io.save_params(SbmParams([0.5, 0.5], [0.25, 0.1, 0.2]), str(path))
     return str(path)
 
 
 @pytest.fixture
 def graph_files(tmp_path):
-    params = SbmParams.from_upper([0.5, 0.5], [0.25, 0.1, 0.2])
+    params = SbmParams([0.5, 0.5], [0.25, 0.1, 0.2])
     graph = generate_population(params, 40, seed=6)
     edges, strata = str(tmp_path / "edges.tsv"), str(tmp_path / "strata.csv")
     io.save_graph(graph, edges, strata)
@@ -50,7 +50,7 @@ class TestParamsIo:
     def test_round_trip(self, params_file):
         params = io.load_params(params_file)
         assert params.lam.tolist() == [0.5, 0.5]
-        assert params.beta[0, 1] == 0.1
+        assert params.beta.tolist() == [0.25, 0.1, 0.2]
 
     def test_invalid_params_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -105,7 +105,7 @@ class TestGraphIo:
 
 class TestSampleIo:
     def make_data(self, tmp_path):
-        params = SbmParams.from_upper([0.5, 0.5], [0.25, 0.1, 0.2])
+        params = SbmParams([0.5, 0.5], [0.25, 0.1, 0.2])
         graph = generate_population(params, 40, seed=6)
         s0 = draw_initial(graph, DesignConfig(mode="fixed_size", n0=6, seed=1))
         sample = trace_one_wave(graph, s0)
@@ -232,7 +232,7 @@ class TestCli:
         run_cli("sample", "--edges", f"{out}/edges.tsv", "--strata", f"{out}/strata.csv",
                 "--design", "fixed:10", "--seed", "5", "--out", sample_path)
         one_stratum = str(tmp_path / "g1.json")
-        io.save_params(SbmParams.from_upper([1.0], [0.2]), one_stratum)
+        io.save_params(SbmParams([1.0], [0.2]), one_stratum)
         capsys.readouterr()
         assert run_cli("profile", "--sample", sample_path, "--params", one_stratum,
                        "--n-min", "50", "--n-max", "60", "--out", str(tmp_path / "p.csv")) == 2

@@ -16,6 +16,7 @@ from snowball_sbm import (
     observed_log_likelihood,
     wave_inclusion_probability,
 )
+from snowball_sbm.sbm import symmetric_from_upper
 
 from dense_links import dense_links
 
@@ -64,16 +65,16 @@ def ignored_direct(data, n, lam, beta):
 
 @pytest.fixture
 def params_g2():
-    return SbmParams.from_upper([0.4, 0.6], [0.1, 0.2, 0.3])
+    return SbmParams([0.4, 0.6], [0.1, 0.2, 0.3])
 
 
 class TestEscapeProbability:
     def test_zero_beta_gives_one(self):
-        params = SbmParams.from_upper([0.3, 0.7], [0.0, 0.0, 0.0])
+        params = SbmParams([0.3, 0.7], [0.0, 0.0, 0.0])
         assert escape_probability([0, 1, 1], params).one_minus_p == pytest.approx(1.0)
 
     def test_single_block_half(self):
-        params = SbmParams.from_upper([1.0], [0.5])
+        params = SbmParams([1.0], [0.5])
         assert escape_probability([0, 0, 0], params).one_minus_p == pytest.approx(0.125)
 
     def test_two_block_hand_value(self, params_g2):
@@ -88,7 +89,7 @@ class TestEscapeProbability:
             g = rng.integers(1, 4)
             lam = rng.dirichlet(np.ones(g))
             beta_upper = rng.random(g * (g + 1) // 2)
-            params = SbmParams.from_upper(lam, beta_upper)
+            params = SbmParams(lam, beta_upper)
             strata = rng.integers(0, g, size=rng.integers(0, 6))
             esc = escape_probability(strata, params)
             assert 0.0 <= esc.one_minus_p <= 1.0
@@ -96,7 +97,7 @@ class TestEscapeProbability:
     def test_tiny_beta_accuracy(self):
         # realistic survey-scale magnitudes: direct products stay accurate here,
         # so they can cross-check the log-space path
-        params = SbmParams.from_upper([0.425, 0.575], [0.0046, 0.0014, 0.0058])
+        params = SbmParams([0.425, 0.575], [0.0046, 0.0014, 0.0058])
         strata = np.array([0] * 38 + [1] * 51)
         esc = escape_probability(strata, params)
         direct = 0.425 * (1 - 0.0046) ** 38 * (1 - 0.0014) ** 51 + 0.575 * (1 - 0.0014) ** 38 * (
@@ -107,11 +108,11 @@ class TestEscapeProbability:
 
 class TestWaveInclusionProbability:
     def test_zero_beta(self):
-        params = SbmParams.from_upper([0.3, 0.7], [0.0, 0.0, 0.0])
+        params = SbmParams([0.3, 0.7], [0.0, 0.0, 0.0])
         assert wave_inclusion_probability([2, 3], params) == 0.0
 
     def test_single_block(self):
-        params = SbmParams.from_upper([1.0], [0.5])
+        params = SbmParams([1.0], [0.5])
         assert wave_inclusion_probability([2], params) == pytest.approx(0.75)
 
     def test_two_block_hand_value(self, params_g2):
@@ -120,10 +121,18 @@ class TestWaveInclusionProbability:
         assert val == pytest.approx(0.376, abs=1e-12)
 
     def test_coincides_with_escape_for_singleton_strata(self, params_g2):
-        # with one initial member per stratum the two formulas are complementary
-        val = wave_inclusion_probability([1, 1], params_g2)
-        esc = escape_probability([0, 1], params_g2)
-        assert val == pytest.approx(1.0 - esc.one_minus_p, abs=1e-12)
+        # p' = 1 - (1 - p) for any initial-sample composition: one member per
+        # stratum, then seeded random compositions with some beta 0 and 1
+        cases = [([1, 1], params_g2)]
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            g = int(rng.integers(1, 5))
+            beta = rng.choice([0.0, 1.0, *rng.uniform(0, 1, 4)], g * (g + 1) // 2)
+            cases.append((rng.integers(0, 6, g), SbmParams(rng.dirichlet(np.ones(g)), beta)))
+        for counts, params in cases:
+            val = wave_inclusion_probability(counts, params)
+            esc = escape_probability(np.repeat(np.arange(params.n_strata), counts), params)
+            assert val == pytest.approx(1.0 - esc.one_minus_p, abs=1e-12)
 
 
 class TestObservedLogLikelihood:
@@ -142,7 +151,7 @@ class TestObservedLogLikelihood:
         data = make_data([0, 1], [0, 1, 1], [(0, 1), (0, 2), (1, 3), (0, 4), (1, 4)])
         stats = stats_of(data, params_g2)
         for n in (5, 8, 20):
-            direct = np.log(observed_direct(data, n, params_g2.lam, params_g2.beta))
+            direct = np.log(observed_direct(data, n, params_g2.lam, symmetric_from_upper(params_g2.beta, 2)))
             assert observed_log_likelihood(stats, n, params_g2) == pytest.approx(direct, abs=1e-10)
 
     def test_monotonically_decreasing_in_n(self, params_g2):
@@ -157,7 +166,7 @@ class TestIgnoredLogLikelihood:
         data = make_data([0, 1], [0, 1, 1], [(0, 1), (0, 2), (1, 3), (0, 4), (1, 4)])
         stats = stats_of(data, params_g2)
         for n in (5, 9, 30):
-            direct = np.log(ignored_direct(data, n, params_g2.lam, params_g2.beta))
+            direct = np.log(ignored_direct(data, n, params_g2.lam, symmetric_from_upper(params_g2.beta, 2)))
             assert ignored_log_likelihood(stats, n, params_g2) == pytest.approx(direct, abs=1e-10)
 
     def test_identity_with_observed(self):
@@ -165,7 +174,7 @@ class TestIgnoredLogLikelihood:
         for _ in range(25):
             g = int(rng.integers(1, 4))
             lam = rng.dirichlet(np.ones(g))
-            params = SbmParams.from_upper(lam, rng.uniform(0.05, 0.6, g * (g + 1) // 2))
+            params = SbmParams(lam, rng.uniform(0.05, 0.6, g * (g + 1) // 2))
             n0 = int(rng.integers(1, 5))
             n1 = int(rng.integers(0, 4))
             strata_s0 = rng.integers(0, g, n0).tolist()
@@ -183,7 +192,7 @@ class TestIgnoredLogLikelihood:
 
     def test_flat_in_n_when_no_links_possible(self):
         # with beta = 0 and an empty wave the value cannot depend on N
-        params = SbmParams.from_upper([0.5, 0.5], [0.0, 0.0, 0.0])
+        params = SbmParams([0.5, 0.5], [0.0, 0.0, 0.0])
         data = make_data([0, 1], [], [])
         stats = stats_of(data, params)
         values = {ignored_log_likelihood(stats, n, params) for n in range(2, 40)}

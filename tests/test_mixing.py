@@ -22,7 +22,7 @@ N = 15_000
 N0 = 750
 # survey-scale link probabilities scaled by 595 / N, so each stratum keeps
 # its survey-scale mean degree
-PARAMS = SbmParams.from_upper([0.425, 0.575], [b * 595 / N for b in (0.0046, 0.0014, 0.0058)])
+PARAMS = SbmParams([0.425, 0.575], [b * 595 / N for b in (0.0046, 0.0014, 0.0058)])
 SWEEPS = 4000
 # the median ESS of N per retained draw; a sweep that imputes the unobserved
 # links gives 0.005-0.006 on these samples, the collapsed sweep 0.036

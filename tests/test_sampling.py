@@ -31,7 +31,7 @@ def star_graph(leaves):
 
 @pytest.fixture
 def small_population():
-    params = SbmParams.from_upper([0.5, 0.5], [0.25, 0.1, 0.2])
+    params = SbmParams([0.5, 0.5], [0.25, 0.1, 0.2])
     return generate_population(params, 40, seed=2)
 
 
@@ -189,7 +189,7 @@ class TestWaveSizeLaw:
         """Wave size given the initial strata composition is Binomial(N - n0, p')."""
         from snowball_sbm import wave_inclusion_probability
 
-        params = SbmParams.from_upper([0.5, 0.5], [0.08, 0.04, 0.06])
+        params = SbmParams([0.5, 0.5], [0.08, 0.04, 0.06])
         n, n0 = 40, 6
         by_comp = {}
         for seed in range(3000):
@@ -210,7 +210,7 @@ def test_sample_stats_are_sufficient_statistics_only():
     """What the chain reads of a sample is O(G^2), whatever n0: no field
     holds one entry per unit. Stacking R samples' statistics puts sample r's
     in row r of every field."""
-    graph = generate_population(SbmParams.from_upper([0.4, 0.6], [0.002, 0.001, 0.003]), 3000, seed=2)
+    graph = generate_population(SbmParams([0.4, 0.6], [0.002, 0.001, 0.003]), 3000, seed=2)
     stats = [
         SampleStats.from_data(
             to_ignored_data(trace_one_wave(graph, draw_initial(graph, DesignConfig("fixed_size", n0=n0, seed=n0)))), 2

@@ -15,14 +15,14 @@ from snowball_sbm import SbmParams, SufficientCounts
 from snowball_sbm.augmentation import _takes_negative_binomial, population_size_log_weights
 from snowball_sbm.likelihoods import stratum_escape_log_weights, wave_inclusion_probability
 from snowball_sbm.logmath import log_binom
-from snowball_sbm.sbm import counts_log_likelihood, pair_totals_from_counts, upper_indices
+from snowball_sbm.sbm import counts_log_likelihood, pair_totals_from_counts, symmetric_from_upper
 
 # lambda with an empty stratum; beta with impossible and certain pairs
-EDGE_PARAMS = SbmParams.from_upper([0.0, 0.4, 0.6], [0.0, 0.0, 1.0, 1.0, 0.05, 0.0])
+EDGE_PARAMS = SbmParams([0.0, 0.4, 0.6], [0.0, 0.0, 1.0, 1.0, 0.05, 0.0])
 
 
 def random_params(rng, g):
-    return SbmParams.from_upper(rng.dirichlet(np.ones(g)), rng.uniform(0, 1, g * (g + 1) // 2))
+    return SbmParams(rng.dirichlet(np.ones(g)), rng.uniform(0, 1, g * (g + 1) // 2))
 
 
 def random_counts(rng, params):
@@ -31,16 +31,14 @@ def random_counts(rng, params):
     g = params.n_strata
     strata_counts = np.where(params.lam > 0, rng.integers(0, 30, g), 0)
     totals = pair_totals_from_counts(strata_counts)
-    links = np.zeros((g, g), dtype=np.int64)
-    for k, l in zip(*upper_indices(g)):
-        b = params.beta[k, l]
-        links[k, l] = links[l, k] = totals[k, l] if b == 1 else 0 if b == 0 else rng.integers(0, totals[k, l] + 1)
+    links = np.zeros(totals.size, dtype=np.int64)
+    for pair, (b, total) in enumerate(zip(params.beta, totals)):
+        links[pair] = total if b == 1 else 0 if b == 0 else rng.integers(0, total + 1)
     return SufficientCounts(strata_counts=strata_counts, link_counts=links, pair_totals=totals)
 
 
 def scipy_counts_log_likelihood(counts, params):
-    iu = upper_indices(params.n_strata)
-    m, t, b = counts.link_counts[iu], counts.pair_totals[iu], params.beta[iu]
+    m, t, b = counts.link_counts, counts.pair_totals, params.beta
     return xlogy(counts.strata_counts, params.lam).sum() + xlogy(m, b).sum() + xlog1py(t - m, -b).sum()
 
 
@@ -59,8 +57,8 @@ def test_counts_log_likelihood_matches_scipy():
 def test_zero_counts_times_log_zero_are_zero():
     """All-zero counts at lambda 0 and beta 0 or 1 give 0, never NaN."""
     g = EDGE_PARAMS.n_strata
-    zero = SufficientCounts(strata_counts=np.zeros(g), link_counts=np.zeros((g, g)),
-                            pair_totals=np.zeros((g, g)))
+    zero = SufficientCounts(strata_counts=np.zeros(g), link_counts=np.zeros(g * (g + 1) // 2),
+                            pair_totals=np.zeros(g * (g + 1) // 2))
     assert counts_log_likelihood(zero, EDGE_PARAMS) == 0.0
     with np.errstate(divide="ignore"):
         log_lam = np.log(EDGE_PARAMS.lam)
@@ -75,17 +73,18 @@ def test_stratum_escape_log_weights_match_scipy():
         params = [EDGE_PARAMS] * 4 if g == 3 else [random_params(rng, g) for _ in range(4)]
         params += [random_params(rng, g) for _ in range(20)]
         lam = np.array([p.lam for p in params])
-        beta = np.array([p.beta for p in params])
+        beta_upper = np.array([p.beta for p in params])
+        beta = symmetric_from_upper(beta_upper, g)
         counts = rng.integers(0, 40, (len(params), g)) * (rng.random((len(params), g)) < 0.7)
         counts[beta.max(axis=2) == 1] = 0
         # stacked along a leading replicate axis, as the sweep passes its state
-        got = stratum_escape_log_weights(counts, SimpleNamespace(lam=lam, beta=beta))
+        got = stratum_escape_log_weights(counts, SimpleNamespace(lam=lam, beta=beta_upper))
         with np.errstate(divide="ignore"):
             expected = np.log(lam) + xlog1py(counts[:, :, None].astype(float), -beta).sum(axis=1)
         assert not np.isnan(got).any()
         np.testing.assert_allclose(got, expected, rtol=1e-12)
         for r, p in enumerate(params):
-            log_avoid = xlog1py(counts[r][None, :].astype(float), -p.beta).sum(axis=1)
+            log_avoid = xlog1py(counts[r][None, :].astype(float), -beta[r]).sum(axis=1)
             np.testing.assert_allclose(wave_inclusion_probability(counts[r], p),
                                        np.sum(p.lam * -np.expm1(log_avoid)), rtol=1e-12, atol=1e-300)
 
