@@ -6,7 +6,13 @@ the conjugate Dirichlet/Beta parameter updates. It advances R chains at
 once: the deterministic work runs once on arrays with a leading replicate
 axis, and each of the four sub-draws makes row r's draws on ``rngs[r]``
 only. Many i.i.d. draws of one conditional come from R identical rows that
-share one Generator (``[rng] * R``).
+share one Generator (``[rng] * R``). Each row's draws are scalar Generator
+calls, which skip numpy's checks of array arguments yet consume the stream
+exactly as the array calls that define a chain: a scalar draw runs the same
+sampler as a size-1 draw, ``multinomial`` over two strata is one ``binomial``
+draw on the first, and ``dirichlet`` is one ``standard_gamma`` draw per
+stratum times the reciprocal of their running sum, as numpy computes it
+(except where the largest weight is below 0.1 and numpy breaks sticks).
 
 A sweep costs O(G^2) per chain, independent of the sample size, and of the
 cap on N unless the cap binds (then N is drawn from a grid over the
@@ -122,7 +128,7 @@ def _takes_negative_binomial(n1, k_max, p):
 
 
 def _draw_excess(rng, n0: int, n1: int, log_omp: float, k_max: int, rejection, shape):
-    """``shape`` draws of the excess M in 0..K, by rejection or on the grid."""
+    """``shape`` draws (one if None) of the excess M in 0..K, by rejection or on the grid."""
     if rejection:
         p = -math.expm1(log_omp)
         excess = rng.negative_binomial(n1 + 1, p, shape)
@@ -152,14 +158,24 @@ def draw_population_size(stats: SampleStats, cap: np.ndarray, log_omp: np.ndarra
     is drawn. Returns shape (R,), or (R, size) with ``size`` draws per row.
     """
     k_max = cap - stats.n_sampled
-    p = -np.array([math.expm1(v) for v in log_omp.tolist()])  # np.expm1 can differ in the last bit
-    rejection = _takes_negative_binomial(stats.n1, k_max, p)
-    shape = 1 if size is None else size
-    excess = np.zeros((len(rngs), shape), dtype=np.int64)
-    for r in np.exp(log_omp).nonzero()[0].tolist():
-        excess[r] = _draw_excess(rngs[r], stats.n0[r], stats.n1[r], log_omp[r], k_max[r], rejection[r], shape)
-    n = stats.n_sampled[:, None] + excess
-    return n[:, 0] if size is None else n
+    p = [-math.expm1(v) for v in log_omp.tolist()]  # np.expm1 can differ in the last bit
+    rejection = _takes_negative_binomial(stats.n1, k_max, np.array(p)).tolist()
+    rows = np.exp(log_omp).nonzero()[0].tolist()
+    if size is not None:
+        excess = np.zeros((len(rngs), size), dtype=np.int64)
+        for r in rows:
+            excess[r] = _draw_excess(rngs[r], stats.n0[r], stats.n1[r], log_omp[r], k_max[r], rejection[r], size)
+        return stats.n_sampled[:, None] + excess
+    excess, n1, k = [0] * len(rngs), stats.n1.tolist(), k_max.tolist()
+    for r in rows:  # one scalar draw, redrawn while above K
+        if not rejection[r]:
+            excess[r] = _draw_excess(rngs[r], stats.n0[r], n1[r], log_omp[r], k[r], False, None)
+            continue
+        draw = rngs[r].negative_binomial
+        excess[r] = draw(n1[r] + 1, p[r])
+        while excess[r] > k[r]:
+            excess[r] = draw(n1[r] + 1, p[r])
+    return stats.n_sampled + excess
 
 
 def impute_strata(stats: SampleStats, n: np.ndarray, probs: np.ndarray, rngs: Rngs) -> np.ndarray:
@@ -171,16 +187,15 @@ def impute_strata(stats: SampleStats, n: np.ndarray, probs: np.ndarray, rngs: Rn
         raise ValidationError("population size below sampled count")
     if ((n_missing > 0) & np.isnan(probs[:, 0])).any():
         raise ValidationError("inconsistent state: an unsampled unit cannot avoid the initial sample")
-    strata_un = np.zeros_like(stats.counts_s0)
-    for r in n_missing.nonzero()[0].tolist():
-        strata_un[r] = rngs[r].multinomial(n_missing[r], probs[r])
-    return strata_un
-
-
-def _pair_draws(draw, first: list, second: list) -> list:
-    """One scalar ``draw(a, b)`` per stratum pair. It consumes the Generator's
-    stream exactly as one array-valued call, without numpy's array checks."""
-    return [draw(a, b) for a, b in zip(first, second)]
+    if stats.n_strata == 2:  # numpy's multinomial makes one binomial draw, on the first stratum
+        strata_un = np.empty_like(stats.counts_s0)
+        strata_un[:, 0] = [rng.binomial(m, q) if m else 0
+                           for rng, m, q in zip(rngs, n_missing.tolist(), probs[:, 0].tolist())]
+        strata_un[:, 1] = n_missing - strata_un[:, 0]
+        return strata_un
+    none = [0] * stats.n_strata
+    rows = [rng.multinomial(m, q) if m else none for rng, m, q in zip(rngs, n_missing.tolist(), probs)]
+    return np.array(rows, dtype=np.int64)
 
 
 def impute_link_counts(stats: SampleStats, n, strata_all_counts, beta: np.ndarray, rngs: Rngs) -> np.ndarray:
@@ -200,8 +215,8 @@ def impute_link_counts(stats: SampleStats, n, strata_all_counts, beta: np.ndarra
     if (outside < stats.counts_s1).any():
         raise ValidationError("stratum counts inconsistent with the observed wave")
     totals = pair_totals_from_counts(outside).tolist()
-    draws = map(_pair_draws, [rng.binomial for rng in rngs], totals, beta.tolist())
-    return np.array(list(draws), dtype=np.int64)
+    draws = [list(map(rng.binomial, row, p)) for rng, row, p in zip(rngs, totals, beta.tolist())]
+    return np.array(draws, dtype=np.int64)
 
 
 def lambda_posterior_params(strata_counts: np.ndarray, cfg: McmcConfig) -> np.ndarray:
@@ -218,17 +233,23 @@ def beta_posterior_params(counts: SufficientCounts, cfg: McmcConfig):
 
 
 def draw_lambda(strata_counts: np.ndarray, cfg: McmcConfig, rngs: Rngs) -> np.ndarray:
-    """Each row's stratum probabilities from the Dirichlet posterior given its (R, G) counts."""
+    """Each row's stratum probabilities from the Dirichlet posterior given its
+    (R, G) counts, bit for bit ``rngs[r].dirichlet``: a cumulative sum adds in
+    its order, which ``sum`` does not for G >= 8."""
     alpha = lambda_posterior_params(strata_counts, cfg)
-    return np.array([rng.dirichlet(row) for rng, row in zip(rngs, alpha)])
+    if (alpha.max(axis=-1) < 0.1).any():  # numpy's dirichlet breaks sticks there
+        return np.array([rng.dirichlet(row) for rng, row in zip(rngs, alpha)])
+    gam = np.array([g for rng, row in zip(rngs, alpha.tolist()) for g in map(rng.standard_gamma, row)])
+    gam = gam.reshape(alpha.shape)
+    return gam * (1.0 / gam.cumsum(axis=-1)[..., -1:])
 
 
 def draw_beta(counts: SufficientCounts, cfg: McmcConfig, rngs: Rngs) -> np.ndarray:
     """Each row's (R, P) link probabilities from the per-pair Beta posteriors
     given its (R, ...) :func:`posterior_counts`."""
     a, b = beta_posterior_params(counts, cfg)
-    draws = map(_pair_draws, [rng.beta for rng in rngs], a.tolist(), b.tolist())
-    return np.array(list(draws))
+    draws = [x for rng, ra, rb in zip(rngs, a.tolist(), b.tolist()) for x in map(rng.beta, ra, rb)]
+    return np.array(draws).reshape(a.shape)
 
 
 def posterior_counts(stats, strata_unsampled: np.ndarray) -> SufficientCounts:
@@ -238,8 +259,8 @@ def posterior_counts(stats, strata_unsampled: np.ndarray) -> SufficientCounts:
     among the other pairs integrate out, so beta's posterior is
     Beta(M + g1, T* - M + g2); T* is not the completed pair totals."""
     counts = stats.counts_sampled + np.asarray(strata_unsampled, dtype=np.int64)
-    touching = pair_totals_from_counts(counts) - pair_totals_from_counts(counts - stats.counts_s0)
-    return SufficientCounts(counts, stats.link_counts, touching)
+    all_pairs, outside = pair_totals_from_counts(np.array([counts, counts - stats.counts_s0]))
+    return SufficientCounts(counts, stats.link_counts, all_pairs - outside)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import numpy as np
 from . import io
 from .augmentation import McmcConfig, run_chain
 from .harness import run_study
-from .likelihoods import ignored_log_likelihood, observed_log_likelihood
+from .likelihoods import ignored_log_likelihood, n_free_terms, observed_log_likelihood
 from .sampling import DesignConfig, SampleStats, draw_initial, to_ignored_data, trace_one_wave
 from .sbm import ValidationError, check_int, generate_population, mle_from_full_graph
 
@@ -190,11 +190,12 @@ def cmd_profile(args) -> int:
     except ValidationError as exc:
         raise ValidationError(f"{args.sample}: {exc} (G = {params.n_strata} in {args.params})") from exc
     grid = range(n_lo, n_hi + 1, step)
+    terms = n_free_terms(stats, params)
     with open(args.out, "w", newline="\n") as fh:
         fh.write("N,observed_loglik,ignored_loglik\n")
         for n in grid:
-            obs = observed_log_likelihood(stats, n, params)
-            ign = ignored_log_likelihood(stats, n, params)
+            obs = observed_log_likelihood(stats, n, params, terms)
+            ign = ignored_log_likelihood(stats, n, params, terms)
             fh.write(f"{n},{obs!r},{ign!r}\n")
     return EXIT_OK
 

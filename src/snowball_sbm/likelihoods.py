@@ -30,10 +30,12 @@ def stratum_escape_log_weights(counts_s0: np.ndarray, params: SbmParams) -> np.n
     """Per-stratum log(lambda_k * prod_i (1 - beta_{C_i,k})) over the initial sample.
     ``params`` has ``lam`` (..., G) and ``beta`` (..., P), leading axes as the counts'."""
     counts = np.asarray(counts_s0, dtype=np.float64)
-    beta = symmetric_from_upper(params.beta, counts.shape[-1])  # G x G, read by a member's stratum C_i
+    g = counts.shape[-1]  # beta is expanded to G x G, read by a member's stratum C_i
     with np.errstate(divide="ignore"):
         log_lam = np.log(params.lam)
-    return log_lam + xlog1py(counts[..., :, None], -beta).sum(axis=-2)
+    if params.beta.max() < 1:  # every log1p(-beta) is finite: no zero-count mask needed
+        return log_lam + (counts[..., :, None] * symmetric_from_upper(np.log1p(-params.beta), g)).sum(axis=-2)
+    return log_lam + xlog1py(counts[..., :, None], -symmetric_from_upper(params.beta, g)).sum(axis=-2)
 
 
 def escape_terms(log_weights: np.ndarray):
@@ -70,21 +72,14 @@ def wave_inclusion_probability(counts_s0, params: SbmParams) -> float:
     return float(np.sum(params.lam * -np.expm1(log_avoid)))
 
 
-def _sampled_block_log_terms(stats: SampleStats, params: SbmParams) -> float:
-    """Stratum terms for all sampled units plus link terms for observed pairs."""
-    observed = SufficientCounts(
-        strata_counts=stats.counts_sampled,
-        link_counts=stats.link_counts,
-        pair_totals=stats.pair_totals,
-    )
-    return counts_log_likelihood(observed, params)
-
-
-def _escape_tail(stats: SampleStats, n: int, params: SbmParams) -> float:
-    """(n - n0 - n1) log(1 - p): no unsampled unit links into the initial
-    sample. The sweep takes log(1 - p) the same way."""
+def n_free_terms(stats: SampleStats, params: SbmParams) -> tuple[float, float]:
+    """``(block, log(1 - p))``, the factors of both likelihoods that do not
+    depend on N: the stratum terms of all sampled units plus the link terms
+    of the observed pairs, and the log escape probability, taken as the sweep
+    takes it. Compute them once to evaluate a likelihood at many N."""
+    observed = SufficientCounts(stats.counts_sampled, stats.link_counts, stats.pair_totals)
     _, log_omp, _ = escape_terms(stratum_escape_log_weights(stats.counts_s0, params))
-    return count_times_log(n - stats.n_sampled, log_omp)
+    return counts_log_likelihood(observed, params), float(log_omp)
 
 
 def _check_support(stats: SampleStats, n: int):
@@ -94,22 +89,27 @@ def _check_support(stats: SampleStats, n: int):
         )
 
 
-def observed_log_likelihood(stats: SampleStats, n: int, params: SbmParams) -> float:
-    """Log-likelihood of the labeled sample at population size ``n``.
+def observed_log_likelihood(stats: SampleStats, n: int, params: SbmParams, terms=None) -> float:
+    """Log-likelihood of the labeled sample at population size ``n``;
+    ``terms`` is :func:`n_free_terms` of ``(stats, params)``, computed here
+    when not given.
 
     Includes the design factor 1/C(n, n0) from conditioning on the initial
-    sample size, so the value is monotonically decreasing in ``n``.
+    sample size, so the value is monotonically decreasing in ``n``. The tail
+    (n - n0 - n1) log(1 - p) says no unsampled unit links into the initial sample.
     """
     _check_support(stats, n)
-    return -log_binom(n, stats.n0) + _sampled_block_log_terms(stats, params) + _escape_tail(stats, n, params)
+    block, log_omp = terms or n_free_terms(stats, params)
+    return -log_binom(n, stats.n0) + block + count_times_log(n - stats.n_sampled, log_omp)
 
 
-def ignored_log_likelihood(stats: SampleStats, n: int, params: SbmParams) -> float:
-    """Log-likelihood of the sample pattern with unit labels ignored.
+def ignored_log_likelihood(stats: SampleStats, n: int, params: SbmParams, terms=None) -> float:
+    """Log-likelihood of the sample pattern with unit labels ignored;
+    ``terms`` as in :func:`observed_log_likelihood`.
 
     The C(n - n0, n1) head term counts the ways the wave can sit inside the
     population, which is what makes this likelihood informative about ``n``.
     """
     _check_support(stats, n)
-    head = log_binom(n - stats.n0, stats.n1)
-    return head + _sampled_block_log_terms(stats, params) + _escape_tail(stats, n, params)
+    block, log_omp = terms or n_free_terms(stats, params)
+    return log_binom(n - stats.n0, stats.n1) + block + count_times_log(n - stats.n_sampled, log_omp)

@@ -4,7 +4,7 @@ closed-form conjugate posteriors."""
 from dataclasses import fields
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, expm1
 
 import numpy as np
 import pytest
@@ -490,6 +490,110 @@ class TestGibbsSweep:
             assert np.all(state.beta >= 0) and np.all(state.beta <= 1)
             counts = posterior_counts(stacked(stats), state.strata_unsampled)
             assert np.array_equal(counts.pair_totals[0], touching_pair_totals(data, state.strata_unsampled[0]))
+
+
+def block_stats(n0, n1, counts_s0):
+    """Stacked statistics with the given block sizes and initial-sample
+    stratum counts; the draws tested below read nothing else."""
+    rows, g = np.shape(counts_s0)
+    pairs = g * (g + 1) // 2
+    zeros = np.zeros((rows, pairs), dtype=np.int64)
+    return SampleStats(np.asarray(n0), np.asarray(n1), counts_s0, np.zeros((rows, g), dtype=np.int64),
+                       zeros, zeros)
+
+
+def same_bits(a, b) -> bool:
+    return np.asarray(a, dtype=np.float64).tobytes() == np.asarray(b, dtype=np.float64).tobytes()
+
+
+class TestStreamEquivalence:
+    """Each row's scalar Generator calls give the values of the array-valued
+    calls that define a chain, and leave the row's stream where they do."""
+
+    def test_lambda_is_dirichlet_bit_for_bit(self):
+        meta = np.random.default_rng([2024, 1])
+        checked = gamma_path = 0
+        while checked < 2000:
+            g, rows = int(meta.integers(1, 11)), int(meta.integers(1, 9))
+            prior = [0.5, 1.0, 0.05, tuple(meta.uniform(0.01, 3.0, g))][checked % 4]
+            counts = meta.integers(0, 10**4, (rows, g)) * (meta.random((rows, g)) < 0.7)
+            if prior == 0.05 and meta.random() < 0.5:
+                counts[0] = 0  # a row whose largest weight is below 0.1: numpy breaks sticks
+            cfg = McmcConfig(prior_alpha=prior)
+            alpha = counts + np.asarray(prior, dtype=np.float64)
+            seeds = meta.integers(0, 2**63, rows)
+            rngs = [np.random.default_rng(s) for s in seeds]
+            got = draw_lambda(counts, cfg, rngs)
+            for r, seed in enumerate(seeds):
+                reference = np.random.default_rng(seed)
+                assert same_bits(got[r], reference.dirichlet(alpha[r])), (alpha[r], seed)
+                assert rngs[r].random() == reference.random()
+            gamma_path += rows * bool(alpha.max(axis=-1).min() >= 0.1)
+            checked += rows
+        assert 1000 < gamma_path < checked  # both of numpy's algorithms were met
+
+    @staticmethod
+    def reference_excess(rng, n0, n1, log_omp, k_max):
+        """The excess as a size-1 array draw makes it: ``negative_binomial``
+        redrawn while above K, or one ``random(1)`` on the grid."""
+        p = -expm1(log_omp)
+        if p > 0 and (n1 + 1) * (1 - p) <= k_max * p:
+            excess, redraws = rng.negative_binomial(n1 + 1, p, 1), 0
+            over = (excess > k_max).nonzero()[0]
+            while over.size:
+                excess[over] = rng.negative_binomial(n1 + 1, p, over.size)
+                over = over[excess[over] > k_max]
+                redraws += 1
+            return int(excess[0]), redraws
+        _, log_w = population_size_log_weights(n0, n1, log_omp, n0 + n1 + k_max)
+        cdf = np.cumsum(np.exp(log_w - log_w.max()))
+        return int(min(np.searchsorted(cdf, rng.random(1) * cdf[-1], side="right")[0], k_max)), 0
+
+    def test_single_population_draw_is_array_draw(self):
+        meta = np.random.default_rng([2024, 2])
+        rows = 2000
+        n0, n1 = meta.integers(1, 200, rows), meta.integers(0, 300, rows)
+        p = meta.uniform(0.02, 0.9, rows)
+        log_omp = np.log1p(-p)
+        log_omp[:20] = -np.inf  # no unit can escape: nothing is drawn
+        log_omp[20:40] = -800.0  # nor where 1 - p underflows to 0
+        mean = (n1 + 1) * (1 - p) / p
+        # K at the mean (rejection, about half the draws redrawn) or below it (grid)
+        k_max = np.ceil(mean * np.where(np.arange(rows) % 4 == 0, 0.6, 1.0)).astype(np.int64) + 1
+        seeds = meta.integers(0, 2**63, rows)
+        rngs = [np.random.default_rng(s) for s in seeds]
+        got = draw_population_size(block_stats(n0, n1, np.ones((rows, 1), dtype=np.int64)),
+                                   n0 + n1 + k_max, log_omp, rngs)
+        assert got.shape == (rows,) and got.dtype == np.int64
+        redraws = 0
+        for r, seed in enumerate(seeds):
+            reference = np.random.default_rng(seed)
+            excess, tries = 0, 0
+            if np.exp(log_omp[r]) != 0:
+                excess, tries = self.reference_excess(reference, n0[r], n1[r], log_omp[r], k_max[r])
+            assert got[r] == n0[r] + n1[r] + excess
+            assert rngs[r].random() == reference.random()
+            redraws += tries
+        assert redraws > 200
+
+    @pytest.mark.parametrize("g", [2, 3])  # two strata take one binomial draw
+    def test_imputation_is_multinomial(self, g):
+        meta = np.random.default_rng([2024, 3, g])
+        rows = 2000
+        n_missing = meta.integers(0, 10**4, rows) * (meta.random(rows) < 0.9)
+        weights = meta.random((rows, g)) ** 3
+        probs = weights / weights.sum(axis=-1, keepdims=True)
+        seeds = meta.integers(0, 2**63, rows)
+        rngs = [np.random.default_rng(s) for s in seeds]
+        stats = block_stats(np.ones(rows, dtype=np.int64), np.zeros(rows, dtype=np.int64),
+                            np.ones((rows, g), dtype=np.int64))
+        got = impute_strata(stats, stats.n_sampled + n_missing, probs, rngs)
+        assert got.shape == (rows, g) and got.dtype == np.int64
+        for r, seed in enumerate(seeds):
+            reference = np.random.default_rng(seed)
+            expected = reference.multinomial(n_missing[r], probs[r]) if n_missing[r] else [0] * g
+            assert got[r].tolist() == list(expected)
+            assert rngs[r].random() == reference.random()
 
 
 def draw_initial_ids(graph, n0):

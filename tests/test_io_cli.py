@@ -522,7 +522,7 @@ class TestInputHardening:
 
     # the first compute step of each command, as the cli module names it
     COMPUTE = {"generate": "generate_population", "sample": "draw_initial", "estimate": "run_chain",
-               "mle": "mle_from_full_graph", "simulate": "run_study", "profile": "observed_log_likelihood"}
+               "mle": "mle_from_full_graph", "simulate": "run_study", "profile": "n_free_terms"}
 
     @pytest.mark.parametrize("command,out,message", [
         ("generate", "file.json/pop", "file.json is not a directory"),
