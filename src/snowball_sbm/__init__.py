@@ -10,7 +10,6 @@ from .augmentation import (
     draw_lambda,
     draw_population_size,
     gibbs_sweep,
-    impute_link_counts,
     impute_strata,
     run_chain,
 )
@@ -28,7 +27,6 @@ from .likelihoods import (
     escape_probability,
     ignored_log_likelihood,
     observed_log_likelihood,
-    wave_inclusion_probability,
 )
 from .sampling import (
     DesignConfig,
@@ -82,7 +80,6 @@ __all__ = [
     "generate_population",
     "gibbs_sweep",
     "ignored_log_likelihood",
-    "impute_link_counts",
     "impute_strata",
     "mle_from_full_graph",
     "observed_log_likelihood",
@@ -94,5 +91,4 @@ __all__ = [
     "to_ignored_data",
     "trace_one_wave",
     "validate_params",
-    "wave_inclusion_probability",
 ]

@@ -69,7 +69,6 @@ class McmcConfig:
     cap_multiplier: float = 100.0
     prior_alpha: float | tuple[float, ...] = 1.0
     prior_gamma: tuple[float, float] = (1.0, 1.0)
-    seed: int | None = None
 
     def __post_init__(self):
         check_int(self.chain_length, "chain_length", 1)
@@ -196,27 +195,6 @@ def impute_strata(stats: SampleStats, n: np.ndarray, probs: np.ndarray, rngs: Rn
     none = [0] * stats.n_strata
     rows = [rng.multinomial(m, q) if m else none for rng, m, q in zip(rngs, n_missing.tolist(), probs)]
     return np.array(rows, dtype=np.int64)
-
-
-def impute_link_counts(stats: SampleStats, n, strata_all_counts, beta: np.ndarray, rngs: Rngs) -> np.ndarray:
-    """Impute each row's link counts (R, P) for every pair not touched by the initial sample.
-
-    Pairs with both endpoints outside the initial sample (wave-wave,
-    wave-unsampled, unsampled-unsampled) are the unobserved ones; for each
-    stratum pair the count is Binomial(pairs available, beta). The completed
-    stratum counts are checked against N and the observed wave first. The
-    sweep integrates these links out instead; the tests use this draw as the
-    reference for that collapsed step.
-    """
-    strata_all_counts = np.asarray(strata_all_counts, dtype=np.int64)
-    if (strata_all_counts.sum(axis=-1) != n).any():
-        raise ValidationError("stratum counts do not sum to the population size")
-    outside = strata_all_counts - stats.counts_s0
-    if (outside < stats.counts_s1).any():
-        raise ValidationError("stratum counts inconsistent with the observed wave")
-    totals = pair_totals_from_counts(outside).tolist()
-    draws = [list(map(rng.binomial, row, p)) for rng, row, p in zip(rngs, totals, beta.tolist())]
-    return np.array(draws, dtype=np.int64)
 
 
 def lambda_posterior_params(strata_counts: np.ndarray, cfg: McmcConfig) -> np.ndarray:
@@ -390,7 +368,7 @@ def run_chains(stats: Sequence[SampleStats], cfg: McmcConfig, seeds: Sequence) -
     return [ChainTrace(n, lam, beta, burn, cap, hits, seed, g) for n, lam, beta, cap, hits, seed in chains]
 
 
-def run_chain(data: IgnoredData, cfg: McmcConfig, n_strata: int | None = None) -> ChainTrace:
+def run_chain(data: IgnoredData, cfg: McmcConfig, seed=None, *, n_strata: int | None = None) -> ChainTrace:
     """Run the full augmentation chain and record every state; ``n_strata``
-    as in :func:`chain_stats`. Fully deterministic given ``cfg.seed``."""
-    return run_chains([chain_stats(data, cfg, n_strata)], cfg, [cfg.seed])[0]
+    as in :func:`chain_stats`. Fully deterministic given ``seed``."""
+    return run_chains([chain_stats(data, cfg, n_strata)], cfg, [seed])[0]

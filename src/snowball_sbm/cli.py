@@ -73,7 +73,7 @@ DESIGNS = {  # --design prefix -> (DesignConfig mode, field, parser)
 }
 
 
-def _parse_design(text: str, seed: int) -> DesignConfig:
+def _parse_design(text: str) -> DesignConfig:
     kind, _, value = text.partition(":")
     if kind not in DESIGNS or not value:
         raise ValidationError(f"--design must look like bernoulli:q, fixed:n0 or degree:n0, got {text!r}")
@@ -83,16 +83,15 @@ def _parse_design(text: str, seed: int) -> DesignConfig:
     except ValueError as exc:
         what = "a number" if parse is float else "an integer"
         raise ValidationError(f"--design: {kind} needs {field} as {what}, got {value!r}") from exc
-    return DesignConfig(mode=mode, seed=seed, **{field: parsed})
+    return DesignConfig(mode=mode, **{field: parsed})
 
 
-def _mcmc_config(args, seed: int) -> McmcConfig:
+def _mcmc_config(args) -> McmcConfig:
     return McmcConfig(
         chain_length=args.chain_length,
         burn_in_fraction=args.burn_in,
         n_max_cap=args.cap,
         cap_multiplier=args.cap_multiplier,
-        seed=seed,
     )
 
 
@@ -111,11 +110,11 @@ def cmd_sample(args) -> int:
     _check_inputs(args.edges, args.strata)
     graph = io.load_graph(args.edges, args.strata)
     seed = _resolve_seed(args.seed)
-    design = _parse_design(args.design, seed)
-    s0 = draw_initial(graph, design)
+    design = _parse_design(args.design)
+    s0 = draw_initial(graph, design, seed)
     sample = trace_one_wave(graph, s0)
     data = to_ignored_data(sample)
-    meta = io.sample_meta(sample, design, n_strata=graph.n_strata)
+    meta = io.sample_meta(sample, design, seed, n_strata=graph.n_strata)
     io.save_sample(data, args.out, meta=meta)
     logger.info("sample: n0=%d n1=%d -> %s", data.n0, data.n1, args.out)
     return EXIT_OK
@@ -125,11 +124,11 @@ def cmd_estimate(args) -> int:
     _check_inputs(args.sample)
     data, meta = io.load_sample(args.sample)
     seed = _resolve_seed(args.seed)
-    cfg = _mcmc_config(args, seed)
+    cfg = _mcmc_config(args)
     n_strata = meta.get("n_strata")
     if args.strata_count is not None:
         n_strata = check_int(args.strata_count, "--strata-count", data.min_strata())
-    trace = run_chain(data, cfg, n_strata=n_strata)
+    trace = run_chain(data, cfg, seed, n_strata=n_strata)
     os.makedirs(args.out, exist_ok=True)
     io.save_trace_csv(trace, os.path.join(args.out, "trace.csv"))
     io.save_chain_summary(trace, os.path.join(args.out, "summary.json"), extra_meta=meta or None)
@@ -144,12 +143,7 @@ def cmd_mle(args) -> int:
     _check_inputs(args.edges, args.strata)
     graph = io.load_graph(args.edges, args.strata)
     est = mle_from_full_graph(graph)
-    doc = {
-        "N": est.n,
-        "lambda": [float(x) for x in est.lam],
-        "beta_upper": [io._float_or_none(x) for x in est.beta],
-    }
-    io._dump_json(doc, args.out)
+    io.save_mle(est, args.out)
     print(f"N: {est.n}")
     print("lambda: " + " ".join(f"{x:.4f}" for x in est.lam))
     return EXIT_OK

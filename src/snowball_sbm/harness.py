@@ -9,7 +9,7 @@ clustered contact data.
 """
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -96,8 +96,7 @@ class StudyConfig:
     (``params`` + ``population_size``, optionally clustered). Seeds derive
     from ``master_seed`` by a fixed rule (:func:`population_seed`,
     :func:`replicate_seeds`), so a study is reproducible bit for bit and
-    each replicate can be rerun alone; per-replicate seeds in
-    ``design``/``mcmc`` are ignored. All chains run in one process, in
+    each replicate can be rerun alone. All chains run in one process, in
     lockstep.
     """
 
@@ -201,7 +200,7 @@ def run_study(cfg: StudyConfig) -> StudySummary:
     for index in range(cfg.replicates):
         design_seed, chain_seed = replicate_seeds(cfg.master_seed, index)
         try:
-            s0 = draw_initial(population, replace(cfg.design, seed=design_seed))
+            s0 = draw_initial(population, cfg.design, design_seed)
             samples.append(chain_stats(to_ignored_data(trace_one_wave(population, s0)), cfg.mcmc, g))
         except (ValidationError, ArithmeticError) as exc:  # bad sample; bugs propagate
             logger.warning("replicate %d failed: %s", index, exc)

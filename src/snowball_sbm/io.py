@@ -16,6 +16,7 @@ from .augmentation import ChainTrace, McmcConfig
 from .harness import ClusterOverlay, StudyConfig, StudySummary, estimand_names
 from .sampling import DesignConfig, IgnoredData, SnowballSample
 from .sbm import (
+    MleEstimates,
     PopulationGraph,
     SbmParams,
     ValidationError,
@@ -33,6 +34,11 @@ def _dump_json(obj, path):
     with open(path, "w", newline="\n") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
+
+
+def _float_or_none(x):
+    x = float(x)
+    return None if math.isnan(x) else x
 
 
 def _load_json(path):
@@ -152,6 +158,21 @@ def load_graph(edges_path: str, strata_path: str) -> PopulationGraph:
     return PopulationGraph(strata=strata, edges=np.array(pairs, dtype=np.int64).reshape(-1, 2))
 
 
+# ------------------------------------------------------------------- mle
+
+def mle_to_doc(est: MleEstimates) -> dict:
+    """``N``, ``lambda`` and ``beta_upper``; a beta with no pairs (NaN) is null."""
+    return {
+        "N": est.n,
+        "lambda": [float(x) for x in est.lam],
+        "beta_upper": [_float_or_none(x) for x in est.beta],
+    }
+
+
+def save_mle(est: MleEstimates, path: str):
+    _dump_json(mle_to_doc(est), path)
+
+
 # ---------------------------------------------------------------- sample
 
 def sample_to_doc(data: IgnoredData, meta: dict | None = None) -> dict:
@@ -171,14 +192,15 @@ def save_sample(data: IgnoredData, path: str, meta: dict | None = None):
     _dump_json(sample_to_doc(data, meta), path)
 
 
-def sample_meta(sample: SnowballSample, cfg: DesignConfig, n_strata: int | None = None) -> dict:
-    """Provenance for a traced sample; the true size travels here, outside
-    the estimator-visible fields."""
+def sample_meta(sample: SnowballSample, cfg: DesignConfig, seed: int | None,
+                n_strata: int | None = None) -> dict:
+    """Provenance for a sample traced from an initial draw under ``cfg`` and
+    ``seed``; the true size travels here, outside the estimator-visible fields."""
     meta = {
         "design_mode": cfg.mode,
         "model_misspecified": cfg.misspecified,
         "conditioning": "fixed initial sample size",
-        "seed": cfg.seed,
+        "seed": seed,
     }
     if cfg.mode == "bernoulli":
         meta["q"] = cfg.q
@@ -307,6 +329,7 @@ def load_study_config(path: str) -> StudyConfig:
             except (TypeError, ValidationError) as exc:
                 raise ValidationError(f"{path}: bad clustering options ({exc})") from exc
 
+    # a study derives every seed from master_seed, so a seed in these sections is dropped
     design_doc = dict(_object(_require(doc, "design", path), "design", path))
     design_doc.pop("seed", None)
     mcmc_doc = dict(_object(doc.get("mcmc", {}), "mcmc", path))
@@ -329,11 +352,6 @@ def load_study_config(path: str) -> StudyConfig:
         raise ValidationError(f"{path}: {exc}") from exc
 
 
-def _float_or_none(x):
-    x = float(x)
-    return None if math.isnan(x) else x
-
-
 def save_study_outputs(summary: StudySummary, out_dir: str):
     """Write estimates.csv, summary.json, and one hist_<name>.csv per estimand."""
     os.makedirs(out_dir, exist_ok=True)
@@ -351,11 +369,7 @@ def save_study_outputs(summary: StudySummary, out_dir: str):
 
     doc = {
         "true_n": summary.true_n,
-        "targets": {
-            "N": summary.targets.n,
-            "lambda": [float(x) for x in summary.targets.lam],
-            "beta_upper": [_float_or_none(x) for x in summary.targets.beta],
-        },
+        "targets": mle_to_doc(summary.targets),
         "stats": {
             name: {k: _float_or_none(v) for k, v in entry.items()}
             for name, entry in summary.stats.items()

@@ -59,19 +59,6 @@ def escape_probability(strata_s0, params: SbmParams) -> EscapeProbability:
     return EscapeProbability(one_minus_p=float(one_minus_p), log_one_minus_p=float(log_omp))
 
 
-def wave_inclusion_probability(counts_s0, params: SbmParams) -> float:
-    """p' = sum_k lambda_k (1 - prod_l (1 - beta_{k,l})^{n0l}).
-
-    The marginal probability that a unit outside the initial sample joins the
-    wave, given only the initial sample's stratum composition; the wave size
-    is Binomial(N - n0, p') under the model.
-    """
-    counts = np.asarray(counts_s0, dtype=np.float64)
-    beta = symmetric_from_upper(params.beta, counts.size)
-    log_avoid = xlog1py(counts[None, :], -beta).sum(axis=1)
-    return float(np.sum(params.lam * -np.expm1(log_avoid)))
-
-
 def n_free_terms(stats: SampleStats, params: SbmParams) -> tuple[float, float]:
     """``(block, log(1 - p))``, the factors of both likelihoods that do not
     depend on N: the stratum terms of all sampled units plus the link terms

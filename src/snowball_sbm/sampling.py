@@ -34,7 +34,6 @@ class DesignConfig:
     mode: str = "bernoulli"
     q: float | None = None
     n0: int | None = None
-    seed: int | None = None
 
     def __post_init__(self):
         if self.mode not in INITIAL_MODES:
@@ -53,10 +52,10 @@ class DesignConfig:
         return self.mode == "degree_biased"
 
 
-def draw_initial(graph: PopulationGraph, cfg: DesignConfig) -> np.ndarray:
-    """Select the initial sample; returns sorted node ids."""
+def draw_initial(graph: PopulationGraph, cfg: DesignConfig, seed=None) -> np.ndarray:
+    """Select the initial sample; returns sorted node ids. Deterministic given ``seed``."""
     n = graph.n_nodes
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     if cfg.mode == "bernoulli":
         return np.flatnonzero(rng.random(n) < cfg.q)
     if cfg.n0 > n:

@@ -22,12 +22,10 @@ from snowball_sbm import (
     draw_initial,
     draw_lambda,
     generate_population,
-    impute_link_counts,
     run_study,
     sufficient_counts,
     to_ignored_data,
     trace_one_wave,
-    wave_inclusion_probability,
 )
 from snowball_sbm.augmentation import beta_posterior_params, lambda_posterior_params, posterior_counts
 from snowball_sbm.harness import SURVEY_SCALE_N, survey_scale_params
@@ -36,6 +34,7 @@ from snowball_sbm.logmath import log_binom
 from snowball_sbm.sampling import IgnoredData, SampleStats
 from snowball_sbm.sbm import symmetric_from_upper
 
+from references import impute_link_counts, wave_inclusion_probability
 from test_augmentation import (
     FRAC_BETA,
     FRAC_LAM,
@@ -360,7 +359,7 @@ def test_criterion_8_wave_size_law():
     by_comp = {}
     for seed in range(10_000):
         graph = generate_population(params, n, seed=seed)
-        s0 = draw_initial(graph, DesignConfig(mode="fixed_size", n0=n0, seed=seed + 50_000))
+        s0 = draw_initial(graph, DesignConfig(mode="fixed_size", n0=n0), seed + 50_000)
         sample = trace_one_wave(graph, s0)
         comp = tuple(int(c) for c in np.bincount(sample.strata_s0, minlength=2))
         by_comp.setdefault(comp, []).append(sample.n1)

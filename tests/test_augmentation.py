@@ -19,7 +19,6 @@ from snowball_sbm import (
     draw_population_size,
     generate_population,
     gibbs_sweep,
-    impute_link_counts,
     impute_strata,
     run_chain,
     sufficient_counts,
@@ -38,6 +37,7 @@ from snowball_sbm.sampling import IgnoredData, SampleStats
 from snowball_sbm.sbm import symmetric_from_upper
 
 from dense_links import dense_links
+from references import impute_link_counts
 from test_likelihoods import make_data, stats_of
 
 
@@ -467,7 +467,7 @@ class TestGibbsSweep:
     def test_deterministic_given_seed_and_state(self):
         data = self.setup_data()
         stats = SampleStats.from_data(data, 2)
-        cfg = McmcConfig(seed=9)
+        cfg = McmcConfig()
         state = initial_state(stacked(stats))
         a = gibbs_sweep(state, stacked(stats), cap_of(stats, cfg), cfg, [np.random.default_rng(9)])
         b = gibbs_sweep(state, stacked(stats), cap_of(stats, cfg), cfg, [np.random.default_rng(9)])
@@ -599,7 +599,7 @@ class TestStreamEquivalence:
 def draw_initial_ids(graph, n0):
     from snowball_sbm import DesignConfig, draw_initial
 
-    return draw_initial(graph, DesignConfig(mode="fixed_size", n0=n0, seed=1))
+    return draw_initial(graph, DesignConfig(mode="fixed_size", n0=n0), 1)
 
 
 class TestRunChain:
@@ -607,7 +607,7 @@ class TestRunChain:
         params = SbmParams([0.5, 0.5], [0.3, 0.1, 0.2])
         graph = generate_population(params, 20, seed=8)
         data = to_ignored_data(trace_one_wave(graph, draw_initial_ids(graph, 4)))
-        trace = run_chain(data, McmcConfig(chain_length=1, burn_in_fraction=0.0, seed=2))
+        trace = run_chain(data, McmcConfig(chain_length=1, burn_in_fraction=0.0), 2)
         assert trace.chain_length == 1
         est = trace.estimates()
         assert est.n_mean == trace.n_draws[0]
@@ -617,7 +617,7 @@ class TestRunChain:
         params = SbmParams([0.5, 0.5], [0.3, 0.1, 0.2])
         graph = generate_population(params, 25, seed=12)
         data = to_ignored_data(trace_one_wave(graph, draw_initial_ids(graph, 5)))
-        trace = run_chain(data, McmcConfig(chain_length=40, burn_in_fraction=0.1, seed=3))
+        trace = run_chain(data, McmcConfig(chain_length=40, burn_in_fraction=0.1), 3)
         assert trace.burn_in == 4
         est = trace.estimates()
         assert est.n_mean == pytest.approx(trace.n_draws[4:].mean(), abs=1e-12)
@@ -648,7 +648,7 @@ class TestRunChain:
         graph = generate_population(params, 30, seed=21)
         s0 = draw_initial_ids(graph, 6)
         base = run_chain(
-            to_ignored_data(trace_one_wave(graph, s0)), McmcConfig(chain_length=50, seed=77)
+            to_ignored_data(trace_one_wave(graph, s0)), McmcConfig(chain_length=50), 77
         )
         perm = np.random.default_rng(1).permutation(30)
         relabeled_graph = type(graph)(
@@ -657,7 +657,7 @@ class TestRunChain:
         inverse = np.argsort(perm)
         other = run_chain(
             to_ignored_data(trace_one_wave(relabeled_graph, inverse[s0])),
-            McmcConfig(chain_length=50, seed=77),
+            McmcConfig(chain_length=50), 77,
         )
         assert np.array_equal(base.n_draws, other.n_draws)
         assert np.array_equal(base.lam_draws, other.lam_draws)
@@ -671,8 +671,8 @@ class TestRunChain:
         params = SbmParams([0.5, 0.5], [0.3, 0.1, 0.2])
         graph = generate_population(params, 60, seed=31)
         data = to_ignored_data(trace_one_wave(graph, draw_initial_ids(graph, 12)))
-        short = run_chain(data, McmcConfig(chain_length=1000, seed=100))
-        long = run_chain(data, McmcConfig(chain_length=10_000, seed=200))
+        short = run_chain(data, McmcConfig(chain_length=1000), 100)
+        long = run_chain(data, McmcConfig(chain_length=10_000), 200)
         lam_short = short.retained()[1][::10, 0]
         lam_long = long.retained()[1][::10, 0]
         assert ks_2samp(lam_short, lam_long).pvalue > 0.01
@@ -680,4 +680,4 @@ class TestRunChain:
     def test_stray_stratum_label_rejected(self):
         data = make_data([0, 2], [], [])
         with pytest.raises(ValidationError):
-            run_chain(data, McmcConfig(chain_length=2, seed=0), n_strata=2)
+            run_chain(data, McmcConfig(chain_length=2), 0, n_strata=2)

@@ -47,8 +47,8 @@ def test_simulation_based_calibration():
         lam = rng.dirichlet([1.0, 1.0])  # prior_alpha = 1
         beta_upper = rng.beta(*cfg.prior_gamma, size=3)
         graph = generate_population(SbmParams(lam, beta_upper), n, seed=int(rng.integers(2**31)))
-        design = DesignConfig(mode="fixed_size", n0=N0, seed=int(rng.integers(2**31)))
-        sample = trace_one_wave(graph, draw_initial(graph, design))
+        design = DesignConfig(mode="fixed_size", n0=N0)
+        sample = trace_one_wave(graph, draw_initial(graph, design, int(rng.integers(2**31))))
         stats.append(chain_stats(to_ignored_data(sample), cfg, 2))
         truths.append([n, lam[0], *beta_upper])
         seeds.append(int(rng.integers(2**31)))

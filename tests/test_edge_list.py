@@ -198,7 +198,7 @@ def test_city_scale_population_work_stays_small():
     try:
         graph = generate_population(params, n, seed=5)
         counts = sufficient_counts(graph, 2)
-        s0 = draw_initial(graph, DesignConfig(mode="bernoulli", q=0.05, seed=6))
+        s0 = draw_initial(graph, DesignConfig(mode="bernoulli", q=0.05), 6)
         sample = trace_one_wave(graph, s0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -217,7 +217,7 @@ def test_city_scale_sample_path_stays_small(tmp_path):
     scale = 595 / n
     params = SbmParams([0.425, 0.575], [0.0046 * scale, 0.0014 * scale, 0.0058 * scale])
     graph = generate_population(params, n, seed=5)
-    s0 = draw_initial(graph, DesignConfig(mode="bernoulli", q=0.05, seed=6))
+    s0 = draw_initial(graph, DesignConfig(mode="bernoulli", q=0.05), 6)
     path = str(tmp_path / "sample.json")
     tracemalloc.start()
     try:

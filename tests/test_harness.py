@@ -62,7 +62,6 @@ class TestRunStudy:
     def test_single_replicate_matches_direct_pipeline(self):
         from snowball_sbm import draw_initial, run_chain, to_ignored_data, trace_one_wave
         from snowball_sbm.harness import population_seed, resolve_population
-        from dataclasses import replace
 
         cfg = small_study_config(replicates=1)
         summary = run_study(cfg)
@@ -70,9 +69,9 @@ class TestRunStudy:
 
         population = resolve_population(cfg)
         design_seed, chain_seed = replicate_seeds(cfg.master_seed, 0)
-        s0 = draw_initial(population, replace(cfg.design, seed=design_seed))
+        s0 = draw_initial(population, cfg.design, design_seed)
         data = to_ignored_data(trace_one_wave(population, s0))
-        trace = run_chain(data, replace(cfg.mcmc, seed=chain_seed), n_strata=2)
+        trace = run_chain(data, cfg.mcmc, chain_seed, n_strata=2)
         est = trace.estimates()
         assert summary.estimate_rows[0, 0] == pytest.approx(est.n_mean, abs=0)
         assert summary.estimate_rows[0, 1] == pytest.approx(est.lam[0], abs=0)
@@ -127,7 +126,6 @@ class TestRunStudy:
         rest take the negative-binomial draw. Each completed replicate must
         equal its own pipeline bit for bit, and the failures must match."""
         import snowball_sbm.augmentation as augmentation
-        from dataclasses import replace
 
         from snowball_sbm import draw_initial, run_chain, to_ignored_data, trace_one_wave
         from snowball_sbm.harness import resolve_population
@@ -158,10 +156,10 @@ class TestRunStudy:
         expected_rows, expected_failures, cap_hits = [], [], 0
         for index in range(cfg.replicates):
             design_seed, chain_seed = replicate_seeds(cfg.master_seed, index)
-            s0 = draw_initial(population, replace(cfg.design, seed=design_seed))
+            s0 = draw_initial(population, cfg.design, design_seed)
             data = to_ignored_data(trace_one_wave(population, s0))
             try:
-                trace = run_chain(data, replace(cfg.mcmc, seed=chain_seed), n_strata=3)
+                trace = run_chain(data, cfg.mcmc, chain_seed, n_strata=3)
             except ValidationError as exc:
                 expected_failures.append((index, str(exc)))
                 continue
@@ -191,9 +189,9 @@ class TestSurveyScaleBehavior:
         from snowball_sbm import draw_initial, run_chain, to_ignored_data, trace_one_wave
 
         population = generate_population(survey_scale_params(), SURVEY_SCALE_N, seed=90)
-        s0 = draw_initial(population, DesignConfig(mode="fixed_size", n0=90, seed=91))
+        s0 = draw_initial(population, DesignConfig(mode="fixed_size", n0=90), 91)
         data = to_ignored_data(trace_one_wave(population, s0))
-        trace = run_chain(data, McmcConfig(chain_length=1000, seed=92), n_strata=2)
+        trace = run_chain(data, McmcConfig(chain_length=1000), 92, n_strata=2)
         est = trace.estimates()
         assert 350 < est.n_mean < 950
         assert 0.3 < est.lam[0] < 0.6

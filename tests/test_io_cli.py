@@ -107,7 +107,7 @@ class TestSampleIo:
     def make_data(self, tmp_path):
         params = SbmParams([0.5, 0.5], [0.25, 0.1, 0.2])
         graph = generate_population(params, 40, seed=6)
-        s0 = draw_initial(graph, DesignConfig(mode="fixed_size", n0=6, seed=1))
+        s0 = draw_initial(graph, DesignConfig(mode="fixed_size", n0=6), 1)
         sample = trace_one_wave(graph, s0)
         return to_ignored_data(sample)
 
@@ -293,6 +293,33 @@ class TestCli:
         study_n_mean = float(study_rows[1].split(",")[3])
         assert study_n_mean == pytest.approx(est_summary["n_mean"], abs=0)
 
+    def test_study_seed_keys_are_dropped(self, tmp_path):
+        """A study derives every seed from master_seed, so a study file whose
+        design and mcmc carry a seed loads, and its outputs equal byte for
+        byte those of the same file without the seeds."""
+        config = {
+            "population": {"params": {"lambda": [0.5, 0.5], "beta": [0.25, 0.1, 0.2]}, "n": 40},
+            "replicates": 2,
+            "design": {"mode": "fixed_size", "n0": 6},
+            "mcmc": {"chain_length": 30},
+            "master_seed": 29,
+        }
+        seeded = json.loads(json.dumps(config))
+        seeded["design"]["seed"] = 1
+        seeded["mcmc"]["seed"] = 2
+        outputs = []
+        for name, doc in (("plain", config), ("seeded", seeded)):
+            cfg_path = tmp_path / f"{name}.json"
+            cfg_path.write_text(json.dumps(doc))
+            cfg = io.load_study_config(str(cfg_path))
+            assert cfg.design == DesignConfig(mode="fixed_size", n0=6)
+            assert cfg.mcmc == McmcConfig(chain_length=30)
+            out = tmp_path / f"{name}_out"
+            assert run_cli("simulate", "--config", str(cfg_path), "--out", str(out)) == 0
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert "summary.json" in outputs[0]
+        assert outputs[0] == outputs[1]
+
     def test_estimate_rejects_empty_initial_sample(self, tmp_path, params_file, capsys):
         out = str(tmp_path / "pop")
         run_cli("generate", "--params", params_file, "--n", "30", "--seed", "1", "--out", out)
@@ -338,7 +365,7 @@ class TestCli:
         run_cli("sample", "--edges", f"{out}/edges.tsv", "--strata", f"{out}/strata.csv",
                 "--design", "fixed:10", "--seed", "5", "--out", sample_path)
         data, _ = io.load_sample(sample_path)
-        run_chain(data, McmcConfig(chain_length=30, seed=1), n_strata=2)
+        run_chain(data, McmcConfig(chain_length=30), 1, n_strata=2)
         assert len(calls) == 1
         n_lo = data.n_sampled
         assert run_cli("profile", "--sample", sample_path, "--params", params_file,

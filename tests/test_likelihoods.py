@@ -14,11 +14,11 @@ from snowball_sbm import (
     escape_probability,
     ignored_log_likelihood,
     observed_log_likelihood,
-    wave_inclusion_probability,
 )
 from snowball_sbm.sbm import symmetric_from_upper
 
 from dense_links import dense_links
+from references import wave_inclusion_probability
 
 
 def make_data(strata_s0, strata_s1, link_pairs):

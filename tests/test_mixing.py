@@ -35,8 +35,8 @@ def test_population_size_mixes_on_large_samples():
     stats = []
     for seed in (1, 2, 3, 4):
         graph = generate_population(PARAMS, N, seed=seed)
-        design = DesignConfig(mode="fixed_size", n0=N0, seed=seed + 100)
-        sample = trace_one_wave(graph, draw_initial(graph, design))
+        design = DesignConfig(mode="fixed_size", n0=N0)
+        sample = trace_one_wave(graph, draw_initial(graph, design, seed + 100))
         stats.append(chain_stats(to_ignored_data(sample), cfg, 2))
     per_draw = []
     for trace in run_chains(stats, cfg, [1001, 1002, 1003, 1004]):

@@ -31,7 +31,7 @@ def layout_case(g):
     pairs = g * (g + 1) // 2
     params = SbmParams(rng.dirichlet(np.ones(g)), rng.uniform(0.1, 0.5, pairs))
     graph = generate_population(params, 30, seed=g)
-    s0 = draw_initial(graph, DesignConfig(mode="fixed_size", n0=8, seed=g))
+    s0 = draw_initial(graph, DesignConfig(mode="fixed_size", n0=8), g)
     return params, graph, to_ignored_data(trace_one_wave(graph, s0))
 
 
@@ -48,10 +48,10 @@ def test_last_axis_is_the_upper_triangle(g):
     counts = sufficient_counts(graph, g)
     stats = SampleStats.from_data(data, g)
     batch = SampleStats.stack([stats])
-    cfg = McmcConfig(chain_length=5, seed=g)
+    cfg = McmcConfig(chain_length=5)
     state = gibbs_sweep(initial_state(batch), batch, np.array([cfg.effective_cap(stats.n_sampled)]), cfg,
                         [np.random.default_rng(g)])
-    trace = run_chain(data, cfg, n_strata=g)
+    trace = run_chain(data, cfg, g, n_strata=g)
     arrays = {
         "SbmParams.beta": params.beta,
         "SufficientCounts.link_counts": counts.link_counts,

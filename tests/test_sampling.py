@@ -37,43 +37,43 @@ def small_population():
 
 class TestDrawInitial:
     def test_q_zero_empty(self, small_population):
-        cfg = DesignConfig(mode="bernoulli", q=0.0, seed=1)
-        assert draw_initial(small_population, cfg).size == 0
+        cfg = DesignConfig(mode="bernoulli", q=0.0)
+        assert draw_initial(small_population, cfg, 1).size == 0
 
     def test_q_one_everyone(self, small_population):
-        cfg = DesignConfig(mode="bernoulli", q=1.0, seed=1)
-        assert draw_initial(small_population, cfg).tolist() == list(range(40))
+        cfg = DesignConfig(mode="bernoulli", q=1.0)
+        assert draw_initial(small_population, cfg, 1).tolist() == list(range(40))
 
     def test_bernoulli_binomial_moments(self):
         graph = PopulationGraph(strata=np.zeros(595, dtype=int), edges=np.zeros((0, 2), int))
         sizes = np.empty(10_000)
         for i in range(10_000):
-            sizes[i] = draw_initial(graph, DesignConfig(mode="bernoulli", q=0.15, seed=i)).size
+            sizes[i] = draw_initial(graph, DesignConfig(mode="bernoulli", q=0.15), i).size
         se = np.sqrt(595 * 0.15 * 0.85 / 10_000)
         assert abs(sizes.mean() - 89.25) < 3 * se
 
     def test_fixed_size(self, small_population):
-        ids = draw_initial(small_population, DesignConfig(mode="fixed_size", n0=7, seed=3))
+        ids = draw_initial(small_population, DesignConfig(mode="fixed_size", n0=7), 3)
         assert ids.size == 7
         assert np.unique(ids).size == 7
 
     def test_fixed_size_too_large(self, small_population):
-        cfg = DesignConfig(mode="fixed_size", n0=41, seed=3)
+        cfg = DesignConfig(mode="fixed_size", n0=41)
         with pytest.raises(ValidationError, match="exceeds"):
-            draw_initial(small_population, cfg)
+            draw_initial(small_population, cfg, 3)
 
     def test_degree_biased_prefers_hubs(self):
         graph = star_graph(30)
         hits = 0
         for seed in range(400):
-            ids = draw_initial(graph, DesignConfig(mode="degree_biased", n0=1, seed=seed))
+            ids = draw_initial(graph, DesignConfig(mode="degree_biased", n0=1), seed)
             hits += 0 in ids
         # center carries weight 31 of 91; uniform would give ~13/400
         assert hits > 60
 
     def test_degree_biased_can_pick_isolated_nodes(self):
         graph = PopulationGraph(strata=np.zeros(5, dtype=int), edges=np.zeros((0, 2), int))
-        ids = draw_initial(graph, DesignConfig(mode="degree_biased", n0=3, seed=0))
+        ids = draw_initial(graph, DesignConfig(mode="degree_biased", n0=3), 0)
         assert ids.size == 3
 
     def test_config_validation(self):
@@ -96,7 +96,7 @@ class TestTraceOneWave:
         assert sample.s1.tolist() == [1, 2, 3, 4, 5, 6]
 
     def test_wave_is_exactly_linked_complement(self, small_population):
-        s0 = draw_initial(small_population, DesignConfig(mode="fixed_size", n0=8, seed=4))
+        s0 = draw_initial(small_population, DesignConfig(mode="fixed_size", n0=8), 4)
         sample = trace_one_wave(small_population, s0)
         linked = small_population.adjacency[s0].any(axis=0)
         expected = sorted(set(np.flatnonzero(linked)) - set(s0.tolist()))
@@ -114,7 +114,7 @@ class TestTraceOneWave:
             trace_one_wave(small_population, [41])
 
     def test_every_wave_member_linked_to_s0(self, small_population):
-        s0 = draw_initial(small_population, DesignConfig(mode="bernoulli", q=0.2, seed=8))
+        s0 = draw_initial(small_population, DesignConfig(mode="bernoulli", q=0.2), 8)
         sample = trace_one_wave(small_population, s0)
         wave_block = dense_links(sample)[:, sample.n0 :]
         assert wave_block.any(axis=0).all()
@@ -155,7 +155,7 @@ class TestToIgnoredData:
     def test_relabeling_gives_isomorphic_reduction(self, small_population):
         # permuting node ids must leave every label-free invariant unchanged
         rng = np.random.default_rng(10)
-        s0 = draw_initial(small_population, DesignConfig(mode="fixed_size", n0=6, seed=11))
+        s0 = draw_initial(small_population, DesignConfig(mode="fixed_size", n0=6), 11)
         base = to_ignored_data(trace_one_wave(small_population, s0))
         for _ in range(5):
             perm = rng.permutation(40)
@@ -187,14 +187,14 @@ class TestToIgnoredData:
 class TestWaveSizeLaw:
     def test_moments_against_binomial(self):
         """Wave size given the initial strata composition is Binomial(N - n0, p')."""
-        from snowball_sbm import wave_inclusion_probability
+        from references import wave_inclusion_probability
 
         params = SbmParams([0.5, 0.5], [0.08, 0.04, 0.06])
         n, n0 = 40, 6
         by_comp = {}
         for seed in range(3000):
             graph = generate_population(params, n, seed=seed)
-            s0 = draw_initial(graph, DesignConfig(mode="fixed_size", n0=n0, seed=seed + 10_000))
+            s0 = draw_initial(graph, DesignConfig(mode="fixed_size", n0=n0), seed + 10_000)
             sample = trace_one_wave(graph, s0)
             comp = tuple(np.bincount(sample.strata_s0, minlength=2))
             by_comp.setdefault(comp, []).append(sample.n1)
@@ -213,7 +213,7 @@ def test_sample_stats_are_sufficient_statistics_only():
     graph = generate_population(SbmParams([0.4, 0.6], [0.002, 0.001, 0.003]), 3000, seed=2)
     stats = [
         SampleStats.from_data(
-            to_ignored_data(trace_one_wave(graph, draw_initial(graph, DesignConfig("fixed_size", n0=n0, seed=n0)))), 2
+            to_ignored_data(trace_one_wave(graph, draw_initial(graph, DesignConfig("fixed_size", n0=n0), n0))), 2
         )
         for n0 in (750, 40)
     ]

@@ -13,9 +13,11 @@ from scipy.special import betainc, gammaln, xlog1py, xlogy
 
 from snowball_sbm import SbmParams, SufficientCounts
 from snowball_sbm.augmentation import _takes_negative_binomial, population_size_log_weights
-from snowball_sbm.likelihoods import stratum_escape_log_weights, wave_inclusion_probability
+from snowball_sbm.likelihoods import stratum_escape_log_weights
 from snowball_sbm.logmath import log_binom
 from snowball_sbm.sbm import counts_log_likelihood, pair_totals_from_counts, symmetric_from_upper
+
+from references import wave_inclusion_probability
 
 # lambda with an empty stratum; beta with impossible and certain pairs
 EDGE_PARAMS = SbmParams([0.0, 0.4, 0.6], [0.0, 0.0, 1.0, 1.0, 0.05, 0.0])
