@@ -2,25 +2,19 @@
 
 Subcommands: generate, sample, estimate, mle, simulate, profile. Every
 command is deterministic given --seed; omitting it draws one from entropy
-and prints it so the run stays replayable. Exit codes: 0 success,
-2 validation error, 3 runtime/numeric error.
+and prints it so the run stays replayable. Each command imports only the
+layers it runs. Exit codes: 0 success, 2 validation error, 3 runtime/numeric
+error.
 """
 
 import argparse
 import dataclasses
 import logging
 import os
-import secrets
 import sys
 
-import numpy as np
-
 from . import io
-from .augmentation import McmcConfig, run_chain
-from .harness import run_study
-from .likelihoods import ignored_log_likelihood, n_free_terms, observed_log_likelihood
-from .sampling import DesignConfig, SampleStats, draw_initial, to_ignored_data, trace_one_wave
-from .sbm import ValidationError, check_int, generate_population, mle_from_full_graph
+from .sbm import ValidationError, check_int
 
 logger = logging.getLogger("snowball_sbm")
 
@@ -37,6 +31,7 @@ def _setup_logging():
 
 def _resolve_seed(seed: int | None) -> int:
     if seed is None:
+        import secrets
         seed = secrets.randbits(63)
         print(f"seed: {seed}")
     return check_int(seed, "--seed", 0)
@@ -73,7 +68,8 @@ DESIGNS = {  # --design prefix -> (DesignConfig mode, field, parser)
 }
 
 
-def _parse_design(text: str) -> DesignConfig:
+def _parse_design(text: str):
+    from .sampling import DesignConfig
     kind, _, value = text.partition(":")
     if kind not in DESIGNS or not value:
         raise ValidationError(f"--design must look like bernoulli:q, fixed:n0 or degree:n0, got {text!r}")
@@ -86,16 +82,8 @@ def _parse_design(text: str) -> DesignConfig:
     return DesignConfig(mode=mode, **{field: parsed})
 
 
-def _mcmc_config(args) -> McmcConfig:
-    return McmcConfig(
-        chain_length=args.chain_length,
-        burn_in_fraction=args.burn_in,
-        n_max_cap=args.cap,
-        cap_multiplier=args.cap_multiplier,
-    )
-
-
 def cmd_generate(args) -> int:
+    from .sbm import generate_population
     _check_inputs(args.params)
     params = io.load_params(args.params)
     seed = _resolve_seed(args.seed)
@@ -107,6 +95,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    from .sampling import draw_initial, to_ignored_data, trace_one_wave
     _check_inputs(args.edges, args.strata)
     graph = io.load_graph(args.edges, args.strata)
     seed = _resolve_seed(args.seed)
@@ -121,10 +110,12 @@ def cmd_sample(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    from .augmentation import McmcConfig, run_chain
     _check_inputs(args.sample)
     data, meta = io.load_sample(args.sample)
     seed = _resolve_seed(args.seed)
-    cfg = _mcmc_config(args)
+    cfg = McmcConfig(chain_length=args.chain_length, burn_in_fraction=args.burn_in, n_max_cap=args.cap,
+                     cap_multiplier=args.cap_multiplier)
     n_strata = meta.get("n_strata")
     if args.strata_count is not None:
         n_strata = check_int(args.strata_count, "--strata-count", data.min_strata())
@@ -140,6 +131,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_mle(args) -> int:
+    from .sbm import mle_from_full_graph
     _check_inputs(args.edges, args.strata)
     graph = io.load_graph(args.edges, args.strata)
     est = mle_from_full_graph(graph)
@@ -150,6 +142,7 @@ def cmd_mle(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .harness import run_study
     _check_inputs(args.config)
     cfg = io.load_study_config(args.config)
     overrides = {}
@@ -171,6 +164,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_profile(args) -> int:
+    from .likelihoods import ignored_log_likelihood, n_free_terms, observed_log_likelihood
+    from .sampling import SampleStats
     _check_inputs(args.sample, args.params)
     data, _ = io.load_sample(args.sample)
     params = io.load_params(args.params)

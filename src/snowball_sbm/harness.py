@@ -22,6 +22,7 @@ from .sbm import (
     ValidationError,
     _is_finite_number,
     check_int,
+    estimand_names,
     generate_population,
     mle_from_full_graph,
     upper_indices,
@@ -146,12 +147,6 @@ def resolve_population(cfg: StudyConfig) -> PopulationGraph:
     if cfg.clustering is not None:
         return clustered_population(cfg.params, cfg.population_size, cfg.clustering, seed)
     return generate_population(cfg.params, cfg.population_size, seed)
-
-
-def estimand_names(g: int) -> list[str]:
-    names = ["N"] + [f"lambda_{k + 1}" for k in range(g)]
-    names += [f"beta_{k + 1}_{l + 1}" for k in range(g) for l in range(k, g)]
-    return names
 
 
 @dataclass(frozen=True)

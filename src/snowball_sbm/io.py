@@ -6,28 +6,45 @@ CSV/TSV carry bulk numbers. All writers emit deterministic bytes for a given
 input (sorted keys, fixed float repr, LF newlines).
 """
 
+import bisect
+import contextlib
 import json
 import math
 import os
+import warnings
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .augmentation import ChainTrace, McmcConfig
-from .harness import ClusterOverlay, StudyConfig, StudySummary, estimand_names
-from .sampling import DesignConfig, IgnoredData, SnowballSample
 from .sbm import (
     MleEstimates,
     PopulationGraph,
+    RowError,
     SbmParams,
     ValidationError,
     _is_finite_number,
     _is_integer,
     check_int,
+    estimand_names,
+    first_fault,
+    later_repeats,
     validate_params,
 )
 
+if TYPE_CHECKING:  # the layers above sbm load only with the commands that run them
+    from .augmentation import ChainTrace
+    from .harness import StudyConfig, StudySummary
+    from .sampling import DesignConfig, IgnoredData, SnowballSample
+
 EDGE_HEADER = "u\tv"
 STRATA_HEADER = "node_id,stratum"
+# messages for the rows that load_graph rejects, by RowError fault
+EDGE_FAULTS = {"self-link": "{path}:{line}: self-link {u}", "range": "{path}:{line}: node id outside 0..{top}",
+               "duplicate": "{path}:{line}: duplicate edge {u},{v}"}
+STRATA_FAULTS = {"label": "{path}:{line}: strata are labeled 1..G", "duplicate": "{path}: duplicate node id {u}"}
+# keys a study file may hold; threads is accepted and has no effect
+STUDY_FIELDS = {"population", "replicates", "design", "mcmc", "master_seed", "bins", "threads"}
+POPULATION_FIELDS = {"edges", "strata", "params_file", "params", "n", "clustering"}
 
 
 def _dump_json(obj, path):
@@ -104,58 +121,77 @@ def _checked_params(doc: dict, where: str, g: int | None = None) -> SbmParams:
 def save_graph(graph: PopulationGraph, edges_path: str, strata_path: str):
     """Edge-list TSV (u < v, one pair per line) plus a strata CSV covering
     every node, isolated ones included."""
-    with open(edges_path, "w", newline="\n") as fh:
-        fh.write(EDGE_HEADER + "\n")
-        fh.writelines(f"{u}\t{v}\n" for u, v in graph.edges.tolist())
-    with open(strata_path, "w", newline="\n") as fh:
-        fh.write(STRATA_HEADER + "\n")
-        for node, stratum in enumerate(graph.strata):
-            fh.write(f"{node},{stratum + 1}\n")
+    strata = np.column_stack([np.arange(graph.n_nodes), graph.strata + 1])
+    for path, header, sep, rows in ((edges_path, EDGE_HEADER, "\t", graph.edges),
+                                    (strata_path, STRATA_HEADER, ",", strata)):
+        with open(path, "w", newline="\n") as fh:  # every row in one format call
+            fh.write(header + "\n" + (f"%d{sep}%d\n" * len(rows)) % tuple(rows.ravel().tolist()))
 
 
 def load_graph(edges_path: str, strata_path: str) -> PopulationGraph:
-    strata_rows = {}
-    with open(strata_path) as fh:
-        for line_no, line in enumerate(fh):
-            line = line.strip()
-            if not line or (line_no == 0 and line == STRATA_HEADER):
-                continue
-            try:
-                node_txt, stratum_txt = line.split(",")
-                node, stratum = int(node_txt), int(stratum_txt)
-            except ValueError as exc:
-                raise ValidationError(f"{strata_path}:{line_no + 1}: bad row {line!r}") from exc
-            if stratum < 1:
-                raise ValidationError(f"{strata_path}:{line_no + 1}: strata are labeled 1..G")
-            if node in strata_rows:
-                raise ValidationError(f"{strata_path}: duplicate node id {node}")
-            strata_rows[node] = stratum - 1
-    n = len(strata_rows)
-    if set(strata_rows) != set(range(n)):
-        raise ValidationError(f"{strata_path}: node ids must cover 0..N-1 exactly once")
-    strata = np.array([strata_rows[i] for i in range(n)], dtype=np.int64)
+    """Read the files :func:`save_graph` writes, each with one numpy call. The
+    edges are checked by :class:`PopulationGraph`; the first bad line in
+    file order is reported as ``file:line``."""
 
-    pairs, seen = [], set()
-    with open(edges_path) as fh:
-        for line_no, line in enumerate(fh):
-            line = line.strip()
-            if not line or (line_no == 0 and line == EDGE_HEADER):
-                continue
-            try:
-                u_txt, v_txt = line.split("\t")
-                u, v = int(u_txt), int(v_txt)
-            except ValueError as exc:
-                raise ValidationError(f"{edges_path}:{line_no + 1}: bad row {line!r}") from exc
-            if u == v:
-                raise ValidationError(f"{edges_path}:{line_no + 1}: self-link {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValidationError(f"{edges_path}:{line_no + 1}: node id outside 0..{n - 1}")
-            pair = (min(u, v), max(u, v))
-            if pair in seen:
-                raise ValidationError(f"{edges_path}:{line_no + 1}: duplicate edge {u},{v}")
-            seen.add(pair)
-            pairs.append(pair)
-    return PopulationGraph(strata=strata, edges=np.array(pairs, dtype=np.int64).reshape(-1, 2))
+    def strata_from_rows(rows):
+        nodes, labels = rows.T
+        order, repeated = later_repeats(nodes)
+        fault = first_fault({"label": labels < 1, "duplicate": repeated})
+        if fault:
+            raise RowError(*fault)
+        if nodes.size and (nodes.min() < 0 or nodes.max() >= nodes.size):  # distinct, so a gap
+            raise ValidationError(f"{strata_path}: node ids must cover 0..N-1 exactly once")
+        return labels[order] - 1
+
+    strata = _load_rows(strata_path, STRATA_HEADER, ",", strata_from_rows, STRATA_FAULTS)
+    return _load_rows(edges_path, EDGE_HEADER, "\t", lambda rows: PopulationGraph(strata=strata, edges=rows),
+                      EDGE_FAULTS, top=strata.size - 1)
+
+
+def _int_rows(lines, sep: str) -> np.ndarray | None:
+    """``lines`` as an (R, 2) int64 array, blank ones skipped; None unless each row is two integers."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        try:
+            rows = np.loadtxt(lines, dtype=np.int64, delimiter=sep, comments=None, ndmin=2)
+        except ValueError:
+            return None
+    return rows.reshape(-1, 2) if rows.size == 0 or rows.shape[1] == 2 else None
+
+
+def _load_rows(path: str, header: str, sep: str, build, faults: dict, **fields):
+    """``build`` of the integer pairs that ``path`` holds one to a stripped
+    line, skipping blank lines and a first line equal to ``header``. The first
+    line that does not parse, or whose row ``build`` rejects with a RowError,
+    is reported: as a bad row, or by the fault's template in ``faults``."""
+    with open(path) as fh:
+        if fh.readline().strip() != header:
+            fh.seek(0)
+        rows = _int_rows(map(str.strip, fh), sep)
+    if rows is not None:
+        with contextlib.suppress(RowError):
+            return build(rows)
+    with open(path) as fh:
+        numbered = enumerate(map(str.strip, fh), 1)
+        lines = [(no, text) for no, text in numbered if text and (no, text) != (1, header)]
+    texts = [text for _, text in lines]
+
+    def fault(k):  # the error in the first k data rows, or None
+        rows = _int_rows(texts[:k], sep)
+        if rows is None:
+            return ValidationError(f"{path}:{lines[k - 1][0]}: bad row {texts[k - 1]!r}")
+        try:
+            build(rows)
+        except RowError as exc:
+            u, v = rows[exc.row].tolist()
+            line = lines[exc.row][0]
+            return ValidationError(faults[exc.fault].format(path=path, line=line, u=u, v=v, **fields))
+        except ValidationError:
+            pass  # a check of the whole file, such as the strata's coverage
+        return None
+
+    # a prefix of the rows is clean up to the first bad row and faulty from it on
+    raise fault(bisect.bisect_left(range(len(texts) + 1), True, key=lambda k: fault(k) is not None))
 
 
 # ------------------------------------------------------------------- mle
@@ -175,7 +211,7 @@ def save_mle(est: MleEstimates, path: str):
 
 # ---------------------------------------------------------------- sample
 
-def sample_to_doc(data: IgnoredData, meta: dict | None = None) -> dict:
+def sample_to_doc(data: "IgnoredData", meta: dict | None = None) -> dict:
     doc = {
         "n0": data.n0,
         "n1": data.n1,
@@ -188,11 +224,11 @@ def sample_to_doc(data: IgnoredData, meta: dict | None = None) -> dict:
     return doc
 
 
-def save_sample(data: IgnoredData, path: str, meta: dict | None = None):
+def save_sample(data: "IgnoredData", path: str, meta: dict | None = None):
     _dump_json(sample_to_doc(data, meta), path)
 
 
-def sample_meta(sample: SnowballSample, cfg: DesignConfig, seed: int | None,
+def sample_meta(sample: "SnowballSample", cfg: "DesignConfig", seed: int | None,
                 n_strata: int | None = None) -> dict:
     """Provenance for a sample traced from an initial draw under ``cfg`` and
     ``seed``; the true size travels here, outside the estimator-visible fields."""
@@ -215,6 +251,7 @@ def sample_meta(sample: SnowballSample, cfg: DesignConfig, seed: int | None,
 
 def load_sample(path: str):
     """Read a sample JSON; returns (IgnoredData, meta dict)."""
+    from .sampling import IgnoredData
     doc = _load_json(path)
     n0 = _require(doc, "n0", path)
     n1 = _require(doc, "n1", path)
@@ -267,7 +304,7 @@ def trace_header(g: int) -> str:
     return ",".join(["iter", *estimand_names(g)])
 
 
-def save_trace_csv(trace: ChainTrace, path: str):
+def save_trace_csv(trace: "ChainTrace", path: str):
     with open(path, "w", newline="\n") as fh:
         fh.write(trace_header(trace.n_strata) + "\n")
         for it in range(trace.chain_length):
@@ -277,7 +314,7 @@ def save_trace_csv(trace: ChainTrace, path: str):
             fh.write(",".join(vals) + "\n")
 
 
-def save_chain_summary(trace: ChainTrace, path: str, extra_meta: dict | None = None):
+def save_chain_summary(trace: "ChainTrace", path: str, extra_meta: dict | None = None):
     est = trace.estimates()
     doc = {
         "n_mean": est.n_mean,
@@ -302,20 +339,24 @@ def save_chain_summary(trace: ChainTrace, path: str, extra_meta: dict | None = N
 
 # ------------------------------------------------------------------ study
 
-def load_study_config(path: str) -> StudyConfig:
+def load_study_config(path: str) -> "StudyConfig":
+    from .augmentation import McmcConfig
+    from .harness import ClusterOverlay, StudyConfig
+    from .sampling import DesignConfig
     doc = _load_json(path)
-    base = os.path.dirname(os.path.abspath(path))
-
-    def _resolve(p):
-        return p if os.path.isabs(p) else os.path.join(base, p)
-
+    base = os.path.dirname(os.path.abspath(path))  # paths in the file are relative to it, unless absolute
     pop = _object(_require(doc, "population", path), "population", path)
+    for where, section, known in ((path, doc, STUDY_FIELDS), (f"{path}: population", pop, POPULATION_FIELDS)):
+        unknown = [key for key in section if key not in known]
+        if unknown:
+            raise ValidationError(f"{where}: {unknown[0]}: unknown field")
     kwargs = {}
     if "edges" in pop:
-        kwargs["population"] = load_graph(_resolve(pop["edges"]), _resolve(_require(pop, "strata", path)))
+        strata = os.path.join(base, _require(pop, "strata", path))
+        kwargs["population"] = load_graph(os.path.join(base, pop["edges"]), strata)
     else:
         if "params_file" in pop:
-            params = load_params(_resolve(pop["params_file"]))
+            params = load_params(os.path.join(base, pop["params_file"]))
         elif "params" in pop:
             spec = _object(pop["params"], "population: params", path)
             params = _checked_params(spec, f"{path}: population: params")
@@ -352,7 +393,7 @@ def load_study_config(path: str) -> StudyConfig:
         raise ValidationError(f"{path}: {exc}") from exc
 
 
-def save_study_outputs(summary: StudySummary, out_dir: str):
+def save_study_outputs(summary: "StudySummary", out_dir: str):
     """Write estimates.csv, summary.json, and one hist_<name>.csv per estimand."""
     os.makedirs(out_dir, exist_ok=True)
     est_path = os.path.join(out_dir, "estimates.csv")

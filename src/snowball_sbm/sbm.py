@@ -19,6 +19,14 @@ class ValidationError(ValueError):
     """Raised when inputs violate a documented invariant."""
 
 
+class RowError(ValidationError):
+    """A ValidationError naming the ``row`` of an input array and the ``fault`` that rejected it."""
+
+    def __init__(self, row: int, fault: str, message: str = ""):
+        super().__init__(message or f"row {row}: {fault}")
+        self.row, self.fault = row, fault
+
+
 def _is_integer(value) -> bool:
     """An int or numpy integer; bools, floats such as 2.0 and strings are not."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
@@ -52,6 +60,13 @@ def upper_indices(g: int):
     """
     rows, cols = np.triu_indices(g)
     return _freeze(rows), _freeze(cols)
+
+
+def estimand_names(g: int) -> list[str]:
+    """N, then lambda per stratum, then beta per pair in :func:`upper_indices` order."""
+    names = ["N"] + [f"lambda_{k + 1}" for k in range(g)]
+    names += [f"beta_{k + 1}_{l + 1}" for k in range(g) for l in range(k, g)]
+    return names
 
 
 @lru_cache(maxsize=16)
@@ -117,13 +132,29 @@ def validate_params(params: SbmParams) -> SbmParams:
     return params
 
 
+def later_repeats(values: np.ndarray):
+    """The stable sort order of ``values`` and a mask of the entries repeating an earlier one."""
+    order = np.argsort(values, kind="stable")
+    later = np.zeros(values.size, dtype=bool)
+    later[order[1:]] = values[order[1:]] == values[order[:-1]]
+    return order, later
+
+
+def first_fault(faults: dict) -> tuple[int, str] | None:
+    """(row, name) of the first row that a mask of ``faults`` (name -> row mask,
+    by precedence) marks, named by the first mask that marks it; else None."""
+    bad = np.flatnonzero(np.logical_or.reduce(list(faults.values())))
+    return (int(bad[0]), next(name for name, mask in faults.items() if mask[bad[0]])) if bad.size else None
+
+
 def canonical_pairs(pairs, n: int, what: str) -> np.ndarray:
     """An (E, 2) int64 array of unordered pairs of ids in 0..n-1, in canonical
     form: the smaller id first in each row, rows sorted, read-only.
 
-    Any pair order and row order is accepted; a wrong shape, self-links, ids
-    out of range and repeated pairs (in either orientation) are rejected,
-    the message naming each pair a ``what``.
+    Any pair order and row order is accepted; a wrong shape is rejected, and
+    a :class:`RowError` names the first row that is a self-link, has an id
+    out of range or repeats an earlier pair (in either orientation), the
+    message naming each pair a ``what``.
     """
     pairs = np.asarray(pairs, dtype=np.int64)
     if pairs.size == 0:
@@ -131,17 +162,13 @@ def canonical_pairs(pairs, n: int, what: str) -> np.ndarray:
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValidationError(f"{what}s must be an (E, 2) array of pairs, got shape {pairs.shape}")
     u, v = pairs.min(axis=1), pairs.max(axis=1)
-    if np.any(u == v):
-        raise ValidationError(f"self-link at node {int(u[u == v][0])}")
-    if u.size and (u.min() < 0 or v.max() >= n):
-        raise ValidationError(f"{what} node id outside 0..{n - 1}")
-    key = u * n + v
-    order = np.argsort(key)
-    key = key[order]
-    repeated = np.flatnonzero(key[1:] == key[:-1])
-    if repeated.size:
-        pair = order[repeated[0] + 1]
-        raise ValidationError(f"duplicate {what} {int(u[pair])},{int(v[pair])}")
+    order, repeated = later_repeats(u * n + v)
+    fault = first_fault({"self-link": u == v, "range": (u < 0) | (v >= n), "duplicate": repeated})
+    if fault:
+        a, b = int(u[fault[0]]), int(v[fault[0]])
+        messages = {"self-link": f"self-link at node {a}", "range": f"{what} node id outside 0..{n - 1}",
+                    "duplicate": f"duplicate {what} {a},{b}"}
+        raise RowError(*fault, messages[fault[1]])
     return _freeze(np.column_stack([u[order], v[order]]))
 
 

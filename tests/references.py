@@ -1,10 +1,12 @@
 """Independent reference computations that the tests compare the package
 against. The package never calls them: the sweep integrates the unobserved
-links out, and the escape probability 1 - p is computed another way."""
+links out, the escape probability 1 - p is computed another way, and graph
+files are parsed by numpy."""
 
 import numpy as np
 
-from snowball_sbm import SampleStats, SbmParams, ValidationError
+from snowball_sbm import PopulationGraph, SampleStats, SbmParams, ValidationError
+from snowball_sbm.io import EDGE_HEADER, STRATA_HEADER
 from snowball_sbm.logmath import xlog1py
 from snowball_sbm.sbm import pair_totals_from_counts, symmetric_from_upper
 
@@ -41,3 +43,52 @@ def wave_inclusion_probability(counts_s0, params: SbmParams) -> float:
     beta = symmetric_from_upper(params.beta, counts.size)
     log_avoid = xlog1py(counts[None, :], -beta).sum(axis=1)
     return float(np.sum(params.lam * -np.expm1(log_avoid)))
+
+
+def load_graph_per_line(edges_path: str, strata_path: str) -> PopulationGraph:
+    """The graph files read one line at a time, each line checked as it is
+    read, so the first bad line in file order is the one reported. This is
+    the reader `io.load_graph` replaced; its results and messages are the
+    reference for the numpy reader."""
+    strata_rows = {}
+    with open(strata_path) as fh:
+        for line_no, line in enumerate(fh):
+            line = line.strip()
+            if not line or (line_no == 0 and line == STRATA_HEADER):
+                continue
+            try:
+                node_txt, stratum_txt = line.split(",")
+                node, stratum = int(node_txt), int(stratum_txt)
+            except ValueError as exc:
+                raise ValidationError(f"{strata_path}:{line_no + 1}: bad row {line!r}") from exc
+            if stratum < 1:
+                raise ValidationError(f"{strata_path}:{line_no + 1}: strata are labeled 1..G")
+            if node in strata_rows:
+                raise ValidationError(f"{strata_path}: duplicate node id {node}")
+            strata_rows[node] = stratum - 1
+    n = len(strata_rows)
+    if set(strata_rows) != set(range(n)):
+        raise ValidationError(f"{strata_path}: node ids must cover 0..N-1 exactly once")
+    strata = np.array([strata_rows[i] for i in range(n)], dtype=np.int64)
+
+    pairs, seen = [], set()
+    with open(edges_path) as fh:
+        for line_no, line in enumerate(fh):
+            line = line.strip()
+            if not line or (line_no == 0 and line == EDGE_HEADER):
+                continue
+            try:
+                u_txt, v_txt = line.split("\t")
+                u, v = int(u_txt), int(v_txt)
+            except ValueError as exc:
+                raise ValidationError(f"{edges_path}:{line_no + 1}: bad row {line!r}") from exc
+            if u == v:
+                raise ValidationError(f"{edges_path}:{line_no + 1}: self-link {u}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValidationError(f"{edges_path}:{line_no + 1}: node id outside 0..{n - 1}")
+            pair = (min(u, v), max(u, v))
+            if pair in seen:
+                raise ValidationError(f"{edges_path}:{line_no + 1}: duplicate edge {u},{v}")
+            seen.add(pair)
+            pairs.append(pair)
+    return PopulationGraph(strata=strata, edges=np.array(pairs, dtype=np.int64).reshape(-1, 2))

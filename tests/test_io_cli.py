@@ -397,9 +397,9 @@ class TestInputHardening:
         return code, capsys.readouterr().err, str(path), out.exists()
 
     def simulate(self, tmp_path, capsys, monkeypatch, population=None, sections=None, **changes):
-        import snowball_sbm.cli as cli
+        import snowball_sbm.harness as harness
 
-        monkeypatch.setattr(cli, "run_study", lambda cfg: pytest.fail("a study ran on a bad config"))
+        monkeypatch.setattr(harness, "run_study", lambda cfg: pytest.fail("a study ran on a bad config"))
         config = {
             "population": {"params": {"lambda": [0.5, 0.5], "beta": [0.25, 0.1, 0.2]}, "n": 40,
                            **(population or {})},
@@ -452,6 +452,39 @@ class TestInputHardening:
         assert code == 2 and not wrote
         assert f"--strata-count must be an integer >= 2, got {count}" in err
 
+    @pytest.mark.parametrize("changes, where", [
+        ({"master_sed": 5}, "master_sed"),
+        ({"bin": 3}, "bin"),
+        ({"population": {"clustring": {"clique_size": 3}}}, "population: clustring"),
+    ], ids=["master_sed", "bin", "population.clustring"])
+    def test_study_unknown_field_rejected(self, tmp_path, capsys, monkeypatch, changes, where):
+        code, err, path = self.simulate(tmp_path, capsys, monkeypatch, **changes)
+        assert code == 2
+        assert f"{path}: {where}: unknown field" in err
+        assert not (tmp_path / "study").exists()
+
+    def test_golden_study_config_is_accepted(self, tmp_path):
+        """The control for the unknown-field checks: tests/test_golden.py's
+        study config, with its ``threads``, loads; so do the seeds a study
+        drops from ``design`` and ``mcmc``."""
+        golden = {
+            "population": {
+                "params": {"lambda": [0.425, 0.575], "beta": [0.0046, 0.0014, 0.0058]},
+                "n": 300,
+                "clustering": {"clique_size": 3, "background_scale": 0.5},
+            },
+            "replicates": 3,
+            "design": {"mode": "fixed_size", "n0": 45},
+            "mcmc": {"chain_length": 100},
+            "master_seed": 5,
+            "threads": 1,
+        }
+        path = tmp_path / "study.json"
+        for doc in (golden, {**golden, "design": {**golden["design"], "seed": 1}, "mcmc": {"seed": 2}}):
+            path.write_text(json.dumps(doc))
+            cfg = io.load_study_config(str(path))
+            assert (cfg.master_seed, cfg.bins, cfg.clustering.clique_size) == (5, 20, 3)
+
     def test_study_zero_bins_rejected_before_any_replicate(self, tmp_path, capsys, monkeypatch):
         code, err, path = self.simulate(tmp_path, capsys, monkeypatch, bins=0)
         assert code == 2
@@ -494,9 +527,9 @@ class TestInputHardening:
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_cap_multiplier_rejected(self, tmp_path, capsys, monkeypatch, value):
-        import snowball_sbm.cli as cli
+        import snowball_sbm.augmentation as augmentation
 
-        monkeypatch.setattr(cli, "run_chain", lambda *a, **k: pytest.fail("a chain ran"))
+        monkeypatch.setattr(augmentation, "run_chain", lambda *a, **k: pytest.fail("a chain ran"))
         code, err, _, wrote = self.estimate(tmp_path, capsys, "--cap-multiplier", value)
         assert code == 2 and not wrote
         assert f"cap_multiplier must be a finite number >= 1, got {value}" in err
@@ -506,9 +539,9 @@ class TestInputHardening:
         ({"G": 2, "lambda": 5, "beta": [0.25, 0.1, 0.2]}, "lambda must be a list of 2 numbers (G=2), got 5"),
     ], ids=["G-bool", "lambda-number"])
     def test_params_file_bad_field_rejected(self, tmp_path, capsys, monkeypatch, doc, message):
-        import snowball_sbm.cli as cli
+        import snowball_sbm.sbm as sbm
 
-        monkeypatch.setattr(cli, "generate_population", lambda *a, **k: pytest.fail("a population was built"))
+        monkeypatch.setattr(sbm, "generate_population", lambda *a, **k: pytest.fail("a population was built"))
         path = tmp_path / "params.json"
         path.write_text(json.dumps(doc))
         out = tmp_path / "pop"
@@ -522,9 +555,9 @@ class TestInputHardening:
         ("bernoulli:abc", "--design: bernoulli needs q as a number, got 'abc'"),
     ], ids=["fixed:1.5", "degree:x", "bernoulli:abc"])
     def test_malformed_design_rejected(self, tmp_path, capsys, monkeypatch, graph_files, design, message):
-        import snowball_sbm.cli as cli
+        import snowball_sbm.sampling as sampling
 
-        monkeypatch.setattr(cli, "draw_initial", lambda *a: pytest.fail("a sample was drawn"))
+        monkeypatch.setattr(sampling, "draw_initial", lambda *a: pytest.fail("a sample was drawn"))
         _, edges, strata = graph_files
         out = tmp_path / "s.json"
         code = run_cli("sample", "--edges", edges, "--strata", strata, "--design", design, "--seed", "1",
@@ -547,9 +580,10 @@ class TestInputHardening:
         assert code == 2 and not out.exists()
         assert "--seed must be an integer >= 0, got -1" in capsys.readouterr().err
 
-    # the first compute step of each command, as the cli module names it
-    COMPUTE = {"generate": "generate_population", "sample": "draw_initial", "estimate": "run_chain",
-               "mle": "mle_from_full_graph", "simulate": "run_study", "profile": "n_free_terms"}
+    # the first compute step of each command: its home module and name
+    COMPUTE = {"generate": ("sbm", "generate_population"), "sample": ("sampling", "draw_initial"),
+               "estimate": ("augmentation", "run_chain"), "mle": ("sbm", "mle_from_full_graph"),
+               "simulate": ("harness", "run_study"), "profile": ("likelihoods", "n_free_terms")}
 
     @pytest.mark.parametrize("command,out,message", [
         ("generate", "file.json/pop", "file.json is not a directory"),
@@ -568,9 +602,11 @@ class TestInputHardening:
             "profile-under-file", "estimate-empty", "profile-empty"])
     def test_unwritable_out_rejected_before_compute(self, tmp_path, capsys, monkeypatch, params_file,
                                                     graph_files, command, out, message):
-        import snowball_sbm.cli as cli
+        import importlib
 
-        monkeypatch.setattr(cli, self.COMPUTE[command], lambda *a, **k: pytest.fail("compute started"))
+        module, name = self.COMPUTE[command]
+        home = importlib.import_module(f"snowball_sbm.{module}")
+        monkeypatch.setattr(home, name, lambda *a, **k: pytest.fail("compute started"))
         monkeypatch.chdir(tmp_path)
         _, edges, strata = graph_files
         (tmp_path / "file.json").write_text("{}")
