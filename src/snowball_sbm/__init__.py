@@ -16,7 +16,7 @@ _EXPORTS = {  # module -> the public names it defines
     "sampling": "DesignConfig IgnoredData SampleStats SnowballSample draw_initial to_ignored_data "
                 "trace_one_wave",
     "likelihoods": "EscapeProbability escape_probability ignored_log_likelihood observed_log_likelihood",
-    "augmentation": "AugmentedState BayesEstimates ChainTrace McmcConfig draw_beta draw_lambda "
+    "augmentation": "AugmentedState ChainTrace McmcConfig draw_beta draw_lambda "
                     "draw_population_size gibbs_sweep impute_strata run_chain",
     "harness": "ClusterOverlay StudyConfig StudySummary clustered_population run_study summarize_histograms "
                "survey_scale_params",

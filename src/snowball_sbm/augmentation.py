@@ -41,6 +41,7 @@ from .sbm import (
     _freeze,
     _is_finite_number,
     check_int,
+    estimand_blocks,
     pair_totals_from_counts,
 )
 
@@ -281,25 +282,12 @@ def gibbs_sweep(state: AugmentedState, stats: SampleStats, cap: np.ndarray, cfg:
 
 
 @dataclass(frozen=True)
-class BayesEstimates:
-    """Posterior means (and spreads) over the retained part of a chain."""
-
-    n_mean: float
-    n_rounded: int
-    lam: np.ndarray
-    beta_upper: np.ndarray
-    n_sd: float
-    lam_sd: np.ndarray
-    beta_upper_sd: np.ndarray
-
-
-@dataclass(frozen=True)
 class ChainTrace:
-    """Per-iteration draws of (N, lambda, beta) plus derived summaries."""
+    """Every sweep's draws of one chain, as an (L, 1 + G + G(G+1)/2) table
+    whose columns are :func:`~snowball_sbm.sbm.estimand_names`, with the
+    chain's burn-in, cap on N, cap hits and seed."""
 
-    n_draws: np.ndarray
-    lam_draws: np.ndarray
-    beta_upper_draws: np.ndarray
+    draws: np.ndarray
     burn_in: int
     cap: int
     cap_hits: int
@@ -308,24 +296,16 @@ class ChainTrace:
 
     @property
     def chain_length(self) -> int:
-        return self.n_draws.size
+        return self.draws.shape[0]
 
-    def retained(self):
-        keep = slice(self.burn_in, None)
-        return self.n_draws[keep], self.lam_draws[keep], self.beta_upper_draws[keep]
-
-    def estimates(self) -> BayesEstimates:
-        n_kept, lam_kept, beta_kept = self.retained()
-        n_mean = float(n_kept.mean())
-        return BayesEstimates(
-            n_mean=n_mean,
-            n_rounded=int(round(n_mean)),
-            lam=lam_kept.mean(axis=0),
-            beta_upper=beta_kept.mean(axis=0),
-            n_sd=float(n_kept.std()),
-            lam_sd=lam_kept.std(axis=0),
-            beta_upper_sd=beta_kept.std(axis=0),
-        )
+    def reduce(self, fn) -> np.ndarray:
+        """``fn(block, axis=0)`` of the draws after burn-in, one value per
+        column, such as ``np.mean``. Each estimand's block of columns is
+        reduced on its own, so its figures have the bits of that estimand's
+        own array: numpy sums a lone column pairwise, but the columns of a
+        wider block row by row."""
+        kept = self.draws[self.burn_in:]
+        return np.concatenate([fn(kept[:, cols], axis=0) for cols in estimand_blocks(self.n_strata)])
 
 
 def chain_stats(data: IgnoredData, cfg: McmcConfig, n_strata: int | None = None) -> SampleStats:
@@ -345,27 +325,28 @@ def run_chains(stats: Sequence[SampleStats], cfg: McmcConfig, seeds: Sequence) -
     """Run one chain per sample (all with the same G, each from
     :func:`chain_stats`) in lockstep. Chain r draws from
     ``default_rng(seeds[r])`` alone, so it equals :func:`run_chain` with that
-    seed. R traces of length L hold 8 R L (1 + G + G(G+1)/2) bytes.
+    seed. Their draws tables are views of one (R, L, 1 + G + G(G+1)/2)
+    float64 array, filled a sweep at a time.
     """
     cap = np.array([cfg.effective_cap(s.n_sampled) for s in stats])
     batch = SampleStats.stack(stats)
     rngs = [np.random.default_rng(seed) for seed in seeds]
     state = initial_state(batch)
     (replicates, g), length = state.lam.shape, cfg.chain_length
-    n_draws = np.zeros((replicates, length), dtype=np.int64)
-    lam_draws = np.zeros((replicates, length, g))
-    beta_draws = np.zeros((replicates, length, state.beta.shape[-1]))
+    _, lam, beta = estimand_blocks(g)
+    draws = np.zeros((replicates, length, 1 + g + state.beta.shape[-1]))
     for it in range(length):
         state = gibbs_sweep(state, batch, cap, cfg, rngs)
-        n_draws[:, it], lam_draws[:, it], beta_draws[:, it] = state.n, state.lam, state.beta
+        sweep = draws[:, it]
+        sweep[:, 0], sweep[:, lam], sweep[:, beta] = state.n, state.lam, state.beta
     caps = cap.tolist()
-    cap_hits = np.count_nonzero(n_draws == cap[:, None], axis=1).tolist()
+    cap_hits = np.count_nonzero(draws[:, :, 0] == cap[:, None], axis=1).tolist()
     for chain_cap, hits in zip(caps, cap_hits):
         if hits:
             logger.info("population-size cap %d hit %d times over %d sweeps", chain_cap, hits, length)
     burn = int(length * cfg.burn_in_fraction)
-    chains = zip(_freeze(n_draws), _freeze(lam_draws), _freeze(beta_draws), caps, cap_hits, seeds)
-    return [ChainTrace(n, lam, beta, burn, cap, hits, seed, g) for n, lam, beta, cap, hits, seed in chains]
+    chains = zip(_freeze(draws), caps, cap_hits, seeds)
+    return [ChainTrace(table, burn, cap, hits, seed, g) for table, cap, hits, seed in chains]
 
 
 def run_chain(data: IgnoredData, cfg: McmcConfig, seed=None, *, n_strata: int | None = None) -> ChainTrace:

@@ -13,8 +13,10 @@ import logging
 import os
 import sys
 
+import numpy as np
+
 from . import io
-from .sbm import ValidationError, check_int
+from .sbm import ValidationError, check_int, estimand_blocks
 
 logger = logging.getLogger("snowball_sbm")
 
@@ -120,13 +122,15 @@ def cmd_estimate(args) -> int:
     if args.strata_count is not None:
         n_strata = check_int(args.strata_count, "--strata-count", data.min_strata())
     trace = run_chain(data, cfg, seed, n_strata=n_strata)
+    moments = trace.reduce(np.mean), trace.reduce(np.std)
     os.makedirs(args.out, exist_ok=True)
     io.save_trace_csv(trace, os.path.join(args.out, "trace.csv"))
-    io.save_chain_summary(trace, os.path.join(args.out, "summary.json"), extra_meta=meta or None)
-    est = trace.estimates()
-    print(f"N: {est.n_mean:.1f} (rounded {est.n_rounded})")
-    print("lambda: " + " ".join(f"{x:.4f}" for x in est.lam))
-    print("beta_upper: " + " ".join(f"{x:.6f}" for x in est.beta_upper))
+    io.save_chain_summary(trace, moments, os.path.join(args.out, "summary.json"), extra_meta=meta or None)
+    mean = moments[0].tolist()
+    _, lam, beta = estimand_blocks(trace.n_strata)
+    print(f"N: {mean[0]:.1f} (rounded {round(mean[0])})")
+    print("lambda: " + " ".join(f"{x:.4f}" for x in mean[lam]))
+    print("beta_upper: " + " ".join(f"{x:.6f}" for x in mean[beta]))
     return EXIT_OK
 
 
@@ -178,14 +182,10 @@ def cmd_profile(args) -> int:
         stats = SampleStats.from_data(data, params.n_strata)
     except ValidationError as exc:
         raise ValidationError(f"{args.sample}: {exc} (G = {params.n_strata} in {args.params})") from exc
-    grid = range(n_lo, n_hi + 1, step)
     terms = n_free_terms(stats, params)
-    with open(args.out, "w", newline="\n") as fh:
-        fh.write("N,observed_loglik,ignored_loglik\n")
-        for n in grid:
-            obs = observed_log_likelihood(stats, n, params, terms)
-            ign = ignored_log_likelihood(stats, n, params, terms)
-            fh.write(f"{n},{obs!r},{ign!r}\n")
+    rows = ([n, observed_log_likelihood(stats, n, params, terms), ignored_log_likelihood(stats, n, params, terms)]
+            for n in range(n_lo, n_hi + 1, step))
+    io.save_csv(args.out, ["N", "observed_loglik", "ignored_loglik"], rows)
     return EXIT_OK
 
 

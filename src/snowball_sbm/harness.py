@@ -203,11 +203,10 @@ def run_study(cfg: StudyConfig) -> StudySummary:
             continue
         indices.append(index)
         seeds.append(chain_seed)
-    estimates = [trace.estimates() for trace in run_chains(samples, cfg.mcmc, seeds)] if samples else []
-    completed = len(estimates)
+    traces = run_chains(samples, cfg.mcmc, seeds) if samples else []
+    completed = len(traces)
     names = estimand_names(g)
-    rows = np.array([[e.n_mean, *e.lam, *e.beta_upper] for e in estimates], dtype=np.float64)
-    rows = rows.reshape(completed, len(names))
+    rows = np.array([trace.reduce(np.mean) for trace in traces]).reshape(completed, len(names))
     sizes = np.array([[s.n0, s.n1] for s in samples], dtype=np.int64).reshape(completed, 2)
     true_n = population.n_nodes
     stats = {

@@ -25,6 +25,7 @@ from .sbm import (
     _is_finite_number,
     _is_integer,
     check_int,
+    estimand_blocks,
     estimand_names,
     first_fault,
     later_repeats,
@@ -51,6 +52,14 @@ def _dump_json(obj, path):
     with open(path, "w", newline="\n") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
+
+
+def save_csv(path: str, header: list[str], rows):
+    """A CSV file of ``header`` and ``rows``, each a sequence of Python ints
+    and floats: the ``repr`` of a numpy scalar is not its number."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
 def _float_or_none(x):
@@ -300,30 +309,26 @@ def load_sample(path: str):
 
 # ------------------------------------------------------------ chain trace
 
-def trace_header(g: int) -> str:
-    return ",".join(["iter", *estimand_names(g)])
-
-
 def save_trace_csv(trace: "ChainTrace", path: str):
-    with open(path, "w", newline="\n") as fh:
-        fh.write(trace_header(trace.n_strata) + "\n")
-        for it in range(trace.chain_length):
-            vals = [str(it + 1), str(int(trace.n_draws[it]))]
-            vals += [repr(float(x)) for x in trace.lam_draws[it]]
-            vals += [repr(float(x)) for x in trace.beta_upper_draws[it]]
-            fh.write(",".join(vals) + "\n")
+    """The draws table after an ``iter`` column, N as an integer."""
+    rows = ([it, int(n), *rest] for it, (n, *rest) in enumerate(trace.draws.tolist(), 1))
+    save_csv(path, ["iter", *estimand_names(trace.n_strata)], rows)
 
 
-def save_chain_summary(trace: "ChainTrace", path: str, extra_meta: dict | None = None):
-    est = trace.estimates()
+def save_chain_summary(trace: "ChainTrace", moments: tuple[np.ndarray, np.ndarray], path: str,
+                       extra_meta: dict | None = None):
+    """The chain's settings and ``moments``, the per-column (mean, sd) of its
+    retained draws (:meth:`~snowball_sbm.augmentation.ChainTrace.reduce`)."""
+    _, lam, beta = estimand_blocks(trace.n_strata)
+    mean, sd = (values.tolist() for values in moments)
     doc = {
-        "n_mean": est.n_mean,
-        "n_rounded": est.n_rounded,
-        "lambda_mean": [float(x) for x in est.lam],
-        "beta_upper_mean": [float(x) for x in est.beta_upper],
-        "n_sd": est.n_sd,
-        "lambda_sd": [float(x) for x in est.lam_sd],
-        "beta_upper_sd": [float(x) for x in est.beta_upper_sd],
+        "n_mean": mean[0],
+        "n_rounded": round(mean[0]),
+        "lambda_mean": mean[lam],
+        "beta_upper_mean": mean[beta],
+        "n_sd": sd[0],
+        "lambda_sd": sd[lam],
+        "beta_upper_sd": sd[beta],
         "chain_length": trace.chain_length,
         "burn_in": trace.burn_in,
         "cap": trace.cap,
@@ -396,17 +401,9 @@ def load_study_config(path: str) -> "StudyConfig":
 def save_study_outputs(summary: "StudySummary", out_dir: str):
     """Write estimates.csv, summary.json, and one hist_<name>.csv per estimand."""
     os.makedirs(out_dir, exist_ok=True)
-    est_path = os.path.join(out_dir, "estimates.csv")
-    with open(est_path, "w", newline="\n") as fh:
-        fh.write(",".join(["replicate", "n0", "n1", *summary.column_names]) + "\n")
-        for row_idx in range(summary.estimate_rows.shape[0]):
-            vals = [
-                str(int(summary.replicate_indices[row_idx])),
-                str(int(summary.sample_sizes[row_idx, 0])),
-                str(int(summary.sample_sizes[row_idx, 1])),
-            ]
-            vals += [repr(float(x)) for x in summary.estimate_rows[row_idx]]
-            fh.write(",".join(vals) + "\n")
+    rows = zip(summary.replicate_indices.tolist(), summary.sample_sizes.tolist(), summary.estimate_rows.tolist())
+    save_csv(os.path.join(out_dir, "estimates.csv"), ["replicate", "n0", "n1", *summary.column_names],
+             ([index, *sizes, *values] for index, sizes, values in rows))
 
     doc = {
         "true_n": summary.true_n,
@@ -424,7 +421,6 @@ def save_study_outputs(summary: "StudySummary", out_dir: str):
     _dump_json(doc, os.path.join(out_dir, "summary.json"))
 
     for name, (edges, counts) in summary.histograms.items():
-        with open(os.path.join(out_dir, f"hist_{name}.csv"), "w", newline="\n") as fh:
-            fh.write("bin_left,bin_right,count\n")
-            for b in range(counts.size):
-                fh.write(f"{float(edges[b])!r},{float(edges[b + 1])!r},{int(counts[b])}\n")
+        edges = edges.tolist()
+        save_csv(os.path.join(out_dir, f"hist_{name}.csv"), ["bin_left", "bin_right", "count"],
+                 zip(edges, edges[1:], counts.tolist()))

@@ -69,6 +69,11 @@ def estimand_names(g: int) -> list[str]:
     return names
 
 
+def estimand_blocks(g: int) -> tuple[slice, slice, slice]:
+    """The columns of N, of lambda and of beta among :func:`estimand_names`."""
+    return slice(0, 1), slice(1, 1 + g), slice(1 + g, None)
+
+
 @lru_cache(maxsize=16)
 def _upper_positions(g: int) -> np.ndarray:
     """G x G map from each entry to its place in the row-major upper triangle."""

@@ -34,7 +34,7 @@ from snowball_sbm.augmentation import (
 )
 from snowball_sbm.likelihoods import escape_terms, stratum_escape_log_weights
 from snowball_sbm.sampling import IgnoredData, SampleStats
-from snowball_sbm.sbm import symmetric_from_upper
+from snowball_sbm.sbm import estimand_names, symmetric_from_upper
 
 from dense_links import dense_links
 from references import impute_link_counts
@@ -609,9 +609,8 @@ class TestRunChain:
         data = to_ignored_data(trace_one_wave(graph, draw_initial_ids(graph, 4)))
         trace = run_chain(data, McmcConfig(chain_length=1, burn_in_fraction=0.0), 2)
         assert trace.chain_length == 1
-        est = trace.estimates()
-        assert est.n_mean == trace.n_draws[0]
-        assert est.lam.tolist() == trace.lam_draws[0].tolist()
+        assert trace.reduce(np.mean).tolist() == trace.draws[0].tolist()
+        assert trace.reduce(np.std).tolist() == [0.0] * trace.draws.shape[1]
 
     def test_estimates_are_retained_column_means(self):
         params = SbmParams([0.5, 0.5], [0.3, 0.1, 0.2])
@@ -619,9 +618,24 @@ class TestRunChain:
         data = to_ignored_data(trace_one_wave(graph, draw_initial_ids(graph, 5)))
         trace = run_chain(data, McmcConfig(chain_length=40, burn_in_fraction=0.1), 3)
         assert trace.burn_in == 4
-        est = trace.estimates()
-        assert est.n_mean == pytest.approx(trace.n_draws[4:].mean(), abs=1e-12)
-        assert est.lam == pytest.approx(trace.lam_draws[4:].mean(axis=0), abs=1e-12)
+        assert trace.reduce(np.mean) == pytest.approx(trace.draws[4:].mean(axis=0), abs=1e-12)
+        assert trace.reduce(np.std) == pytest.approx(trace.draws[4:].std(axis=0), abs=1e-12)
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_reduce_gives_the_bits_of_each_estimand_array(self, g):
+        """Each block of columns reduces as that estimand's own contiguous
+        array does (N as integers), whatever the summation order numpy picks
+        for a column of a wider table."""
+        pairs = g * (g + 1) // 2
+        params = SbmParams(np.full(g, 1.0 / g), np.linspace(0.1, 0.3, pairs))
+        graph = generate_population(params, 40, seed=40 + g)
+        data = to_ignored_data(trace_one_wave(graph, draw_initial_ids(graph, 8)))
+        trace = run_chain(data, McmcConfig(chain_length=3000), 41 + g, n_strata=g)
+        kept = trace.draws[trace.burn_in:]
+        n = kept[:, 0].astype(np.int64)
+        lam, beta = kept[:, 1:1 + g].copy(), kept[:, 1 + g:].copy()
+        for fn in (np.mean, np.std):
+            assert trace.reduce(fn).tolist() == [fn(n), *fn(lam, axis=0), *fn(beta, axis=0)], fn.__name__
 
     def test_full_observation_reduces_to_full_graph_posterior(self):
         """With the whole population sampled and the cap at N, the parameter
@@ -659,9 +673,8 @@ class TestRunChain:
             to_ignored_data(trace_one_wave(relabeled_graph, inverse[s0])),
             McmcConfig(chain_length=50), 77,
         )
-        assert np.array_equal(base.n_draws, other.n_draws)
-        assert np.array_equal(base.lam_draws, other.lam_draws)
-        assert np.array_equal(base.beta_upper_draws, other.beta_upper_draws)
+        for name, column, relabeled in zip(estimand_names(2), base.draws.T, other.draws.T):
+            assert np.array_equal(column, relabeled), name
 
     def test_marginal_agrees_with_longer_reference_chain(self):
         """Self-consistency: the post-burn-in marginal of one parameter should
@@ -673,8 +686,9 @@ class TestRunChain:
         data = to_ignored_data(trace_one_wave(graph, draw_initial_ids(graph, 12)))
         short = run_chain(data, McmcConfig(chain_length=1000), 100)
         long = run_chain(data, McmcConfig(chain_length=10_000), 200)
-        lam_short = short.retained()[1][::10, 0]
-        lam_long = long.retained()[1][::10, 0]
+        column = estimand_names(2).index("lambda_1")
+        lam_short = short.draws[short.burn_in::10, column]
+        lam_long = long.draws[long.burn_in::10, column]
         assert ks_2samp(lam_short, lam_long).pvalue > 0.01
 
     def test_stray_stratum_label_rejected(self):

@@ -16,13 +16,14 @@ from scipy.stats import chisquare
 from snowball_sbm import DesignConfig, McmcConfig, SbmParams, draw_initial, generate_population
 from snowball_sbm import to_ignored_data, trace_one_wave
 from snowball_sbm.augmentation import chain_stats, run_chains
+from snowball_sbm.sbm import estimand_names
 
 N0 = 12
 CAP = 150
 INSTANCES = 400
 THIN = 20
 BINS = 10
-ESTIMANDS = ("N", "lambda_1", "beta_11", "beta_12", "beta_22")
+ESTIMANDS = ("N", "lambda_1", "beta_1_1", "beta_1_2", "beta_2_2")
 
 
 def rank_histogram_pvalue(ranks: np.ndarray, n_draws: int) -> float:
@@ -54,9 +55,9 @@ def test_simulation_based_calibration():
         seeds.append(int(rng.integers(2**31)))
 
     ranks = []
+    columns = [estimand_names(2).index(name) for name in ESTIMANDS]
     for trace, truth in zip(run_chains(stats, cfg, seeds), truths):
-        n_kept, lam_kept, beta_kept = trace.retained()
-        draws = np.column_stack([n_kept, lam_kept[:, 0], beta_kept])[THIN - 1 :: THIN]
+        draws = trace.draws[trace.burn_in:, columns][THIN - 1 :: THIN]
         below = (draws < truth).sum(axis=0)
         ties = (draws == truth).sum(axis=0)  # N is discrete: break ties at random
         ranks.append(below + rng.integers(0, ties + 1))

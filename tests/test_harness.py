@@ -72,9 +72,9 @@ class TestRunStudy:
         s0 = draw_initial(population, cfg.design, design_seed)
         data = to_ignored_data(trace_one_wave(population, s0))
         trace = run_chain(data, cfg.mcmc, chain_seed, n_strata=2)
-        est = trace.estimates()
-        assert summary.estimate_rows[0, 0] == pytest.approx(est.n_mean, abs=0)
-        assert summary.estimate_rows[0, 1] == pytest.approx(est.lam[0], abs=0)
+        mean = dict(zip(estimand_names(2), trace.reduce(np.mean).tolist()))
+        assert summary.estimates_for("N")[0] == mean["N"]
+        assert summary.estimates_for("lambda_1")[0] == mean["lambda_1"]
 
     def test_reproducible_and_thread_count_invariant(self):
         a = run_study(small_study_config())
@@ -163,8 +163,8 @@ class TestRunStudy:
             except ValidationError as exc:
                 expected_failures.append((index, str(exc)))
                 continue
-            est = trace.estimates()
-            expected_rows.append([index, est.n_mean, *est.lam, *est.beta_upper])
+            mean = dict(zip(estimand_names(3), trace.reduce(np.mean).tolist()))
+            expected_rows.append([index, *(mean[name] for name in summary.column_names)])
             cap_hits += trace.cap_hits
         assert expected_failures and cap_hits and len(expected_rows) > len(expected_failures)
         assert summary.failures == expected_failures
@@ -192,9 +192,9 @@ class TestSurveyScaleBehavior:
         s0 = draw_initial(population, DesignConfig(mode="fixed_size", n0=90), 91)
         data = to_ignored_data(trace_one_wave(population, s0))
         trace = run_chain(data, McmcConfig(chain_length=1000), 92, n_strata=2)
-        est = trace.estimates()
-        assert 350 < est.n_mean < 950
-        assert 0.3 < est.lam[0] < 0.6
+        mean = dict(zip(estimand_names(2), trace.reduce(np.mean).tolist()))
+        assert 350 < mean["N"] < 950
+        assert 0.3 < mean["lambda_1"] < 0.6
 
     def test_degree_biased_design_keeps_beta_order_of_magnitude(self):
         """Misspecified degree-weighted recruitment may bias the link

@@ -15,6 +15,7 @@ import numpy as np
 from snowball_sbm import DesignConfig, McmcConfig, SbmParams, draw_initial, generate_population
 from snowball_sbm import to_ignored_data, trace_one_wave
 from snowball_sbm.augmentation import chain_stats, run_chains
+from snowball_sbm.sbm import estimand_names
 
 from ess import effective_sample_size
 
@@ -40,7 +41,7 @@ def test_population_size_mixes_on_large_samples():
         stats.append(chain_stats(to_ignored_data(sample), cfg, 2))
     per_draw = []
     for trace in run_chains(stats, cfg, [1001, 1002, 1003, 1004]):
-        n_kept = trace.retained()[0]
+        n_kept = trace.draws[trace.burn_in:, estimand_names(2).index("N")]
         per_draw.append(effective_sample_size(n_kept) / n_kept.size)
     elapsed = time.time() - start
     detail = ", ".join(f"{value:.4f}" for value in per_draw)

@@ -23,7 +23,7 @@ from snowball_sbm import (
     trace_one_wave,
 )
 from snowball_sbm.augmentation import initial_state
-from snowball_sbm.sbm import pair_totals_from_counts, stratum_pair_counts, upper_indices
+from snowball_sbm.sbm import estimand_names, pair_totals_from_counts, stratum_pair_counts, upper_indices
 
 
 def layout_case(g):
@@ -60,10 +60,15 @@ def test_last_axis_is_the_upper_triangle(g):
         "SampleStats.pair_totals": stats.pair_totals,
         "MleEstimates.beta": mle_from_full_graph(graph, g).beta,
         "AugmentedState.beta": state.beta,
-        "ChainTrace.beta_upper_draws": trace.beta_upper_draws,
     }
     for name, array in arrays.items():
         assert array.shape[-1] == pairs, f"{name} has shape {array.shape}"
+    # the trace's first sweep is that state: its columns are N, lambda, then beta in upper-triangle order
+    assert trace.draws.shape[-1] == 1 + g + pairs
+    columns = dict(zip(estimand_names(g), trace.draws[0].tolist(), strict=True))
+    assert columns["N"] == state.n[0]
+    assert [columns[f"lambda_{k + 1}"] for k in range(g)] == state.lam[0].tolist()
+    assert [columns[f"beta_{k + 1}_{l + 1}"] for k, l in zip(*upper_indices(g))] == state.beta[0].tolist()
 
 
 @pytest.mark.parametrize("g", [1, 2, 3])
