@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import io
-from .sbm import ValidationError, check_int, estimand_blocks
+from .sbm import INT64_MAX, ValidationError, check_int, estimand_blocks
 
 logger = logging.getLogger("snowball_sbm")
 
@@ -97,15 +97,13 @@ def cmd_generate(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    from .sampling import draw_initial, to_ignored_data, trace_one_wave
+    from .sampling import draw_initial, trace_one_wave
     _check_inputs(args.edges, args.strata)
     graph = io.load_graph(args.edges, args.strata)
     seed = _resolve_seed(args.seed)
     design = _parse_design(args.design)
-    s0 = draw_initial(graph, design, seed)
-    sample = trace_one_wave(graph, s0)
-    data = to_ignored_data(sample)
-    meta = io.sample_meta(sample, design, seed, n_strata=graph.n_strata)
+    data = trace_one_wave(graph, draw_initial(graph, design, seed))
+    meta = io.sample_meta(design, seed, graph.n_strata, graph.n_nodes)
     io.save_sample(data, args.out, meta=meta)
     logger.info("sample: n0=%d n1=%d -> %s", data.n0, data.n1, args.out)
     return EXIT_OK
@@ -120,7 +118,7 @@ def cmd_estimate(args) -> int:
                      cap_multiplier=args.cap_multiplier)
     n_strata = meta.get("n_strata")
     if args.strata_count is not None:
-        n_strata = check_int(args.strata_count, "--strata-count", data.min_strata())
+        n_strata = check_int(args.strata_count, "--strata-count", data.min_strata(), INT64_MAX)
     trace = run_chain(data, cfg, seed, n_strata=n_strata)
     moments = trace.reduce(np.mean), trace.reduce(np.std)
     os.makedirs(args.out, exist_ok=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .augmentation import McmcConfig, chain_stats, run_chains
-from .sampling import DesignConfig, draw_initial, to_ignored_data, trace_one_wave
+from .sampling import DesignConfig, draw_initial, trace_one_wave
 from .sbm import (
     MleEstimates,
     PopulationGraph,
@@ -196,7 +196,7 @@ def run_study(cfg: StudyConfig) -> StudySummary:
         design_seed, chain_seed = replicate_seeds(cfg.master_seed, index)
         try:
             s0 = draw_initial(population, cfg.design, design_seed)
-            samples.append(chain_stats(to_ignored_data(trace_one_wave(population, s0)), cfg.mcmc, g))
+            samples.append(chain_stats(trace_one_wave(population, s0), cfg.mcmc, g))
         except (ValidationError, ArithmeticError) as exc:  # bad sample; bugs propagate
             logger.warning("replicate %d failed: %s", index, exc)
             failures.append((index, str(exc)))

@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .sbm import (
+    INT64_MAX,
     MleEstimates,
     PopulationGraph,
     RowError,
@@ -35,7 +36,7 @@ from .sbm import (
 if TYPE_CHECKING:  # the layers above sbm load only with the commands that run them
     from .augmentation import ChainTrace
     from .harness import StudyConfig, StudySummary
-    from .sampling import DesignConfig, IgnoredData, SnowballSample
+    from .sampling import DesignConfig, IgnoredData
 
 EDGE_HEADER = "u\tv"
 STRATA_HEADER = "node_id,stratum"
@@ -237,24 +238,22 @@ def save_sample(data: "IgnoredData", path: str, meta: dict | None = None):
     _dump_json(sample_to_doc(data, meta), path)
 
 
-def sample_meta(sample: "SnowballSample", cfg: "DesignConfig", seed: int | None,
-                n_strata: int | None = None) -> dict:
+def sample_meta(cfg: "DesignConfig", seed: int | None, n_strata: int, population_size: int) -> dict:
     """Provenance for a sample traced from an initial draw under ``cfg`` and
-    ``seed``; the true size travels here, outside the estimator-visible fields."""
+    ``seed`` in a population of ``n_strata`` strata and ``population_size``
+    units; the true size travels here, outside the estimator-visible fields."""
     meta = {
         "design_mode": cfg.mode,
         "model_misspecified": cfg.misspecified,
         "conditioning": "fixed initial sample size",
         "seed": seed,
+        "n_strata": n_strata,
+        "population_hint": population_size,
     }
     if cfg.mode == "bernoulli":
         meta["q"] = cfg.q
     else:
         meta["n0"] = cfg.n0
-    if n_strata is not None:
-        meta["n_strata"] = n_strata
-    if sample.population_hint is not None:
-        meta["population_hint"] = int(sample.population_hint)
     return meta
 
 
@@ -274,7 +273,7 @@ def load_sample(path: str):
     for name, strata, size in (("strata_s0", strata_s0, n0), ("strata_s1", strata_s1, n1)):
         if not isinstance(strata, list) or len(strata) != size:
             raise ValidationError(f"{path}: {name}: must be a list of length {size}")
-        bad = next((s for s in strata if not (_is_integer(s) and s >= 1)), None)
+        bad = next((s for s in strata if not (_is_integer(s) and 1 <= s <= INT64_MAX)), None)
         if bad is not None:
             raise ValidationError(f"{path}: {name}: bad stratum {bad!r}: strata are integers labeled 1..G")
     if not isinstance(links, list):
@@ -296,7 +295,7 @@ def load_sample(path: str):
         raise ValidationError(f"{path}: meta: must be an object")
     try:
         if "n_strata" in meta:  # at least the largest stratum label
-            check_int(meta["n_strata"], "meta: n_strata", max(strata_s0 + strata_s1))
+            check_int(meta["n_strata"], "meta: n_strata", max(strata_s0 + strata_s1), INT64_MAX)
         data = IgnoredData(
             strata_s0=np.array(strata_s0, dtype=np.int64) - 1,
             strata_s1=np.array(strata_s1, dtype=np.int64) - 1,
@@ -355,6 +354,13 @@ def load_study_config(path: str) -> "StudyConfig":
         unknown = [key for key in section if key not in known]
         if unknown:
             raise ValidationError(f"{where}: {unknown[0]}: unknown field")
+    from_files = [key for key in ("edges", "strata") if key in pop]
+    sources = from_files[:1] + [key for key in ("params_file", "params") if key in pop]
+    if from_files:  # a graph read from files has its own size and links
+        sources += [key for key in ("n", "clustering") if key in pop]
+    if len(sources) > 1:
+        raise ValidationError(f"{path}: population: {sources[0]} and {sources[1]} cannot both be given: a population "
+                              "comes from edges and strata, or from params or params_file with n")
     kwargs = {}
     if "edges" in pop:
         strata = os.path.join(base, _require(pop, "strata", path))

@@ -1,4 +1,6 @@
-"""One-wave snowball sampling: initial draw, wave tracing, label removal."""
+"""One-wave snowball sampling: the initial draw, and the wave traced from it
+straight into the label-free reduction the estimator reads (:class:`IgnoredData`).
+"""
 
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
@@ -69,78 +71,11 @@ def draw_initial(graph: PopulationGraph, cfg: DesignConfig, seed=None) -> np.nda
 
 
 @dataclass(frozen=True)
-class SnowballSample:
-    """Observed data: initial sample, first wave, their strata, and all links
-    incident to the initial sample (absence of links to unsampled units is
-    implied by the design).
-
-    ``links`` is an (L, 2) array of original node-id pairs, each with an
-    endpoint in ``s0`` and both in ``s0`` or ``s1``. ``population_hint``
-    carries the true size for harness scoring only; it is dropped when
-    labels are removed and is never visible to the estimator.
-    """
-
-    s0: np.ndarray
-    s1: np.ndarray
-    strata_s0: np.ndarray
-    strata_s1: np.ndarray
-    links: np.ndarray
-    population_hint: int | None = None
-
-    def __post_init__(self):
-        s0 = np.asarray(self.s0, dtype=np.int64)
-        s1 = np.asarray(self.s1, dtype=np.int64)
-        if np.intersect1d(s0, s1).size:
-            raise ValidationError("initial sample and first wave overlap")
-        final = np.concatenate([s0, s1])
-        links = canonical_pairs(self.links, int(final.max()) + 1 if final.size else 0, "link")
-        if not (np.isin(links, s0).any(axis=1).all() and np.isin(links, final).all()):
-            raise ValidationError("links must join the initial sample to the final sample")
-        object.__setattr__(self, "s0", _freeze(s0))
-        object.__setattr__(self, "s1", _freeze(s1))
-        object.__setattr__(self, "strata_s0", _freeze(np.asarray(self.strata_s0, dtype=np.int64)))
-        object.__setattr__(self, "strata_s1", _freeze(np.asarray(self.strata_s1, dtype=np.int64)))
-        object.__setattr__(self, "links", links)
-
-    @property
-    def n0(self) -> int:
-        return self.s0.size
-
-    @property
-    def n1(self) -> int:
-        return self.s1.size
-
-
-def trace_one_wave(graph: PopulationGraph, s0) -> SnowballSample:
-    """Trace all links out of the initial sample; deterministic given inputs."""
-    s0 = np.sort(np.asarray(s0, dtype=np.int64))
-    if s0.size and (s0[0] < 0 or s0[-1] >= graph.n_nodes):
-        raise ValidationError("initial sample contains unknown node ids")
-    if np.unique(s0).size != s0.size:
-        raise ValidationError("initial sample contains duplicate node ids")
-    in_s0 = np.zeros(graph.n_nodes, dtype=bool)
-    in_s0[s0] = True
-    links = graph.edges[in_s0[graph.edges].any(axis=1)]  # edges with an endpoint in S0
-    reached = np.zeros(graph.n_nodes, dtype=bool)
-    reached[links.reshape(-1)] = True
-    reached[s0] = False
-    s1 = np.flatnonzero(reached)
-    return SnowballSample(
-        s0=s0,
-        s1=s1,
-        strata_s0=graph.strata[s0],
-        strata_s1=graph.strata[s1],
-        links=links,
-        population_hint=graph.n_nodes,
-    )
-
-
-@dataclass(frozen=True)
 class IgnoredData:
-    """The label-free reduction: sample sizes, stratum vectors, and the
-    observed links under the canonical relabeling (initial-sample units
-    first, then wave units, each block ordered by original id at the time
-    labels were dropped).
+    """The label-free reduction of a one-wave sample: sample sizes, stratum
+    vectors, and the observed links under the canonical relabeling
+    (initial-sample units first, then wave units, each block in the order of
+    the population's node ids, which are then dropped).
 
     ``links`` is an (L, 2) int64 array of canonical-index pairs (i, j) with
     i < j and i < n0, rows sorted and unique: the form the sample file
@@ -188,6 +123,27 @@ class IgnoredData:
     def observed_link_counts(self, g: int) -> np.ndarray:
         """Observed links per unordered stratum pair (within S0 plus S0-wave)."""
         return stratum_pair_counts(np.concatenate([self.strata_s0, self.strata_s1]), self.links, g)
+
+
+def trace_one_wave(graph: PopulationGraph, s0) -> IgnoredData:
+    """Trace all links out of the initial sample ``s0`` (node ids) and return
+    the sample without its labels: ``s0`` takes canonical indices 0..n0-1 and
+    the wave n0..n0+n1-1, each block in node-id order. Deterministic given inputs."""
+    s0 = np.sort(np.asarray(s0, dtype=np.int64))
+    if s0.size and (s0[0] < 0 or s0[-1] >= graph.n_nodes):
+        raise ValidationError("initial sample contains unknown node ids")
+    if (s0[1:] == s0[:-1]).any():
+        raise ValidationError("initial sample contains duplicate node ids")
+    in_s0 = np.zeros(graph.n_nodes, dtype=bool)
+    in_s0[s0] = True
+    links = graph.edges[in_s0[graph.edges].any(axis=1)]  # edges with an endpoint in S0
+    reached = np.zeros(graph.n_nodes, dtype=bool)
+    reached[links.reshape(-1)] = True
+    reached[s0] = False
+    s1 = np.flatnonzero(reached)
+    index = np.zeros(graph.n_nodes, dtype=np.int64)  # canonical index of each sampled node
+    index[s0], index[s1] = np.arange(s0.size), np.arange(s0.size, s0.size + s1.size)
+    return IgnoredData(strata_s0=graph.strata[s0], strata_s1=graph.strata[s1], links=index[links])
 
 
 @dataclass(frozen=True)
@@ -244,16 +200,3 @@ class SampleStats:
     def counts_sampled(self) -> np.ndarray:
         """Stratum counts over both sampled blocks."""
         return self.counts_s0 + self.counts_s1
-
-
-def to_ignored_data(sample: SnowballSample) -> IgnoredData:
-    """Drop original unit labels, keeping the sample pattern up to relabeling."""
-    order0 = np.argsort(sample.s0, kind="stable")
-    order1 = np.argsort(sample.s1, kind="stable")
-    ids = np.concatenate([sample.s0[order0], sample.s1[order1]])  # id of each canonical index
-    by_id = np.argsort(ids)
-    return IgnoredData(
-        strata_s0=sample.strata_s0[order0],
-        strata_s1=sample.strata_s1[order1],
-        links=by_id[np.searchsorted(ids, sample.links, sorter=by_id)],
-    )

@@ -13,6 +13,7 @@ import numpy as np
 from .logmath import xlog1py, xlogy
 
 LAMBDA_SUM_TOL = 1e-12
+INT64_MAX = np.iinfo(np.int64).max
 
 
 class ValidationError(ValueError):
@@ -38,11 +39,13 @@ def _is_finite_number(value) -> bool:
     return number and math.isfinite(value)
 
 
-def check_int(value, name: str, minimum: int) -> int:
-    """Return ``value`` as an int if it is an integer of at least ``minimum``;
-    otherwise raise a ValidationError naming it."""
+def check_int(value, name: str, minimum: int, maximum: int | None = None) -> int:
+    """Return ``value`` as an int if it is an integer of at least ``minimum``
+    (and at most ``maximum``, when given); otherwise raise a ValidationError naming it."""
     if not _is_integer(value) or value < minimum:
         raise ValidationError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    if maximum is not None and value > maximum:
+        raise ValidationError(f"{name} must be at most {maximum}, got {value!r}")
     return int(value)
 
 

@@ -1,11 +1,11 @@
 """Independent reference computations that the tests compare the package
 against. The package never calls them: the sweep integrates the unobserved
-links out, the escape probability 1 - p is computed another way, and graph
-files are parsed by numpy."""
+links out, the escape probability 1 - p is computed another way, graph
+files are parsed by numpy, and a wave is relabeled by one index lookup."""
 
 import numpy as np
 
-from snowball_sbm import PopulationGraph, SampleStats, SbmParams, ValidationError
+from snowball_sbm import IgnoredData, PopulationGraph, SampleStats, SbmParams, ValidationError
 from snowball_sbm.io import EDGE_HEADER, STRATA_HEADER
 from snowball_sbm.logmath import xlog1py
 from snowball_sbm.sbm import pair_totals_from_counts, symmetric_from_upper
@@ -92,3 +92,21 @@ def load_graph_per_line(edges_path: str, strata_path: str) -> PopulationGraph:
             seen.add(pair)
             pairs.append(pair)
     return PopulationGraph(strata=strata, edges=np.array(pairs, dtype=np.int64).reshape(-1, 2))
+
+
+def trace_then_relabel(graph: PopulationGraph, s0) -> IgnoredData:
+    """One wave traced in node ids, then relabeled by sorting: the initial
+    sample and the wave each sorted by id, the ids concatenated, and every
+    link endpoint found in them by binary search. This is the two-step path
+    that `sampling.trace_one_wave` replaced; its result is the reference."""
+    s0 = np.asarray(s0, dtype=np.int64)
+    links = graph.edges[np.isin(graph.edges, s0).any(axis=1)]
+    s1 = np.setdiff1d(links, s0)
+    order0, order1 = np.argsort(s0, kind="stable"), np.argsort(s1, kind="stable")
+    ids = np.concatenate([s0[order0], s1[order1]])  # id of each canonical index
+    by_id = np.argsort(ids)
+    return IgnoredData(
+        strata_s0=graph.strata[s0][order0],
+        strata_s1=graph.strata[s1][order1],
+        links=by_id[np.searchsorted(ids, links, sorter=by_id)],
+    )

@@ -24,7 +24,6 @@ from snowball_sbm import (
     generate_population,
     run_study,
     sufficient_counts,
-    to_ignored_data,
     trace_one_wave,
 )
 from snowball_sbm.augmentation import beta_posterior_params, lambda_posterior_params, posterior_counts

@@ -22,7 +22,6 @@ from snowball_sbm import (
     impute_strata,
     run_chain,
     sufficient_counts,
-    to_ignored_data,
     trace_one_wave,
 )
 from snowball_sbm.augmentation import (
@@ -450,8 +449,7 @@ class TestGibbsSweep:
     def setup_data(self):
         params = SbmParams([0.5, 0.5], [0.3, 0.1, 0.2])
         graph = generate_population(params, 30, seed=3)
-        sample = trace_one_wave(graph, draw_initial_ids(graph, 6))
-        return to_ignored_data(sample)
+        return trace_one_wave(graph, draw_initial_ids(graph, 6))
 
     def test_cap_pins_population_size(self):
         data = self.setup_data()
@@ -606,7 +604,7 @@ class TestRunChain:
     def test_single_iteration_trace(self):
         params = SbmParams([0.5, 0.5], [0.3, 0.1, 0.2])
         graph = generate_population(params, 20, seed=8)
-        data = to_ignored_data(trace_one_wave(graph, draw_initial_ids(graph, 4)))
+        data = trace_one_wave(graph, draw_initial_ids(graph, 4))
         trace = run_chain(data, McmcConfig(chain_length=1, burn_in_fraction=0.0), 2)
         assert trace.chain_length == 1
         assert trace.reduce(np.mean).tolist() == trace.draws[0].tolist()
@@ -615,7 +613,7 @@ class TestRunChain:
     def test_estimates_are_retained_column_means(self):
         params = SbmParams([0.5, 0.5], [0.3, 0.1, 0.2])
         graph = generate_population(params, 25, seed=12)
-        data = to_ignored_data(trace_one_wave(graph, draw_initial_ids(graph, 5)))
+        data = trace_one_wave(graph, draw_initial_ids(graph, 5))
         trace = run_chain(data, McmcConfig(chain_length=40, burn_in_fraction=0.1), 3)
         assert trace.burn_in == 4
         assert trace.reduce(np.mean) == pytest.approx(trace.draws[4:].mean(axis=0), abs=1e-12)
@@ -629,7 +627,7 @@ class TestRunChain:
         pairs = g * (g + 1) // 2
         params = SbmParams(np.full(g, 1.0 / g), np.linspace(0.1, 0.3, pairs))
         graph = generate_population(params, 40, seed=40 + g)
-        data = to_ignored_data(trace_one_wave(graph, draw_initial_ids(graph, 8)))
+        data = trace_one_wave(graph, draw_initial_ids(graph, 8))
         trace = run_chain(data, McmcConfig(chain_length=3000), 41 + g, n_strata=g)
         kept = trace.draws[trace.burn_in:]
         n = kept[:, 0].astype(np.int64)
@@ -642,8 +640,7 @@ class TestRunChain:
         draws must use the full-graph conjugate posteriors exactly."""
         params = SbmParams([0.5, 0.5], [0.4, 0.2, 0.3])
         graph = generate_population(params, 12, seed=14)
-        sample = trace_one_wave(graph, np.arange(12))
-        data = to_ignored_data(sample)
+        data = trace_one_wave(graph, np.arange(12))
         assert data.n0 == 12 and data.n1 == 0
         full = sufficient_counts(graph)
         stats = SampleStats.from_data(data, 2)
@@ -662,7 +659,7 @@ class TestRunChain:
         graph = generate_population(params, 30, seed=21)
         s0 = draw_initial_ids(graph, 6)
         base = run_chain(
-            to_ignored_data(trace_one_wave(graph, s0)), McmcConfig(chain_length=50), 77
+            trace_one_wave(graph, s0), McmcConfig(chain_length=50), 77
         )
         perm = np.random.default_rng(1).permutation(30)
         relabeled_graph = type(graph)(
@@ -670,7 +667,7 @@ class TestRunChain:
         )
         inverse = np.argsort(perm)
         other = run_chain(
-            to_ignored_data(trace_one_wave(relabeled_graph, inverse[s0])),
+            trace_one_wave(relabeled_graph, inverse[s0]),
             McmcConfig(chain_length=50), 77,
         )
         for name, column, relabeled in zip(estimand_names(2), base.draws.T, other.draws.T):
@@ -683,7 +680,7 @@ class TestRunChain:
 
         params = SbmParams([0.5, 0.5], [0.3, 0.1, 0.2])
         graph = generate_population(params, 60, seed=31)
-        data = to_ignored_data(trace_one_wave(graph, draw_initial_ids(graph, 12)))
+        data = trace_one_wave(graph, draw_initial_ids(graph, 12))
         short = run_chain(data, McmcConfig(chain_length=1000), 100)
         long = run_chain(data, McmcConfig(chain_length=10_000), 200)
         column = estimand_names(2).index("lambda_1")

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.stats import chisquare
 
 from snowball_sbm import DesignConfig, McmcConfig, SbmParams, draw_initial, generate_population
-from snowball_sbm import to_ignored_data, trace_one_wave
+from snowball_sbm import trace_one_wave
 from snowball_sbm.augmentation import chain_stats, run_chains
 from snowball_sbm.sbm import estimand_names
 
@@ -50,7 +50,7 @@ def test_simulation_based_calibration():
         graph = generate_population(SbmParams(lam, beta_upper), n, seed=int(rng.integers(2**31)))
         design = DesignConfig(mode="fixed_size", n0=N0)
         sample = trace_one_wave(graph, draw_initial(graph, design, int(rng.integers(2**31))))
-        stats.append(chain_stats(to_ignored_data(sample), cfg, 2))
+        stats.append(chain_stats(sample, cfg, 2))
         truths.append([n, lam[0], *beta_upper])
         seeds.append(int(rng.integers(2**31)))
 

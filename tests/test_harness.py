@@ -60,7 +60,7 @@ class TestStudyConfig:
 
 class TestRunStudy:
     def test_single_replicate_matches_direct_pipeline(self):
-        from snowball_sbm import draw_initial, run_chain, to_ignored_data, trace_one_wave
+        from snowball_sbm import draw_initial, run_chain, trace_one_wave
         from snowball_sbm.harness import population_seed, resolve_population
 
         cfg = small_study_config(replicates=1)
@@ -70,7 +70,7 @@ class TestRunStudy:
         population = resolve_population(cfg)
         design_seed, chain_seed = replicate_seeds(cfg.master_seed, 0)
         s0 = draw_initial(population, cfg.design, design_seed)
-        data = to_ignored_data(trace_one_wave(population, s0))
+        data = trace_one_wave(population, s0)
         trace = run_chain(data, cfg.mcmc, chain_seed, n_strata=2)
         mean = dict(zip(estimand_names(2), trace.reduce(np.mean).tolist()))
         assert summary.estimates_for("N")[0] == mean["N"]
@@ -127,7 +127,7 @@ class TestRunStudy:
         equal its own pipeline bit for bit, and the failures must match."""
         import snowball_sbm.augmentation as augmentation
 
-        from snowball_sbm import draw_initial, run_chain, to_ignored_data, trace_one_wave
+        from snowball_sbm import draw_initial, run_chain, trace_one_wave
         from snowball_sbm.harness import resolve_population
 
         decisions = []
@@ -157,7 +157,7 @@ class TestRunStudy:
         for index in range(cfg.replicates):
             design_seed, chain_seed = replicate_seeds(cfg.master_seed, index)
             s0 = draw_initial(population, cfg.design, design_seed)
-            data = to_ignored_data(trace_one_wave(population, s0))
+            data = trace_one_wave(population, s0)
             try:
                 trace = run_chain(data, cfg.mcmc, chain_seed, n_strata=3)
             except ValidationError as exc:
@@ -186,11 +186,11 @@ class TestSurveyScaleBehavior:
     def test_single_run_sanity_band(self):
         """One 15%-initial sample from a survey-scale population must give a
         size estimate in a wide sanity band around the truth."""
-        from snowball_sbm import draw_initial, run_chain, to_ignored_data, trace_one_wave
+        from snowball_sbm import draw_initial, run_chain, trace_one_wave
 
         population = generate_population(survey_scale_params(), SURVEY_SCALE_N, seed=90)
         s0 = draw_initial(population, DesignConfig(mode="fixed_size", n0=90), 91)
-        data = to_ignored_data(trace_one_wave(population, s0))
+        data = trace_one_wave(population, s0)
         trace = run_chain(data, McmcConfig(chain_length=1000), 92, n_strata=2)
         mean = dict(zip(estimand_names(2), trace.reduce(np.mean).tolist()))
         assert 350 < mean["N"] < 950

@@ -17,7 +17,6 @@ from snowball_sbm import (
     generate_population,
     run_chain,
     sufficient_counts,
-    to_ignored_data,
     trace_one_wave,
 )
 from snowball_sbm import io
@@ -108,8 +107,7 @@ class TestSampleIo:
         params = SbmParams([0.5, 0.5], [0.25, 0.1, 0.2])
         graph = generate_population(params, 40, seed=6)
         s0 = draw_initial(graph, DesignConfig(mode="fixed_size", n0=6), 1)
-        sample = trace_one_wave(graph, s0)
-        return to_ignored_data(sample)
+        return trace_one_wave(graph, s0)
 
     def test_round_trip(self, tmp_path):
         data = self.make_data(tmp_path)
@@ -451,6 +449,30 @@ class TestInputHardening:
         code, err, _, wrote = self.estimate(tmp_path, capsys, "--strata-count", str(count), meta={"n_strata": 2})
         assert code == 2 and not wrote
         assert f"--strata-count must be an integer >= 2, got {count}" in err
+
+    @pytest.mark.parametrize("argv, changes, message", [
+        ((), {"strata_s1": [2**65]}, "{path}: strata_s1: bad stratum 36893488147419103232: strata are integers"),
+        ((), {"meta": {"n_strata": 2**65}},
+         "{path}: meta: n_strata must be at most 9223372036854775807, got 36893488147419103232"),
+        (("--strata-count", str(2**65)), {},
+         "--strata-count must be at most 9223372036854775807, got 36893488147419103232"),
+    ], ids=["strata_s1", "meta.n_strata", "--strata-count"])
+    def test_integer_beyond_int64_rejected(self, tmp_path, capsys, argv, changes, message):
+        code, err, path, wrote = self.estimate(tmp_path, capsys, *argv, **changes)
+        assert code == 2 and not wrote
+        assert message.format(path=path) in err
+
+    @pytest.mark.parametrize("population, message", [
+        ({"edges": "e.tsv", "strata": "s.csv", "n": 999}, "edges and n"),
+        ({"edges": "e.tsv", "strata": "s.csv", "clustering": {"clique_size": 3}}, "edges and clustering"),
+        ({"strata": "s.csv", "params": {"lambda": [1.0], "beta": [0.1]}}, "strata and params"),
+        ({"params_file": "p.json", "params": {"lambda": [1.0], "beta": [0.1]}, "n": 40}, "params_file and params"),
+    ], ids=["edges-n", "edges-clustering", "strata-params", "params_file-params"])
+    def test_study_two_population_sources_rejected(self, tmp_path, capsys, monkeypatch, population, message):
+        code, err, path = self.simulate(tmp_path, capsys, monkeypatch, sections={"population": population})
+        assert code == 2
+        assert f"{path}: population: {message} cannot both be given" in err
+        assert not (tmp_path / "study").exists()
 
     @pytest.mark.parametrize("changes, where", [
         ({"master_sed": 5}, "master_sed"),

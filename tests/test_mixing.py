@@ -13,7 +13,7 @@ import time
 import numpy as np
 
 from snowball_sbm import DesignConfig, McmcConfig, SbmParams, draw_initial, generate_population
-from snowball_sbm import to_ignored_data, trace_one_wave
+from snowball_sbm import trace_one_wave
 from snowball_sbm.augmentation import chain_stats, run_chains
 from snowball_sbm.sbm import estimand_names
 
@@ -38,7 +38,7 @@ def test_population_size_mixes_on_large_samples():
         graph = generate_population(PARAMS, N, seed=seed)
         design = DesignConfig(mode="fixed_size", n0=N0)
         sample = trace_one_wave(graph, draw_initial(graph, design, seed + 100))
-        stats.append(chain_stats(to_ignored_data(sample), cfg, 2))
+        stats.append(chain_stats(sample, cfg, 2))
     per_draw = []
     for trace in run_chains(stats, cfg, [1001, 1002, 1003, 1004]):
         n_kept = trace.draws[trace.burn_in:, estimand_names(2).index("N")]

@@ -19,7 +19,6 @@ from snowball_sbm import (
     mle_from_full_graph,
     run_chain,
     sufficient_counts,
-    to_ignored_data,
     trace_one_wave,
 )
 from snowball_sbm.augmentation import initial_state
@@ -32,7 +31,7 @@ def layout_case(g):
     params = SbmParams(rng.dirichlet(np.ones(g)), rng.uniform(0.1, 0.5, pairs))
     graph = generate_population(params, 30, seed=g)
     s0 = draw_initial(graph, DesignConfig(mode="fixed_size", n0=8), g)
-    return params, graph, to_ignored_data(trace_one_wave(graph, s0))
+    return params, graph, trace_one_wave(graph, s0)
 
 
 def brute_force_pair_counts(strata, node_pairs, g):

@@ -11,15 +11,14 @@ from snowball_sbm import (
     PopulationGraph,
     SampleStats,
     SbmParams,
-    SnowballSample,
     ValidationError,
     draw_initial,
     generate_population,
-    to_ignored_data,
     trace_one_wave,
 )
 
 from dense_links import dense_links
+from references import trace_then_relabel
 
 
 def star_graph(leaves):
@@ -93,21 +92,23 @@ class TestTraceOneWave:
     def test_star_center_pulls_all_leaves(self):
         sample = trace_one_wave(star_graph(6), [0])
         assert sample.n1 == 6
-        assert sample.s1.tolist() == [1, 2, 3, 4, 5, 6]
+        assert dense_links(sample).tolist() == [[False] + [True] * 6]
 
     def test_wave_is_exactly_linked_complement(self, small_population):
         s0 = draw_initial(small_population, DesignConfig(mode="fixed_size", n0=8), 4)
         sample = trace_one_wave(small_population, s0)
-        linked = small_population.adjacency[s0].any(axis=0)
-        expected = sorted(set(np.flatnonzero(linked)) - set(s0.tolist()))
-        assert sample.s1.tolist() == expected
+        adj = small_population.adjacency
+        expected = sorted(set(np.flatnonzero(adj[s0].any(axis=0))) - set(s0.tolist()))
+        assert sample.n1 == len(expected)
+        assert np.array_equal(sample.strata_s1, small_population.strata[expected])
+        assert np.array_equal(dense_links(sample), adj[np.ix_(s0, np.concatenate([s0, expected]))])
 
     def test_deterministic(self, small_population):
         s0 = [1, 5, 9]
         a = trace_one_wave(small_population, s0)
         b = trace_one_wave(small_population, s0)
-        assert np.array_equal(dense_links(a), dense_links(b))
-        assert np.array_equal(a.s1, b.s1)
+        for f in fields(a):
+            assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
 
     def test_unknown_ids_rejected(self, small_population):
         with pytest.raises(ValidationError):
@@ -119,17 +120,39 @@ class TestTraceOneWave:
         wave_block = dense_links(sample)[:, sample.n0 :]
         assert wave_block.any(axis=0).all()
 
-
-    @pytest.mark.parametrize("links", [[[5, 6]], [[1, 4]]])
+    @pytest.mark.parametrize("links", [[[2, 3]], [[0, 4]]])
     def test_links_must_join_initial_sample_to_final_sample(self, links):
-        with pytest.raises(ValidationError, match="join the initial sample"):
-            SnowballSample(s0=[1, 2], s1=[5, 6], strata_s0=[0, 0], strata_s1=[0, 0], links=links)
+        """A wave-wave link, and a link to an index past the final sample (n0 2, n1 2)."""
+        with pytest.raises(ValidationError, match=r"no endpoint in the initial sample|outside 0\.\.3"):
+            IgnoredData(strata_s0=[0, 0], strata_s1=[0, 0], links=[[0, 2], [1, 3], *links])
+
+
+@pytest.mark.parametrize("mode", ["bernoulli", "fixed_size", "degree_biased"])
+def test_trace_one_wave_matches_trace_then_relabel(mode):
+    """Field for field, on seeded sparse graphs with isolated units, for
+    initial samples drawn under each design, an empty one and a census."""
+    rng = np.random.default_rng(31)
+    isolated = 0
+    for seed in range(10):
+        n = int(rng.integers(2, 61))
+        graph = generate_population(SbmParams([0.5, 0.5], [0.04, 0.01, 0.03]), n, seed=seed)
+        isolated += int((graph.degrees() == 0).sum())
+        n0 = int(rng.integers(0, n + 1))
+        design = DesignConfig(mode, q=0.3) if mode == "bernoulli" else DesignConfig(mode, n0=n0)
+        for s0 in (draw_initial(graph, design, seed), [], np.arange(n)):
+            data, reference = trace_one_wave(graph, s0), trace_then_relabel(graph, s0)
+            for f in fields(IgnoredData):
+                assert np.array_equal(getattr(data, f.name), getattr(reference, f.name)), f.name
+                assert getattr(data, f.name).dtype == getattr(reference, f.name).dtype, f.name
+    assert isolated > 0
 
 
 class TestToIgnoredData:
+    """The label-free reduction that trace_one_wave returns."""
+
     def test_empty_sample(self):
         graph = PopulationGraph(strata=np.zeros(5, dtype=int), edges=np.zeros((0, 2), int))
-        data = to_ignored_data(trace_one_wave(graph, []))
+        data = trace_one_wave(graph, [])
         assert data.n0 == 0 and data.n1 == 0
         assert dense_links(data).size == 0
 
@@ -140,23 +163,23 @@ class TestToIgnoredData:
         adj[0, 2] = adj[2, 0] = True
         adj[1, 2] = adj[2, 1] = True
         graph = PopulationGraph(strata=np.array([0, 1, 0, 1]), edges=np.argwhere(np.triu(adj)))
-        data = to_ignored_data(trace_one_wave(graph, [0, 1]))
+        data = trace_one_wave(graph, [0, 1])
         assert (data.n0, data.n1) == (2, 1)
         links = dense_links(data)
         pairs = {(i + 1, j + 1) for i in range(2) for j in range(3) if i < j and links[i, j]}
         assert pairs == {(1, 2), (1, 3), (2, 3)}
 
     def test_population_hint_not_carried(self, small_population):
-        sample = trace_one_wave(small_population, [0, 1, 2])
-        assert sample.population_hint == 40
-        data = to_ignored_data(sample)
+        """A traced sample holds no node id and not the population size."""
+        data = trace_one_wave(small_population, [0, 1, 2])
+        assert [f.name for f in fields(data)] == ["strata_s0", "strata_s1", "links"]
         assert not hasattr(data, "population_hint")
 
     def test_relabeling_gives_isomorphic_reduction(self, small_population):
         # permuting node ids must leave every label-free invariant unchanged
         rng = np.random.default_rng(10)
         s0 = draw_initial(small_population, DesignConfig(mode="fixed_size", n0=6), 11)
-        base = to_ignored_data(trace_one_wave(small_population, s0))
+        base = trace_one_wave(small_population, s0)
         for _ in range(5):
             perm = rng.permutation(40)
             relabeled = PopulationGraph(
@@ -165,7 +188,7 @@ class TestToIgnoredData:
             )
             inverse = np.argsort(perm)
             mapped_s0 = inverse[s0]
-            data = to_ignored_data(trace_one_wave(relabeled, mapped_s0))
+            data = trace_one_wave(relabeled, mapped_s0)
             assert (data.n0, data.n1) == (base.n0, base.n1)
             assert sorted(data.strata_s0) == sorted(base.strata_s0)
             assert sorted(data.strata_s1) == sorted(base.strata_s1)
@@ -213,7 +236,7 @@ def test_sample_stats_are_sufficient_statistics_only():
     graph = generate_population(SbmParams([0.4, 0.6], [0.002, 0.001, 0.003]), 3000, seed=2)
     stats = [
         SampleStats.from_data(
-            to_ignored_data(trace_one_wave(graph, draw_initial(graph, DesignConfig("fixed_size", n0=n0), n0))), 2
+            trace_one_wave(graph, draw_initial(graph, DesignConfig("fixed_size", n0=n0), n0)), 2
         )
         for n0 in (750, 40)
     ]
