@@ -36,6 +36,7 @@ import numpy as np
 from .likelihoods import escape_probability, escape_terms, stratum_escape_log_weights  # noqa: F401
 from .sampling import IgnoredData, SampleStats
 from .sbm import (
+    INT64_MAX,
     SufficientCounts,
     ValidationError,
     _freeze,
@@ -72,7 +73,7 @@ class McmcConfig:
     prior_gamma: tuple[float, float] = (1.0, 1.0)
 
     def __post_init__(self):
-        check_int(self.chain_length, "chain_length", 1)
+        check_int(self.chain_length, "chain_length", 1, INT64_MAX)
         if self.n_max_cap is not None:
             check_int(self.n_max_cap, "n_max_cap", 1)
         if not (_is_finite_number(self.burn_in_fraction) and 0.0 <= self.burn_in_fraction < 1.0):

@@ -16,6 +16,7 @@ import numpy as np
 from .augmentation import McmcConfig, chain_stats, run_chains
 from .sampling import DesignConfig, draw_initial, trace_one_wave
 from .sbm import (
+    INT64_MAX,
     MleEstimates,
     PopulationGraph,
     SbmParams,
@@ -112,7 +113,7 @@ class StudyConfig:
     bins: int = 20
 
     def __post_init__(self):
-        check_int(self.replicates, "replicates", 1)
+        check_int(self.replicates, "replicates", 1, INT64_MAX)
         has_graph = self.population is not None
         has_model = self.params is not None and self.population_size is not None
         if has_graph == has_model:
@@ -120,13 +121,13 @@ class StudyConfig:
                 "exactly one population source required: a graph, or params plus a size"
             )
         if self.population_size is not None:
-            check_int(self.population_size, "population size", 1)
+            check_int(self.population_size, "population size", 1, INT64_MAX)
         try:
             self.mcmc.check_strata((self.population if has_graph else self.params).n_strata)
         except ValidationError as exc:
             raise ValidationError(f"mcmc: {exc}") from exc
         check_int(self.master_seed, "master_seed", 0)
-        check_int(self.bins, "bins", 1)
+        check_int(self.bins, "bins", 1, INT64_MAX)
 
 
 def population_seed(master_seed: int) -> int:
@@ -209,10 +210,12 @@ def run_study(cfg: StudyConfig) -> StudySummary:
     rows = np.array([trace.reduce(np.mean) for trace in traces]).reshape(completed, len(names))
     sizes = np.array([[s.n0, s.n1] for s in samples], dtype=np.int64).reshape(completed, 2)
     true_n = population.n_nodes
+    middle = [(completed - 1) // 2, completed // 2]  # np.median's bits, without the numpy.ma it imports
+    low, high = np.sort(rows, axis=0)[middle] if completed else np.full((2, len(names)), np.nan)
     stats = {
         name: {
             "mean": float(rows[:, j].mean()) if completed else float("nan"),
-            "median": float(np.median(rows[:, j])) if completed else float("nan"),
+            "median": float(low[j] + high[j]) / 2,
             "sd": float(rows[:, j].std()) if completed else float("nan"),
         }
         for j, name in enumerate(names)

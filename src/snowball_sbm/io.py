@@ -12,6 +12,7 @@ import json
 import math
 import os
 import warnings
+from itertools import chain
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -44,6 +45,9 @@ STRATA_HEADER = "node_id,stratum"
 EDGE_FAULTS = {"self-link": "{path}:{line}: self-link {u}", "range": "{path}:{line}: node id outside 0..{top}",
                "duplicate": "{path}:{line}: duplicate edge {u},{v}"}
 STRATA_FAULTS = {"label": "{path}:{line}: strata are labeled 1..G", "duplicate": "{path}: duplicate node id {u}"}
+# messages for the links that load_sample rejects, by RowError fault; any other is out of range
+LINK_FAULTS = {"endpoint": "link [{}, {}] has no endpoint in the initial sample",
+               "duplicate": "duplicate link [{}, {}]"}
 # keys a study file may hold; threads is accepted and has no effect
 STUDY_FIELDS = {"population", "replicates", "design", "mcmc", "master_seed", "bins", "threads"}
 POPULATION_FIELDS = {"edges", "strata", "params_file", "params", "n", "clustering"}
@@ -177,7 +181,11 @@ def _load_rows(path: str, header: str, sep: str, build, faults: dict, **fields):
     with open(path) as fh:
         if fh.readline().strip() != header:
             fh.seek(0)
-        rows = _int_rows(map(str.strip, fh), sep)
+        start = fh.tell()
+        rows = _int_rows(fh, sep)
+        if rows is None:  # numpy reads blanks around a number, but not a line of blanks or a stray tab
+            fh.seek(start)
+            rows = _int_rows(map(str.strip, fh), sep)
     if rows is not None:
         with contextlib.suppress(RowError):
             return build(rows)
@@ -257,8 +265,30 @@ def sample_meta(cfg: "DesignConfig", seed: int | None, n_strata: int, population
     return meta
 
 
+def _ints(values: list, low: int = 1) -> bool:
+    """Every entry an int from ``low`` to INT64_MAX; bools, floats and strings are not ints."""
+    return set(map(type, values)) <= {int} and low <= min(values, default=low) and max(values, default=low) <= INT64_MAX
+
+
+def _int_pairs(values: list) -> bool:
+    """Every entry an [i, j] list of two ints."""
+    return (set(map(type, values)) <= {list} and set(map(len, values)) <= {2}
+            and set(map(type, list(chain.from_iterable(values)))) <= {int})
+
+
+def _first_bad(values: list, well_formed) -> int:
+    """The index of the first entry of ``values`` that ``well_formed``, a test
+    of a whole list, rejects (the end of the shortest rejected prefix), or
+    len(values) when it rejects none."""
+    if well_formed(values):
+        return len(values)
+    return bisect.bisect_left(range(len(values)), True, key=lambda i: not well_formed(values[:i + 1]))
+
+
 def load_sample(path: str):
-    """Read a sample JSON; returns (IgnoredData, meta dict)."""
+    """Read a sample JSON; returns (IgnoredData, meta dict). Each link is
+    checked by :class:`~snowball_sbm.sampling.IgnoredData`, and the first bad
+    link in list order is named."""
     from .sampling import IgnoredData
     doc = _load_json(path)
     n0 = _require(doc, "n0", path)
@@ -273,34 +303,39 @@ def load_sample(path: str):
     for name, strata, size in (("strata_s0", strata_s0, n0), ("strata_s1", strata_s1, n1)):
         if not isinstance(strata, list) or len(strata) != size:
             raise ValidationError(f"{path}: {name}: must be a list of length {size}")
-        bad = next((s for s in strata if not (_is_integer(s) and 1 <= s <= INT64_MAX)), None)
-        if bad is not None:
-            raise ValidationError(f"{path}: {name}: bad stratum {bad!r}: strata are integers labeled 1..G")
+        bad = _first_bad(strata, _ints)
+        if bad < size:
+            raise ValidationError(f"{path}: {name}: bad stratum {strata[bad]!r}: strata are integers labeled 1..G")
     if not isinstance(links, list):
         raise ValidationError(f"{path}: links: must be a list of [i, j] pairs")
-    n, seen = n0 + n1, set()
-    for pair in links:
-        if not (isinstance(pair, list) and len(pair) == 2 and all(_is_integer(x) for x in pair)):
-            raise ValidationError(f"{path}: links: {pair!r} is not an [i, j] pair of integers")
-        i, j = pair
-        if not (1 <= i < j <= n):
-            raise ValidationError(f"{path}: links: link [{i}, {j}] outside canonical range")
-        if i > n0:
-            raise ValidationError(f"{path}: links: link [{i}, {j}] has no endpoint in the initial sample")
-        if (i, j) in seen:
-            raise ValidationError(f"{path}: links: duplicate link [{i}, {j}]")
-        seen.add((i, j))
+    k = _first_bad(links, _int_pairs)
+    indices = list(chain.from_iterable(links[:k]))
+    if not _ints(indices, -INT64_MAX):  # an index beyond int64 is out of range: read it as 0
+        indices = [i if abs(i) <= INT64_MAX else 0 for i in indices]
+    pairs = np.array(indices, dtype=np.int64).reshape(-1, 2)
+    pairs[pairs[:, 0] > pairs[:, 1]] = 0  # the file holds i < j: a reversed pair is out of range
+    coverage = None
+    try:
+        data = IgnoredData(
+            strata_s0=np.array(strata_s0, dtype=np.int64) - 1,
+            strata_s1=np.array(strata_s1, dtype=np.int64) - 1,
+            links=pairs - 1,
+        )
+    except RowError as exc:
+        message = LINK_FAULTS.get(exc.fault, "link [{}, {}] outside canonical range")
+        raise ValidationError(f"{path}: links: " + message.format(*links[exc.row])) from exc
+    except ValidationError as exc:  # a wave unit with no link, reported after meta
+        coverage = exc
+    if k < len(links):
+        raise ValidationError(f"{path}: links: {links[k]!r} is not an [i, j] pair of integers")
     meta = doc.get("meta", {})
     if not isinstance(meta, dict):
         raise ValidationError(f"{path}: meta: must be an object")
     try:
         if "n_strata" in meta:  # at least the largest stratum label
             check_int(meta["n_strata"], "meta: n_strata", max(strata_s0 + strata_s1), INT64_MAX)
-        data = IgnoredData(
-            strata_s0=np.array(strata_s0, dtype=np.int64) - 1,
-            strata_s1=np.array(strata_s1, dtype=np.int64) - 1,
-            links=np.array(sorted(seen), dtype=np.int64).reshape(-1, 2) - 1,
-        )
+        if coverage:
+            raise coverage
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
     return data, meta

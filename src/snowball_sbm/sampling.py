@@ -79,9 +79,10 @@ class IgnoredData:
 
     ``links`` is an (L, 2) int64 array of canonical-index pairs (i, j) with
     i < j and i < n0, rows sorted and unique: the form the sample file
-    holds. Any pair order and row order is accepted and canonicalized. This
-    is the validated form of a sample; the estimator reads it through
-    :class:`SampleStats`.
+    holds. Any pair order and row order is accepted and canonicalized, and
+    the first bad link is named by :func:`~snowball_sbm.sbm.canonical_pairs`:
+    this is the one checker of a sample's links. The estimator reads it
+    through :class:`SampleStats`.
     """
 
     strata_s0: np.ndarray
@@ -92,9 +93,7 @@ class IgnoredData:
         strata_s0 = np.asarray(self.strata_s0, dtype=np.int64)
         strata_s1 = np.asarray(self.strata_s1, dtype=np.int64)
         n0, n1 = strata_s0.size, strata_s1.size
-        links = canonical_pairs(self.links, n0 + n1, "link")
-        if links.size and links[:, 0].max() >= n0:
-            raise ValidationError("a link has no endpoint in the initial sample")
+        links = canonical_pairs(self.links, n0 + n1, "link", hub=n0)
         if not np.bincount(links[:, 1], minlength=n0 + n1)[n0:].all():
             raise ValidationError("a wave unit has no link into the initial sample")
         if (strata_s0.size and strata_s0.min() < 0) or (strata_s1.size and strata_s1.min() < 0):

@@ -155,14 +155,15 @@ def first_fault(faults: dict) -> tuple[int, str] | None:
     return (int(bad[0]), next(name for name, mask in faults.items() if mask[bad[0]])) if bad.size else None
 
 
-def canonical_pairs(pairs, n: int, what: str) -> np.ndarray:
+def canonical_pairs(pairs, n: int, what: str, hub: int | None = None) -> np.ndarray:
     """An (E, 2) int64 array of unordered pairs of ids in 0..n-1, in canonical
     form: the smaller id first in each row, rows sorted, read-only.
 
     Any pair order and row order is accepted; a wrong shape is rejected, and
     a :class:`RowError` names the first row that is a self-link, has an id
-    out of range or repeats an earlier pair (in either orientation), the
-    message naming each pair a ``what``.
+    out of range, has no id below ``hub`` when that is given (a sample's
+    initial sample) or repeats an earlier pair in either orientation, with
+    the first of these faults; the message names each pair a ``what``.
     """
     pairs = np.asarray(pairs, dtype=np.int64)
     if pairs.size == 0:
@@ -171,10 +172,12 @@ def canonical_pairs(pairs, n: int, what: str) -> np.ndarray:
         raise ValidationError(f"{what}s must be an (E, 2) array of pairs, got shape {pairs.shape}")
     u, v = pairs.min(axis=1), pairs.max(axis=1)
     order, repeated = later_repeats(u * n + v)
-    fault = first_fault({"self-link": u == v, "range": (u < 0) | (v >= n), "duplicate": repeated})
+    fault = first_fault({"self-link": u == v, "range": (u < 0) | (v >= n),
+                         "endpoint": u >= (n if hub is None else hub), "duplicate": repeated})
     if fault:
         a, b = int(u[fault[0]]), int(v[fault[0]])
         messages = {"self-link": f"self-link at node {a}", "range": f"{what} node id outside 0..{n - 1}",
+                    "endpoint": f"{what} {a},{b} has no endpoint in the initial sample",
                     "duplicate": f"duplicate {what} {a},{b}"}
         raise RowError(*fault, messages[fault[1]])
     return _freeze(np.column_stack([u[order], v[order]]))
@@ -298,8 +301,7 @@ def generate_population(params: SbmParams, n: int, seed=None) -> PopulationGraph
     Deterministic given ``seed``.
     """
     validate_params(params)
-    if n < 0:
-        raise ValidationError("population size must be >= 0")
+    check_int(n, "population size", 0, INT64_MAX)
     rng = np.random.default_rng(seed)
     g = params.n_strata
     strata = rng.choice(g, size=n, p=params.lam) if n else np.zeros(0, dtype=np.int64)

@@ -1,14 +1,15 @@
 """Independent reference computations that the tests compare the package
 against. The package never calls them: the sweep integrates the unobserved
 links out, the escape probability 1 - p is computed another way, graph
-files are parsed by numpy, and a wave is relabeled by one index lookup."""
+files are parsed by numpy, a wave is relabeled by one index lookup, and
+sample files are read into numpy arrays whose links `IgnoredData` checks."""
 
 import numpy as np
 
 from snowball_sbm import IgnoredData, PopulationGraph, SampleStats, SbmParams, ValidationError
-from snowball_sbm.io import EDGE_HEADER, STRATA_HEADER
+from snowball_sbm.io import EDGE_HEADER, STRATA_HEADER, _load_json, _require
 from snowball_sbm.logmath import xlog1py
-from snowball_sbm.sbm import pair_totals_from_counts, symmetric_from_upper
+from snowball_sbm.sbm import INT64_MAX, _is_integer, check_int, pair_totals_from_counts, symmetric_from_upper
 
 
 def impute_link_counts(stats: SampleStats, n, strata_all_counts, beta: np.ndarray, rngs) -> np.ndarray:
@@ -110,3 +111,54 @@ def trace_then_relabel(graph: PopulationGraph, s0) -> IgnoredData:
         strata_s1=graph.strata[s1][order1],
         links=by_id[np.searchsorted(ids, links, sorter=by_id)],
     )
+
+
+def load_sample_per_link(path: str):
+    """A sample file read one link and one stratum at a time, each checked
+    as it is read, so the first bad entry in list order is the one reported.
+    This is the reader `io.load_sample` replaced; its results and messages
+    are the reference for the numpy reader."""
+    doc = _load_json(path)
+    n0 = _require(doc, "n0", path)
+    n1 = _require(doc, "n1", path)
+    strata_s0 = _require(doc, "strata_s0", path)
+    strata_s1 = _require(doc, "strata_s1", path)
+    links = _require(doc, "links", path)
+    if not (_is_integer(n0) and _is_integer(n1) and n0 >= 0 and n1 >= 0):
+        raise ValidationError(f"{path}: n0 and n1 must be non-negative integers")
+    if n0 == 0:
+        raise ValidationError(f"{path}: empty initial sample (n0 = 0): the sample carries no information")
+    for name, strata, size in (("strata_s0", strata_s0, n0), ("strata_s1", strata_s1, n1)):
+        if not isinstance(strata, list) or len(strata) != size:
+            raise ValidationError(f"{path}: {name}: must be a list of length {size}")
+        bad = next((s for s in strata if not (_is_integer(s) and 1 <= s <= INT64_MAX)), None)
+        if bad is not None:
+            raise ValidationError(f"{path}: {name}: bad stratum {bad!r}: strata are integers labeled 1..G")
+    if not isinstance(links, list):
+        raise ValidationError(f"{path}: links: must be a list of [i, j] pairs")
+    n, seen = n0 + n1, set()
+    for pair in links:
+        if not (isinstance(pair, list) and len(pair) == 2 and all(_is_integer(x) for x in pair)):
+            raise ValidationError(f"{path}: links: {pair!r} is not an [i, j] pair of integers")
+        i, j = pair
+        if not (1 <= i < j <= n):
+            raise ValidationError(f"{path}: links: link [{i}, {j}] outside canonical range")
+        if i > n0:
+            raise ValidationError(f"{path}: links: link [{i}, {j}] has no endpoint in the initial sample")
+        if (i, j) in seen:
+            raise ValidationError(f"{path}: links: duplicate link [{i}, {j}]")
+        seen.add((i, j))
+    meta = doc.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ValidationError(f"{path}: meta: must be an object")
+    try:
+        if "n_strata" in meta:  # at least the largest stratum label
+            check_int(meta["n_strata"], "meta: n_strata", max(strata_s0 + strata_s1), INT64_MAX)
+        data = IgnoredData(
+            strata_s0=np.array(strata_s0, dtype=np.int64) - 1,
+            strata_s1=np.array(strata_s1, dtype=np.int64) - 1,
+            links=np.array(sorted(seen), dtype=np.int64).reshape(-1, 2) - 1,
+        )
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+    return data, meta

@@ -450,15 +450,38 @@ class TestInputHardening:
         assert code == 2 and not wrote
         assert f"--strata-count must be an integer >= 2, got {count}" in err
 
-    @pytest.mark.parametrize("argv, changes, message", [
-        ((), {"strata_s1": [2**65]}, "{path}: strata_s1: bad stratum 36893488147419103232: strata are integers"),
-        ((), {"meta": {"n_strata": 2**65}},
+    @pytest.mark.parametrize("command, argv, changes, message", [
+        ("estimate", (), {"strata_s1": [2**65]},
+         "{path}: strata_s1: bad stratum 36893488147419103232: strata are integers"),
+        ("estimate", (), {"meta": {"n_strata": 2**65}},
          "{path}: meta: n_strata must be at most 9223372036854775807, got 36893488147419103232"),
-        (("--strata-count", str(2**65)), {},
+        ("estimate", ("--strata-count", str(2**65)), {},
          "--strata-count must be at most 9223372036854775807, got 36893488147419103232"),
-    ], ids=["strata_s1", "meta.n_strata", "--strata-count"])
-    def test_integer_beyond_int64_rejected(self, tmp_path, capsys, argv, changes, message):
-        code, err, path, wrote = self.estimate(tmp_path, capsys, *argv, **changes)
+        ("estimate", ("--chain-length", str(2**65)), {},
+         "chain_length must be at most 9223372036854775807, got 36893488147419103232"),
+        ("generate", ("--n", str(2**65)), {},
+         "population size must be at most 9223372036854775807, got 36893488147419103232"),
+        ("simulate", (), {"mcmc": {"chain_length": 2**65}},
+         "{path}: mcmc: chain_length must be at most 9223372036854775807, got 36893488147419103232"),
+        ("simulate", (), {"population": {"n": 2**65}},
+         "{path}: population size must be at most 9223372036854775807, got 36893488147419103232"),
+        ("simulate", (), {"replicates": 2**65},
+         "{path}: replicates must be at most 9223372036854775807, got 36893488147419103232"),
+        ("simulate", (), {"bins": 2**65},
+         "{path}: bins must be at most 9223372036854775807, got 36893488147419103232"),
+    ], ids=["strata_s1", "meta.n_strata", "--strata-count", "--chain-length", "generate--n", "mcmc.chain_length",
+            "population.n", "replicates", "bins"])
+    def test_integer_beyond_int64_rejected(self, tmp_path, capsys, monkeypatch, params_file, command, argv,
+                                           changes, message):
+        if command == "estimate":
+            code, err, path, wrote = self.estimate(tmp_path, capsys, *argv, **changes)
+        elif command == "simulate":  # run_study is patched to fail, so a huge count starts no replicate
+            code, err, path = self.simulate(tmp_path, capsys, monkeypatch, **changes)
+            wrote = (tmp_path / "study").exists()
+        else:
+            path, out = params_file, tmp_path / "pop"
+            code = run_cli("generate", "--params", path, "--seed", "1", "--out", str(out), *argv)
+            err, wrote = capsys.readouterr().err, out.exists()
         assert code == 2 and not wrote
         assert message.format(path=path) in err
 

@@ -12,6 +12,7 @@ import snowball_sbm
 from snowball_sbm import SbmParams, io
 
 LAYERS = ("augmentation", "harness", "likelihoods")
+NEVER = {"numpy.ma"}  # modules no command may load
 
 
 def loaded_after(script):
@@ -23,7 +24,7 @@ def loaded_after(script):
 
 @pytest.fixture(scope="module")
 def tiny_inputs(tmp_path_factory):
-    """Params, a 30-unit population and a sample of it, written by the package."""
+    """Params, a 30-unit population, a sample of it and a study config."""
     from snowball_sbm.cli import main
 
     root = tmp_path_factory.mktemp("inputs")
@@ -32,6 +33,9 @@ def tiny_inputs(tmp_path_factory):
     assert main(["generate", "--params", str(params), "--n", "30", "--seed", "1", "--out", str(root)]) == 0
     assert main(["sample", "--edges", str(root / "edges.tsv"), "--strata", str(root / "strata.csv"),
                  "--design", "fixed:6", "--seed", "2", "--out", str(root / "sample.json")]) == 0
+    study = {"population": {"params_file": "params.json", "n": 30}, "replicates": 2,
+             "design": {"mode": "fixed_size", "n0": 6}, "mcmc": {"chain_length": 20}}
+    (root / "study.json").write_text(json.dumps(study))
     return root
 
 
@@ -46,6 +50,7 @@ COMMANDS = {  # command -> (argv after the command, modules it must not load)
                 "--seed", "4", "--out", "{out}/s.json"], LAYERS),
     "estimate": (["--sample", "{root}/sample.json", "--chain-length", "20", "--seed", "5", "--out", "{out}/est"],
                  {"harness"}),
+    "simulate": (["--config", "{root}/study.json", "--out", "{out}/study"], set()),
 }
 
 
@@ -54,7 +59,7 @@ def test_command_loads_only_its_layers(tiny_inputs, tmp_path, command):
     argv, absent = COMMANDS[command]
     argv = [command, *(arg.format(root=tiny_inputs, out=tmp_path) for arg in argv)]
     loaded = loaded_after(f"from snowball_sbm.cli import main\nassert main({argv!r}) == 0")
-    absent = {name if name.startswith("numpy") else f"snowball_sbm.{name}" for name in absent}
+    absent = {name if name.startswith("numpy") else f"snowball_sbm.{name}" for name in {*absent, *NEVER}}
     assert "snowball_sbm.io" in loaded
     assert not absent & loaded
 
