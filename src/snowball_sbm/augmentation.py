@@ -22,7 +22,7 @@ unsampled units' strata are exchangeable given the sample, so a multinomial
 count vector replaces per-unit labels; N is drawn as a truncated negative
 binomial; and the links among pairs with no endpoint in the initial sample,
 which only beta's conditional would read, are integrated out of it (a
-collapsed Gibbs step, :func:`posterior_counts`). All three are exact.
+collapsed Gibbs step, in :func:`conjugate_params`). All three are exact.
 """
 
 import logging
@@ -37,7 +37,6 @@ from .likelihoods import escape_probability, escape_terms, stratum_escape_log_we
 from .sampling import IgnoredData, SampleStats
 from .sbm import (
     INT64_MAX,
-    SufficientCounts,
     ValidationError,
     _freeze,
     _is_finite_number,
@@ -199,24 +198,27 @@ def impute_strata(stats: SampleStats, n: np.ndarray, probs: np.ndarray, rngs: Rn
     return np.array(rows, dtype=np.int64)
 
 
-def lambda_posterior_params(strata_counts: np.ndarray, cfg: McmcConfig) -> np.ndarray:
-    alpha = np.asarray(cfg.prior_alpha, dtype=np.float64)
-    return np.asarray(strata_counts, dtype=np.float64) + alpha
-
-
-def beta_posterior_params(counts: SufficientCounts, cfg: McmcConfig):
-    """Per-pair Beta parameters (successes + g1, failures + g2)."""
+def conjugate_params(stats: SampleStats, strata_unsampled: np.ndarray, cfg: McmcConfig):
+    """Each row's Dirichlet parameters for lambda, ``alpha`` (R, G): the
+    completed stratum counts plus ``prior_alpha``; and Beta parameters for
+    beta, ``a`` and ``b`` (R, P): M + g1 and T* - M + g2, where M is the
+    observed link count and T* the total of the pairs with at least one
+    endpoint in the initial sample, all of them observed. The links among the
+    other pairs integrate out, so T* is not the completed pair totals."""
+    counts = stats.counts_sampled + np.asarray(strata_unsampled, dtype=np.int64)
+    all_pairs, outside = pair_totals_from_counts(np.array([counts, counts - stats.counts_s0]))
     g1, g2 = cfg.prior_gamma
-    a = counts.link_counts + g1
-    b = counts.pair_totals - counts.link_counts + g2
-    return a.astype(np.float64), b.astype(np.float64)
+    links = stats.link_counts
+    alpha = counts.astype(np.float64) + np.asarray(cfg.prior_alpha, dtype=np.float64)
+    a = np.asarray(links + g1, dtype=np.float64)
+    b = np.asarray(all_pairs - outside - links + g2, dtype=np.float64)
+    return alpha, a, b
 
 
-def draw_lambda(strata_counts: np.ndarray, cfg: McmcConfig, rngs: Rngs) -> np.ndarray:
-    """Each row's stratum probabilities from the Dirichlet posterior given its
-    (R, G) counts, bit for bit ``rngs[r].dirichlet``: a cumulative sum adds in
-    its order, which ``sum`` does not for G >= 8."""
-    alpha = lambda_posterior_params(strata_counts, cfg)
+def draw_lambda(alpha: np.ndarray, rngs: Rngs) -> np.ndarray:
+    """Each row's stratum probabilities from Dirichlet(``alpha[r]``), bit for
+    bit ``rngs[r].dirichlet``: a cumulative sum adds in its order, which
+    ``sum`` does not for G >= 8."""
     if (alpha.max(axis=-1) < 0.1).any():  # numpy's dirichlet breaks sticks there
         return np.array([rng.dirichlet(row) for rng, row in zip(rngs, alpha)])
     gam = np.array([g for rng, row in zip(rngs, alpha.tolist()) for g in map(rng.standard_gamma, row)])
@@ -224,23 +226,11 @@ def draw_lambda(strata_counts: np.ndarray, cfg: McmcConfig, rngs: Rngs) -> np.nd
     return gam * (1.0 / gam.cumsum(axis=-1)[..., -1:])
 
 
-def draw_beta(counts: SufficientCounts, cfg: McmcConfig, rngs: Rngs) -> np.ndarray:
-    """Each row's (R, P) link probabilities from the per-pair Beta posteriors
-    given its (R, ...) :func:`posterior_counts`."""
-    a, b = beta_posterior_params(counts, cfg)
+def draw_beta(a: np.ndarray, b: np.ndarray, rngs: Rngs) -> np.ndarray:
+    """Each row's (R, P) link probabilities, one Beta(``a[r, i]``,
+    ``b[r, i]``) draw per stratum pair."""
     draws = [x for rng, ra, rb in zip(rngs, a.tolist(), b.tolist()) for x in map(rng.beta, ra, rb)]
     return np.array(draws).reshape(a.shape)
-
-
-def posterior_counts(stats, strata_unsampled: np.ndarray) -> SufficientCounts:
-    """The counts lambda's and beta's conditionals read: the completed stratum
-    counts, the observed link counts M, and the totals T* of the pairs with at
-    least one endpoint in the initial sample, all of them observed. The links
-    among the other pairs integrate out, so beta's posterior is
-    Beta(M + g1, T* - M + g2); T* is not the completed pair totals."""
-    counts = stats.counts_sampled + np.asarray(strata_unsampled, dtype=np.int64)
-    all_pairs, outside = pair_totals_from_counts(np.array([counts, counts - stats.counts_s0]))
-    return SufficientCounts(counts, stats.link_counts, all_pairs - outside)
 
 
 @dataclass(frozen=True)
@@ -277,9 +267,8 @@ def gibbs_sweep(state: AugmentedState, stats: SampleStats, cap: np.ndarray, cfg:
     _, log_omp, probs = escape_terms(stratum_escape_log_weights(stats.counts_s0, state))
     n = draw_population_size(stats, cap, log_omp, rngs)
     strata_un = impute_strata(stats, n, probs, rngs)
-    counts = posterior_counts(stats, strata_un)
-    lam = draw_lambda(counts.strata_counts, cfg, rngs)
-    return AugmentedState(n, strata_un, lam, draw_beta(counts, cfg, rngs))
+    alpha, a, b = conjugate_params(stats, strata_un, cfg)
+    return AugmentedState(n, strata_un, draw_lambda(alpha, rngs), draw_beta(a, b, rngs))
 
 
 @dataclass(frozen=True)

@@ -63,6 +63,9 @@ def _check_out(path: str, is_dir: bool):
         raise ValidationError(f"--out: {path}: {os.path.dirname(path)} is not an existing directory")
 
 
+# McmcConfig fields that estimate's flags set; a flag left out keeps McmcConfig's default
+MCMC_FLAGS = ("chain_length", "burn_in_fraction", "n_max_cap", "cap_multiplier")
+
 DESIGNS = {  # --design prefix -> (DesignConfig mode, field, parser)
     "bernoulli": ("bernoulli", "q", float),
     "fixed": ("fixed_size", "n0", int),
@@ -114,8 +117,7 @@ def cmd_estimate(args) -> int:
     _check_inputs(args.sample)
     data, meta = io.load_sample(args.sample)
     seed = _resolve_seed(args.seed)
-    cfg = McmcConfig(chain_length=args.chain_length, burn_in_fraction=args.burn_in, n_max_cap=args.cap,
-                     cap_multiplier=args.cap_multiplier)
+    cfg = McmcConfig(**{name: getattr(args, name) for name in MCMC_FLAGS if getattr(args, name) is not None})
     n_strata = meta.get("n_strata")
     if args.strata_count is not None:
         n_strata = check_int(args.strata_count, "--strata-count", data.min_strata(), INT64_MAX)
@@ -212,10 +214,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="run the augmentation chain on a sample")
     p.add_argument("--sample", required=True, help="sample JSON")
-    p.add_argument("--chain-length", type=int, default=1000)
-    p.add_argument("--burn-in", type=float, default=0.1, help="burn-in fraction")
-    p.add_argument("--cap", type=int, default=None, help="explicit population-size cap")
-    p.add_argument("--cap-multiplier", type=float, default=100.0)
+    p.add_argument("--chain-length", type=int, help="number of sweeps")
+    p.add_argument("--burn-in", type=float, dest="burn_in_fraction", metavar="BURN_IN", help="burn-in fraction")
+    p.add_argument("--cap", type=int, dest="n_max_cap", metavar="CAP", help="explicit population-size cap")
+    p.add_argument("--cap-multiplier", type=float, help="cap as a multiple of the sampled count")
     p.add_argument("--strata-count", type=int, default=None, help="override the number of strata G")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True, help="output directory for trace.csv and summary.json")

@@ -48,8 +48,8 @@ STRATA_FAULTS = {"label": "{path}:{line}: strata are labeled 1..G", "duplicate":
 # messages for the links that load_sample rejects, by RowError fault; any other is out of range
 LINK_FAULTS = {"endpoint": "link [{}, {}] has no endpoint in the initial sample",
                "duplicate": "duplicate link [{}, {}]"}
-# keys a study file may hold; threads is accepted and has no effect
-STUDY_FIELDS = {"population", "replicates", "design", "mcmc", "master_seed", "bins", "threads"}
+# keys a study file may hold
+STUDY_FIELDS = {"population", "replicates", "design", "mcmc", "master_seed", "bins"}
 POPULATION_FIELDS = {"edges", "strata", "params_file", "params", "n", "clustering"}
 
 

@@ -1,13 +1,15 @@
 """Independent reference computations that the tests compare the package
 against. The package never calls them: the sweep integrates the unobserved
 links out, the escape probability 1 - p is computed another way, graph
-files are parsed by numpy, a wave is relabeled by one index lookup, and
-sample files are read into numpy arrays whose links `IgnoredData` checks."""
+files are parsed by numpy, a wave is relabeled by one index lookup,
+sample files are read into numpy arrays whose links `IgnoredData` checks,
+and the chain never sums N out of the posterior of (lambda, beta)."""
 
 import numpy as np
 
-from snowball_sbm import IgnoredData, PopulationGraph, SampleStats, SbmParams, ValidationError
+from snowball_sbm import IgnoredData, McmcConfig, PopulationGraph, SampleStats, SbmParams, ValidationError
 from snowball_sbm.io import EDGE_HEADER, STRATA_HEADER, _load_json, _require
+from snowball_sbm.likelihoods import n_free_terms
 from snowball_sbm.logmath import xlog1py
 from snowball_sbm.sbm import INT64_MAX, _is_integer, check_int, pair_totals_from_counts, symmetric_from_upper
 
@@ -31,6 +33,34 @@ def impute_link_counts(stats: SampleStats, n, strata_all_counts, beta: np.ndarra
     totals = pair_totals_from_counts(outside).tolist()
     draws = [list(map(rng.binomial, row, p)) for rng, row, p in zip(rngs, totals, beta.tolist())]
     return np.array(draws, dtype=np.int64)
+
+
+def lambda_beta_log_marginal(stats: SampleStats, params: SbmParams, cfg: McmcConfig, cap: int | None = None):
+    """log pi(lambda, beta | data) up to a constant: the label-free posterior
+    with N and the unsampled strata summed out under the flat prior on N,
+
+        log pi(lambda) + log pi(beta) + block - (n1 + 1) log p,
+
+    with ``block`` and log(1 - p) from :func:`likelihoods.n_free_terms`, since
+    the excess M = N - n0 - n1 sums as sum_M C(n1 + M, n1) (1 - p)^M =
+    p^-(n1 + 1). Under a ``cap`` on N the sum stops at K = cap - n0 - n1, which
+    adds log P(NB(n1 + 1, p) <= K). The priors are ``cfg``'s
+    Dirichlet(prior_alpha) on lambda and Beta(prior_gamma) on each beta.
+    Needs p > 0 and every beta in (0, 1)."""
+    from scipy.special import gammaln
+    from scipy.stats import nbinom
+
+    block, log_omp = n_free_terms(stats, params)
+    log_p = np.log(-np.expm1(log_omp))
+    alpha = np.broadcast_to(np.asarray(cfg.prior_alpha, dtype=np.float64), params.lam.shape)
+    g1, g2 = cfg.prior_gamma
+    log_prior = (gammaln(alpha.sum()) - gammaln(alpha).sum() + np.sum((alpha - 1) * np.log(params.lam))
+                 + np.sum(gammaln(g1 + g2) - gammaln(g1) - gammaln(g2)
+                          + (g1 - 1) * np.log(params.beta) + (g2 - 1) * np.log1p(-params.beta)))
+    value = log_prior + block - (stats.n1 + 1) * log_p
+    if cap is not None:
+        value += nbinom.logcdf(cap - stats.n_sampled, stats.n1 + 1, np.exp(log_p))
+    return float(value)
 
 
 def wave_inclusion_probability(counts_s0, params: SbmParams) -> float:

@@ -23,10 +23,9 @@ from snowball_sbm import (
     draw_lambda,
     generate_population,
     run_study,
-    sufficient_counts,
     trace_one_wave,
 )
-from snowball_sbm.augmentation import beta_posterior_params, lambda_posterior_params, posterior_counts
+from snowball_sbm.augmentation import conjugate_params
 from snowball_sbm.harness import SURVEY_SCALE_N, survey_scale_params
 from snowball_sbm.likelihoods import ignored_log_likelihood, observed_log_likelihood
 from snowball_sbm.logmath import log_binom
@@ -41,7 +40,7 @@ from test_augmentation import (
     brute_force_stratum_marginals,
     draw_n,
     escape_of,
-    repeat_rows,
+    full_observation_params,
     stacked,
 )
 from test_likelihoods import make_data, stats_of
@@ -184,8 +183,8 @@ def test_collapsed_beta_conditional_matches_link_mixture():
     units = strata_s0 + strata_s1 + unsampled
     stats = SampleStats.from_data(make_data(strata_s0, strata_s1, links), 2)
     cfg = McmcConfig(prior_gamma=(0.5, 2.0))
-    a, b = (symmetric_from_upper(x, 2) for x in
-            beta_posterior_params(posterior_counts(stacked(stats), [np.bincount(unsampled, minlength=2)]), cfg))
+    _, *upper = conjugate_params(stacked(stats), [np.bincount(unsampled, minlength=2)], cfg)
+    a, b = (symmetric_from_upper(x, 2) for x in upper)
 
     # by hand, one pair of units at a time: unit i < n0 is in the initial sample
     n0, g1, g2 = len(strata_s0), Fraction(0.5), Fraction(2)
@@ -225,19 +224,20 @@ def test_criterion_4_conjugate_posterior_correctness():
     for u, v in [(0, 1), (1, 2), (2, 3)]:
         adj[u, v] = adj[v, u] = True
     graph = PopulationGraph(strata=np.array([0, 0, 0, 1, 1, 1]), edges=np.argwhere(np.triu(adj)))
-    counts = sufficient_counts(graph)
     cfg = McmcConfig()
 
-    assert lambda_posterior_params(counts.strata_counts, cfg).tolist() == [4.0, 4.0]
-    a, b = (symmetric_from_upper(x, 2) for x in beta_posterior_params(counts, cfg))
+    alpha, a_upper, b_upper = full_observation_params(graph, cfg)
+    assert alpha.tolist() == [4.0, 4.0]
+    a, b = (symmetric_from_upper(x, 2) for x in (a_upper, b_upper))
     assert (a[0, 0], b[0, 0]) == (3.0, 2.0)
     assert (a[0, 1], b[0, 1]) == (2.0, 9.0)
     assert (a[1, 1], b[1, 1]) == (1.0, 4.0)
 
     n_draws = 50_000
     rng = np.random.default_rng(40)
-    lam_draws = draw_lambda(np.tile(counts.strata_counts, (n_draws, 1)), cfg, [rng] * n_draws)
-    beta_draws = symmetric_from_upper(draw_beta(repeat_rows(counts, n_draws), cfg, [rng] * n_draws), 2)
+    lam_draws = draw_lambda(np.tile(alpha, (n_draws, 1)), [rng] * n_draws)
+    beta_draws = symmetric_from_upper(
+        draw_beta(np.tile(a_upper, (n_draws, 1)), np.tile(b_upper, (n_draws, 1)), [rng] * n_draws), 2)
 
     lam_mean, lam_var = 0.5, (4 * 4) / (8**2 * 9)
     assert abs(lam_draws[:, 0].mean() - lam_mean) < 3 * np.sqrt(lam_var / n_draws)
@@ -423,7 +423,6 @@ def test_criterion_9_cli_determinism(tmp_path):
         "design": {"mode": "fixed_size", "n0": 10},
         "mcmc": {"chain_length": 80},
         "master_seed": 9,
-        "threads": 2,
     }
     cfg_path = tmp_path / "study.json"
     cfg_path.write_text(json.dumps(study_cfg))

@@ -1,7 +1,6 @@
 """Gibbs sampler pieces against enumeration, reference implementations, and
 closed-form conjugate posteriors."""
 
-from dataclasses import fields
 from fractions import Fraction
 from itertools import product
 from math import comb, expm1
@@ -12,7 +11,6 @@ import pytest
 from snowball_sbm import (
     McmcConfig,
     SbmParams,
-    SufficientCounts,
     ValidationError,
     draw_beta,
     draw_lambda,
@@ -24,13 +22,7 @@ from snowball_sbm import (
     sufficient_counts,
     trace_one_wave,
 )
-from snowball_sbm.augmentation import (
-    beta_posterior_params,
-    initial_state,
-    lambda_posterior_params,
-    population_size_log_weights,
-    posterior_counts,
-)
+from snowball_sbm.augmentation import conjugate_params, initial_state, population_size_log_weights
 from snowball_sbm.likelihoods import escape_terms, stratum_escape_log_weights
 from snowball_sbm.sampling import IgnoredData, SampleStats
 from snowball_sbm.sbm import estimand_names, symmetric_from_upper
@@ -62,10 +54,11 @@ def draw_n(stats, params, cfg, rng, size):
     return draw_population_size(batch, cap_of(stats, cfg), escape_of(batch, params)[1], [rng], size)[0]
 
 
-def repeat_rows(counts, rows):
-    """``rows`` copies of ``counts`` along a leading replicate axis."""
-    names = [f.name for f in fields(counts)]
-    return SufficientCounts(**{name: np.repeat([getattr(counts, name)], rows, axis=0) for name in names})
+def full_observation_params(graph, cfg):
+    """One row of :func:`conjugate_params` on the sample that observes all of
+    ``graph``: every unit in the initial sample, none left unsampled."""
+    stats = stacked(SampleStats.from_data(trace_one_wave(graph, np.arange(graph.n_nodes)), graph.n_strata))
+    return [x[0] for x in conjugate_params(stats, np.zeros_like(stats.counts_s0), cfg)]
 
 
 def enumerate_population_size_pmf(n0, n1, one_minus_p, cap):
@@ -381,54 +374,40 @@ class TestConjugateDraws:
         return PopulationGraph(strata=np.array(strata), edges=np.argwhere(np.triu(adj)))
 
     def test_posterior_parameterizations_exact(self):
-        counts = sufficient_counts(self.hand_graph())
-        cfg = McmcConfig()
-        assert lambda_posterior_params(counts.strata_counts, cfg).tolist() == [4.0, 4.0]
-        a, b = beta_posterior_params(counts, cfg)
+        alpha, a, b = full_observation_params(self.hand_graph(), McmcConfig())
+        assert alpha.tolist() == [4.0, 4.0]
         # pairs (1,1): M=2 of C(3,2)=3; (1,2): M=1 of 9; (2,2): M=0 of 3
         assert a.tolist() == [3.0, 2.0, 1.0]
         assert b.tolist() == [2.0, 9.0, 4.0]
 
     def test_lambda_single_stratum_degenerate(self):
-        cfg = McmcConfig()
-        draw = draw_lambda(np.array([[12]]), cfg, [np.random.default_rng(0)])
+        draw = draw_lambda(np.array([[13.0]]), [np.random.default_rng(0)])
         assert draw[0].tolist() == [1.0]
 
     def test_lambda_prior_only_uniform_mean(self):
-        cfg = McmcConfig()
         rng = np.random.default_rng(21)
-        draws = draw_lambda(np.zeros((50_000, 2), dtype=np.int64), cfg, [rng] * 50_000)
+        draws = draw_lambda(np.ones((50_000, 2)), [rng] * 50_000)
         se = np.sqrt(0.25 / (2 + 1) / 50_000)  # Dirichlet(1,1) variance = 1/12
         assert abs(draws[:, 0].mean() - 0.5) < 3 * se
 
     def test_lambda_moments(self):
-        cfg = McmcConfig()
         rng = np.random.default_rng(22)
-        draws = draw_lambda(np.tile([30, 70], (50_000, 1)), cfg, [rng] * 50_000)
+        draws = draw_lambda(np.tile([31.0, 71.0], (50_000, 1)), [rng] * 50_000)
         mean = 31 / 102
         var = (31 / 102) * (71 / 102) / 103
         assert abs(draws[:, 0].mean() - mean) < 3 * np.sqrt(var / 50_000)
 
     def test_beta_moments_and_prior_only(self):
-        counts = SufficientCounts(
-            strata_counts=np.array([11, 10]),
-            link_counts=np.array([0, 5, 0]),
-            pair_totals=np.array([55, 110, 45]),
-        )
-        cfg = McmcConfig()
+        links, totals = np.array([0, 5, 0]), np.array([55, 110, 45])  # stratum counts (11, 10)
+        a, b = np.tile(links + 1.0, (50_000, 1)), np.tile(totals - links + 1.0, (50_000, 1))
         rng = np.random.default_rng(23)
-        draws = draw_beta(repeat_rows(counts, 50_000), cfg, [rng] * 50_000)
+        draws = draw_beta(a, b, [rng] * 50_000)
         mean = 6 / 112
         var = (6 * 106) / (112**2 * 113)
         assert draws.shape == (50_000, 3)  # one draw per stratum pair
         assert abs(draws[:, 1].mean() - mean) < 3 * np.sqrt(var / 50_000)
-        # pair total 0 on a diagonal cell -> Beta(1,1): uniform
-        empty = SufficientCounts(
-            strata_counts=np.array([1, 0]),
-            link_counts=np.zeros(3, dtype=int),
-            pair_totals=np.zeros(3, dtype=int),
-        )
-        uni = draw_beta(repeat_rows(empty, 50_000), cfg, [rng] * 50_000)[:, 0]
+        # no pair and no link: the Beta(1, 1) prior, uniform
+        uni = draw_beta(np.ones((50_000, 3)), np.ones((50_000, 3)), [rng] * 50_000)[:, 0]
         assert abs(uni.mean() - 0.5) < 3 * np.sqrt(1 / 12 / 50_000)
         assert abs(np.quantile(uni, 0.25) - 0.25) < 0.01
 
@@ -486,8 +465,9 @@ class TestGibbsSweep:
             assert state.strata_unsampled.sum() == state.n[0] - data.n_sampled
             assert state.lam[0].sum() == pytest.approx(1.0)
             assert np.all(state.beta >= 0) and np.all(state.beta <= 1)
-            counts = posterior_counts(stacked(stats), state.strata_unsampled)
-            assert np.array_equal(counts.pair_totals[0], touching_pair_totals(data, state.strata_unsampled[0]))
+            _, a, b = conjugate_params(stacked(stats), state.strata_unsampled, cfg)
+            g1, g2 = cfg.prior_gamma
+            assert np.array_equal((a[0] - g1) + (b[0] - g2), touching_pair_totals(data, state.strata_unsampled[0]))
 
 
 def block_stats(n0, n1, counts_s0):
@@ -517,11 +497,10 @@ class TestStreamEquivalence:
             counts = meta.integers(0, 10**4, (rows, g)) * (meta.random((rows, g)) < 0.7)
             if prior == 0.05 and meta.random() < 0.5:
                 counts[0] = 0  # a row whose largest weight is below 0.1: numpy breaks sticks
-            cfg = McmcConfig(prior_alpha=prior)
             alpha = counts + np.asarray(prior, dtype=np.float64)
             seeds = meta.integers(0, 2**63, rows)
             rngs = [np.random.default_rng(s) for s in seeds]
-            got = draw_lambda(counts, cfg, rngs)
+            got = draw_lambda(alpha, rngs)
             for r, seed in enumerate(seeds):
                 reference = np.random.default_rng(seed)
                 assert same_bits(got[r], reference.dirichlet(alpha[r])), (alpha[r], seed)
@@ -649,10 +628,10 @@ class TestRunChain:
         rng = np.random.default_rng(0)
         n_new = np.array([12])
         strata_un = impute_strata(batch, n_new, escape_of(batch, state)[2], [rng])
-        assembled = posterior_counts(batch, strata_un)
-        assert np.array_equal(assembled.strata_counts[0], full.strata_counts)
-        assert np.array_equal(assembled.link_counts[0], full.link_counts)
-        assert np.array_equal(assembled.pair_totals[0], full.pair_totals)
+        alpha, a, b = conjugate_params(batch, strata_un, McmcConfig())
+        assert np.array_equal(alpha[0], full.strata_counts + 1.0)
+        assert np.array_equal(a[0], full.link_counts + 1.0)
+        assert np.array_equal(b[0], full.pair_totals - full.link_counts + 1.0)
 
     def test_estimates_invariant_to_node_relabeling(self):
         params = SbmParams([0.4, 0.6], [0.3, 0.15, 0.25])

@@ -155,7 +155,6 @@ def run_clustered(root):
             "design": {"mode": "fixed_size", "n0": 45},
             "mcmc": {"chain_length": 100},
             "master_seed": 5,
-            "threads": 1,
         }, fh)
     run(["simulate", "--config", config, "--out", os.path.join(root, "study")])
 

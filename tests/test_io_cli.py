@@ -159,6 +159,10 @@ class TestCli:
         burn = summary["burn_in"]
         n_col = np.array([float(r[1]) for r in rows])
         assert summary["n_mean"] == pytest.approx(n_col[burn:].mean(), abs=1e-12)
+        # with no chain flag, estimate runs McmcConfig's defaults
+        assert run_cli("estimate", "--sample", sample_path, "--seed", "7", "--out", str(tmp_path / "est0")) == 0
+        defaults = json.loads((tmp_path / "est0" / "summary.json").read_text())
+        assert (defaults["chain_length"], defaults["burn_in"]) == (1000, 100)
 
     def test_census_design_gives_empty_wave(self, tmp_path, params_file):
         out = str(tmp_path / "pop")
@@ -243,7 +247,6 @@ class TestCli:
             "design": {"mode": "fixed_size", "n0": 6},
             "mcmc": {"chain_length": 40},
             "master_seed": 17,
-            "threads": 1,
         }
         cfg_path = tmp_path / "study.json"
         cfg_path.write_text(json.dumps(config))
@@ -266,7 +269,6 @@ class TestCli:
             "design": {"mode": "fixed_size", "n0": 6},
             "mcmc": {"chain_length": 30},
             "master_seed": 23,
-            "threads": 1,
         }
         cfg_path = tmp_path / "study.json"
         cfg_path.write_text(json.dumps(config))
@@ -336,7 +338,6 @@ class TestCli:
             "replicates": 3,
             "design": {"mode": "bernoulli", "q": 0.0},
             "mcmc": {"chain_length": 20},
-            "threads": 1,
         }
         cfg_path = tmp_path / "study.json"
         cfg_path.write_text(json.dumps(config))
@@ -404,7 +405,6 @@ class TestInputHardening:
             "replicates": 2,
             "design": {"mode": "fixed_size", "n0": 6},
             "mcmc": {"chain_length": 20},
-            "threads": 1,
             **changes,
             **(sections or {}),
         }
@@ -501,7 +501,8 @@ class TestInputHardening:
         ({"master_sed": 5}, "master_sed"),
         ({"bin": 3}, "bin"),
         ({"population": {"clustring": {"clique_size": 3}}}, "population: clustring"),
-    ], ids=["master_sed", "bin", "population.clustring"])
+        ({"threads": 1}, "threads"),
+    ], ids=["master_sed", "bin", "population.clustring", "threads"])
     def test_study_unknown_field_rejected(self, tmp_path, capsys, monkeypatch, changes, where):
         code, err, path = self.simulate(tmp_path, capsys, monkeypatch, **changes)
         assert code == 2
@@ -510,8 +511,8 @@ class TestInputHardening:
 
     def test_golden_study_config_is_accepted(self, tmp_path):
         """The control for the unknown-field checks: tests/test_golden.py's
-        study config, with its ``threads``, loads; so do the seeds a study
-        drops from ``design`` and ``mcmc``."""
+        study config loads; so do the seeds a study drops from ``design`` and
+        ``mcmc``."""
         golden = {
             "population": {
                 "params": {"lambda": [0.425, 0.575], "beta": [0.0046, 0.0014, 0.0058]},
@@ -522,7 +523,6 @@ class TestInputHardening:
             "design": {"mode": "fixed_size", "n0": 45},
             "mcmc": {"chain_length": 100},
             "master_seed": 5,
-            "threads": 1,
         }
         path = tmp_path / "study.json"
         for doc in (golden, {**golden, "design": {**golden["design"], "seed": 1}, "mcmc": {"seed": 2}}):

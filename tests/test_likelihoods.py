@@ -1,6 +1,7 @@
 """Escape probabilities and the two sample likelihoods, checked against
 naive product-form evaluation on small instances."""
 
+from itertools import product
 from math import comb
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from snowball_sbm import (
     IgnoredData,
+    McmcConfig,
     SampleStats,
     SbmParams,
     ValidationError,
@@ -18,7 +20,7 @@ from snowball_sbm import (
 from snowball_sbm.sbm import symmetric_from_upper
 
 from dense_links import dense_links
-from references import wave_inclusion_probability
+from references import lambda_beta_log_marginal, wave_inclusion_probability
 
 
 def make_data(strata_s0, strata_s1, link_pairs):
@@ -232,3 +234,45 @@ class TestIgnoredLogLikelihood:
                 assert observed_log_likelihood(permuted_stats, n, params_g2) == pytest.approx(
                     observed_log_likelihood(stats, n, params_g2), abs=1e-12
                 )
+
+
+class TestLambdaBetaMarginal:
+    """The reference (lambda, beta) marginal against the label-free likelihood
+    summed over N one value at a time, plus the log priors."""
+
+    INSTANCES = [  # (strata_s0, strata_s1, links, lambda, beta upper triangle)
+        ([0], [0], [(0, 1)], [1.0], [0.3]),
+        ([0, 0], [], [(0, 1)], [1.0], [0.6]),
+        ([0, 1], [1], [(0, 2)], [0.4, 0.6], [0.2, 0.35, 0.5]),
+        ([0, 1, 1], [0, 1], [(0, 1), (0, 3), (2, 4)], [0.7, 0.3], [0.45, 0.25, 0.3]),
+        ([1, 1, 1], [0], [(2, 3)], [0.5, 0.5], [0.9, 0.2, 0.4]),
+    ]
+    PRIORS = [McmcConfig(), McmcConfig(prior_alpha=0.5, prior_gamma=(2.0, 0.7))]
+
+    @staticmethod
+    def brute_force(stats, params, cfg, cap):
+        from scipy.special import logsumexp
+        from scipy.stats import beta, dirichlet
+
+        log_lik = [ignored_log_likelihood(stats, n, params) for n in range(stats.n_sampled, cap + 1)]
+        alpha = np.broadcast_to(cfg.prior_alpha, params.lam.shape)
+        log_prior = dirichlet.logpdf(params.lam, alpha) + beta.logpdf(params.beta, *cfg.prior_gamma).sum()
+        return logsumexp(log_lik) + log_prior
+
+    def test_matches_brute_force_sum_over_n(self):
+        from scipy.stats import nbinom
+
+        below_half = 0
+        for (s0, s1, links, lam, beta), cfg in product(self.INSTANCES, self.PRIORS):
+            params = SbmParams(lam, beta)
+            stats = stats_of(make_data(s0, s1, links), params)
+            p = 1 - escape_probability(s0, params).one_minus_p
+            assert p >= 0.2
+            # with p >= 0.2 and n1 <= 2, the mass of N beyond 400 extra units is below 1e-30
+            for cap in (stats.n_sampled, stats.n_sampled + 3, stats.n_sampled + 40, None):
+                want = self.brute_force(stats, params, cfg, cap or stats.n_sampled + 400)
+                got = lambda_beta_log_marginal(stats, params, cfg, cap)
+                assert got == pytest.approx(want, abs=1e-10), (s0, s1, links, lam, beta, cap)
+                if cap is not None:
+                    below_half += nbinom.cdf(cap - stats.n_sampled, stats.n1 + 1, p) < 0.5
+        assert below_half > 0  # a cap that cuts off most of N's mass
