@@ -11,9 +11,9 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {  # module -> the public names it defines
-    "sbm": "MleEstimates PopulationGraph SbmParams SufficientCounts ValidationError full_log_likelihood "
+    "sbm": "MleEstimates PopulationGraph SampleStats SbmParams ValidationError full_log_likelihood "
            "generate_population mle_from_full_graph sufficient_counts validate_params",
-    "sampling": "DesignConfig IgnoredData SampleStats draw_initial trace_one_wave",
+    "sampling": "DesignConfig IgnoredData draw_initial trace_one_wave",
     "likelihoods": "EscapeProbability escape_probability ignored_log_likelihood observed_log_likelihood",
     "augmentation": "AugmentedState ChainTrace McmcConfig draw_beta draw_lambda "
                     "draw_population_size gibbs_sweep impute_strata run_chain",

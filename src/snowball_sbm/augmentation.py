@@ -17,7 +17,7 @@ stratum times the reciprocal of their running sum, as numpy computes it
 A sweep costs O(G^2) per chain, independent of the sample size, and of the
 cap on N unless the cap binds (then N is drawn from a grid over the
 truncated support). The sample enters only through its sufficient statistics
-(:class:`~snowball_sbm.sampling.SampleStats`), computed once per chain. The
+(:class:`~snowball_sbm.sbm.SampleStats`), computed once per chain. The
 unsampled units' strata are exchangeable given the sample, so a multinomial
 count vector replaces per-unit labels; N is drawn as a truncated negative
 binomial; and the links among pairs with no endpoint in the initial sample,
@@ -34,12 +34,14 @@ import numpy as np
 
 # escape_probability is unused here: bench/test_bench.py checks the tracer patches this reference
 from .likelihoods import escape_probability, escape_terms, stratum_escape_log_weights  # noqa: F401
-from .sampling import IgnoredData, SampleStats
+from .sampling import IgnoredData
 from .sbm import (
     INT64_MAX,
+    SampleStats,
     ValidationError,
     _freeze,
     _is_finite_number,
+    check_draws,
     check_int,
     estimand_blocks,
     pair_totals_from_counts,
@@ -300,14 +302,15 @@ class ChainTrace:
 
 def chain_stats(data: IgnoredData, cfg: McmcConfig, n_strata: int | None = None) -> SampleStats:
     """The statistics a chain on ``data`` reads, after checking that the sample
-    is not empty and fits under the cap on N, and that the prior fits G.
-    ``n_strata`` defaults to the smallest G consistent with the labels; pass
-    it when the population has strata the sample missed."""
+    is not empty and fits under the cap on N, that the prior fits G and that
+    the draws table fits its limit. ``n_strata`` defaults to the smallest G
+    consistent with the labels; pass it when the population has strata the sample missed."""
     if data.n0 == 0:
         raise ValidationError("empty initial sample (n0 = 0): the sample carries no information")
     stats = SampleStats.from_data(data, n_strata if n_strata is not None else data.min_strata())
     cfg.effective_cap(stats.n_sampled)
     cfg.check_strata(stats.n_strata)
+    check_draws(1, cfg.chain_length, stats.n_strata, "chain_length")
     return stats
 
 

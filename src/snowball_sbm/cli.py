@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import io
-from .sbm import INT64_MAX, ValidationError, check_int, estimand_blocks
+from .sbm import MAX_POPULATION, MAX_STRATA, ValidationError, check_int, estimand_blocks
 
 logger = logging.getLogger("snowball_sbm")
 
@@ -89,6 +89,7 @@ def _parse_design(text: str):
 
 def cmd_generate(args) -> int:
     from .sbm import generate_population
+    check_int(args.n, "--n", 0, MAX_POPULATION)
     _check_inputs(args.params)
     params = io.load_params(args.params)
     seed = _resolve_seed(args.seed)
@@ -120,7 +121,7 @@ def cmd_estimate(args) -> int:
     cfg = McmcConfig(**{name: getattr(args, name) for name in MCMC_FLAGS if getattr(args, name) is not None})
     n_strata = meta.get("n_strata")
     if args.strata_count is not None:
-        n_strata = check_int(args.strata_count, "--strata-count", data.min_strata(), INT64_MAX)
+        n_strata = check_int(args.strata_count, "--strata-count", data.min_strata(), MAX_STRATA)
     trace = run_chain(data, cfg, seed, n_strata=n_strata)
     moments = trace.reduce(np.mean), trace.reduce(np.std)
     os.makedirs(args.out, exist_ok=True)
@@ -169,7 +170,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_profile(args) -> int:
     from .likelihoods import ignored_log_likelihood, n_free_terms, observed_log_likelihood
-    from .sampling import SampleStats
+    from .sbm import SampleStats
     _check_inputs(args.sample, args.params)
     data, _ = io.load_sample(args.sample)
     params = io.load_params(args.params)

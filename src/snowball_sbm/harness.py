@@ -17,11 +17,14 @@ from .augmentation import McmcConfig, chain_stats, run_chains
 from .sampling import DesignConfig, draw_initial, trace_one_wave
 from .sbm import (
     INT64_MAX,
+    MAX_BINS,
+    MAX_POPULATION,
     MleEstimates,
     PopulationGraph,
     SbmParams,
     ValidationError,
     _is_finite_number,
+    check_draws,
     check_int,
     estimand_names,
     generate_population,
@@ -121,13 +124,15 @@ class StudyConfig:
                 "exactly one population source required: a graph, or params plus a size"
             )
         if self.population_size is not None:
-            check_int(self.population_size, "population size", 1, INT64_MAX)
+            check_int(self.population_size, "population size", 1, MAX_POPULATION)
+        g = (self.population if has_graph else self.params).n_strata
         try:
-            self.mcmc.check_strata((self.population if has_graph else self.params).n_strata)
+            self.mcmc.check_strata(g)
         except ValidationError as exc:
             raise ValidationError(f"mcmc: {exc}") from exc
+        check_draws(self.replicates, self.mcmc.chain_length, g, "replicates x mcmc: chain_length")
         check_int(self.master_seed, "master_seed", 0)
-        check_int(self.bins, "bins", 1, INT64_MAX)
+        check_int(self.bins, "bins", 1, MAX_BINS)
 
 
 def population_seed(master_seed: int) -> int:

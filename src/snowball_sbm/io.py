@@ -19,6 +19,7 @@ import numpy as np
 
 from .sbm import (
     INT64_MAX,
+    MAX_STRATA,
     MleEstimates,
     PopulationGraph,
     RowError,
@@ -333,7 +334,7 @@ def load_sample(path: str):
         raise ValidationError(f"{path}: meta: must be an object")
     try:
         if "n_strata" in meta:  # at least the largest stratum label
-            check_int(meta["n_strata"], "meta: n_strata", max(strata_s0 + strata_s1), INT64_MAX)
+            check_int(meta["n_strata"], "meta: n_strata", max(strata_s0 + strata_s1), MAX_STRATA)
         if coverage:
             raise coverage
     except ValidationError as exc:

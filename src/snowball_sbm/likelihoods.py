@@ -11,8 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .logmath import count_times_log, log_binom, xlog1py
-from .sampling import SampleStats
-from .sbm import SbmParams, SufficientCounts, ValidationError, counts_log_likelihood, symmetric_from_upper
+from .sbm import SampleStats, SbmParams, ValidationError, counts_log_likelihood, symmetric_from_upper
 
 
 @dataclass(frozen=True)
@@ -64,9 +63,8 @@ def n_free_terms(stats: SampleStats, params: SbmParams) -> tuple[float, float]:
     depend on N: the stratum terms of all sampled units plus the link terms
     of the observed pairs, and the log escape probability, taken as the sweep
     takes it. Compute them once to evaluate a likelihood at many N."""
-    observed = SufficientCounts(stats.counts_sampled, stats.link_counts, stats.pair_totals)
     _, log_omp, _ = escape_terms(stratum_escape_log_weights(stats.counts_s0, params))
-    return counts_log_likelihood(observed, params), float(log_omp)
+    return counts_log_likelihood(stats, params), float(log_omp)
 
 
 def _check_support(stats: SampleStats, n: int):

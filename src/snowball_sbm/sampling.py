@@ -1,9 +1,9 @@
 """One-wave snowball sampling: the initial draw, and the wave traced from it
-straight into the label-free reduction the estimator reads (:class:`IgnoredData`).
+straight into the label-free reduction of the sample (:class:`IgnoredData`),
+whose statistics the estimator reads (:class:`~snowball_sbm.sbm.SampleStats`).
 """
 
-from collections.abc import Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,7 +14,6 @@ from .sbm import (
     _is_finite_number,
     canonical_pairs,
     check_int,
-    pair_totals_from_counts,
     stratum_pair_counts,
 )
 
@@ -82,7 +81,7 @@ class IgnoredData:
     holds. Any pair order and row order is accepted and canonicalized, and
     the first bad link is named by :func:`~snowball_sbm.sbm.canonical_pairs`:
     this is the one checker of a sample's links. The estimator reads it
-    through :class:`SampleStats`.
+    through :meth:`SampleStats.from_data <snowball_sbm.sbm.SampleStats.from_data>`.
     """
 
     strata_s0: np.ndarray
@@ -143,59 +142,3 @@ def trace_one_wave(graph: PopulationGraph, s0) -> IgnoredData:
     index = np.zeros(graph.n_nodes, dtype=np.int64)  # canonical index of each sampled node
     index[s0], index[s1] = np.arange(s0.size), np.arange(s0.size, s0.size + s1.size)
     return IgnoredData(strata_s0=graph.strata[s0], strata_s1=graph.strata[s1], links=index[links])
-
-
-@dataclass(frozen=True)
-class SampleStats:
-    """What the chain and the likelihoods read from a sample, for G strata.
-
-    The data enter the label-free posterior only through these: the block
-    sizes n0 and n1, the stratum counts of both blocks, and the observed link
-    counts M and pair totals T per unordered stratum pair. Built once per
-    chain or likelihood profile with :meth:`from_data`; every field may carry
-    a leading replicate axis, as :meth:`stack` builds for lockstep chains.
-    """
-
-    n0: int | np.ndarray
-    n1: int | np.ndarray
-    counts_s0: np.ndarray
-    counts_s1: np.ndarray
-    link_counts: np.ndarray
-    pair_totals: np.ndarray
-
-    def __post_init__(self):
-        for name in ("counts_s0", "counts_s1", "link_counts", "pair_totals"):
-            object.__setattr__(self, name, _freeze(np.asarray(getattr(self, name), dtype=np.int64)))
-
-    @classmethod
-    def from_data(cls, data: IgnoredData, g: int) -> "SampleStats":
-        if data.min_strata() > g:
-            raise ValidationError("sample contains stratum labels outside 0..G-1")
-        c0, c1 = np.bincount(data.strata_s0, minlength=g), np.bincount(data.strata_s1, minlength=g)
-        return cls(
-            n0=data.n0,
-            n1=data.n1,
-            counts_s0=c0,
-            counts_s1=c1,
-            link_counts=data.observed_link_counts(g),
-            # observed pairs: all sampled pairs except wave-wave ones
-            pair_totals=pair_totals_from_counts(c0 + c1) - pair_totals_from_counts(c1),
-        )
-
-    @classmethod
-    def stack(cls, stats: Sequence["SampleStats"]) -> "SampleStats":
-        """R samples' statistics (all with the same G), row r being sample r's."""
-        return cls(**{f.name: np.array([getattr(s, f.name) for s in stats]) for f in fields(cls)})
-
-    @property
-    def n_sampled(self):
-        return self.n0 + self.n1
-
-    @property
-    def n_strata(self) -> int:
-        return self.counts_s0.shape[-1]
-
-    @property
-    def counts_sampled(self) -> np.ndarray:
-        """Stratum counts over both sampled blocks."""
-        return self.counts_s0 + self.counts_s1

@@ -1,19 +1,32 @@
 """Stochastic block model: parameters, population generation, counts, MLEs.
 
+One count type, :class:`SampleStats`, holds a sample's stratum counts, link
+counts and pair totals, and a full graph's as those of a census.
+
 Strata are labeled 1..G in every external file format and 0..G-1 in memory;
 all arrays here use the internal convention.
 """
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .logmath import xlog1py, xlogy
 
+if TYPE_CHECKING:  # sbm never loads sampling; SampleStats.from_data reads IgnoredData's attributes only
+    from .sampling import IgnoredData
+
 LAMBDA_SUM_TOL = 1e-12
 INT64_MAX = np.iinfo(np.int64).max
+# Fixed limits on the inputs that size an allocation, each keeping its array under 1 GiB:
+MAX_STRATA = 1_000  # G: a G x G float64 matrix takes 8 MB
+MAX_POPULATION = 10_000_000  # N: a per-unit int64 array takes 80 MB, a strata file's two columns 160 MB
+MAX_DRAWS = 50_000_000  # entries R x L x (1 + G + G(G+1)/2) of run_chains' float64 draws table: 400 MB
+MAX_BINS = 1_000_000  # a study's histogram bins: 8 MB of bin edges per estimand
 
 
 class ValidationError(ValueError):
@@ -47,6 +60,15 @@ def check_int(value, name: str, minimum: int, maximum: int | None = None) -> int
     if maximum is not None and value > maximum:
         raise ValidationError(f"{name} must be at most {maximum}, got {value!r}")
     return int(value)
+
+
+def check_draws(chains: int, chain_length: int, g: int, what: str):
+    """Raise unless the draws table of ``chains`` chains of ``chain_length``
+    sweeps at G strata has at most MAX_DRAWS entries; ``what`` names the inputs."""
+    columns = 1 + g + g * (g + 1) // 2
+    if (draws := chains * chain_length * columns) > MAX_DRAWS:
+        raise ValidationError(f"{what}: {chains} chains x {chain_length} sweeps x {columns} estimands is "
+                              f"{draws} draws, above the limit of {MAX_DRAWS}")
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -240,26 +262,55 @@ class PopulationGraph:
 
 
 @dataclass(frozen=True)
-class SufficientCounts:
-    """Stratum sizes N_k, and link counts M and pair totals per unordered
-    stratum pair in :func:`upper_indices` order.
-
-    ``pair_totals`` holds C(N_k, 2) for k = l and N_k * N_l for k < l.
+class SampleStats:
+    """What the chain and the likelihoods read from a sample, for G strata:
+    the block sizes n0 and n1, the stratum counts of both blocks, and the
+    observed link counts M and pair totals T per unordered stratum pair
+    (:func:`upper_indices` order), 0 <= M <= T. A full graph's counts are a
+    census's (:func:`sufficient_counts`). Built once per chain or profile
+    with :meth:`from_data`; every field may carry a leading replicate axis,
+    as :meth:`stack` builds for lockstep chains.
     """
 
-    strata_counts: np.ndarray
+    n0: int | np.ndarray
+    n1: int | np.ndarray
+    counts_s0: np.ndarray
+    counts_s1: np.ndarray
     link_counts: np.ndarray
     pair_totals: np.ndarray
 
     def __post_init__(self):
-        for name in ("strata_counts", "link_counts", "pair_totals"):
+        for name in ("counts_s0", "counts_s1", "link_counts", "pair_totals"):
             object.__setattr__(self, name, _freeze(np.asarray(getattr(self, name), dtype=np.int64)))
         if (self.link_counts < 0).any() or (self.link_counts > self.pair_totals).any():
             raise ValidationError("link counts exceed pair totals")
 
+    @classmethod
+    def from_data(cls, data: "IgnoredData", g: int) -> "SampleStats":
+        if data.min_strata() > g:
+            raise ValidationError("sample contains stratum labels outside 0..G-1")
+        c0, c1 = np.bincount(data.strata_s0, minlength=g), np.bincount(data.strata_s1, minlength=g)
+        # observed pairs: all sampled pairs except wave-wave ones
+        return cls(n0=data.n0, n1=data.n1, counts_s0=c0, counts_s1=c1, link_counts=data.observed_link_counts(g),
+                   pair_totals=pair_totals_from_counts(c0 + c1) - pair_totals_from_counts(c1))
+
+    @classmethod
+    def stack(cls, stats: Sequence["SampleStats"]) -> "SampleStats":
+        """R samples' statistics (all with the same G), row r being sample r's."""
+        return cls(**{f.name: np.array([getattr(s, f.name) for s in stats]) for f in fields(cls)})
+
     @property
-    def n_total(self) -> int:
-        return int(self.strata_counts.sum())
+    def n_sampled(self):
+        return self.n0 + self.n1
+
+    @property
+    def n_strata(self) -> int:
+        return self.counts_s0.shape[-1]
+
+    @property
+    def counts_sampled(self) -> np.ndarray:
+        """Stratum counts over both sampled blocks."""
+        return self.counts_s0 + self.counts_s1
 
 
 def pair_totals_from_counts(counts: np.ndarray) -> np.ndarray:
@@ -301,7 +352,7 @@ def generate_population(params: SbmParams, n: int, seed=None) -> PopulationGraph
     Deterministic given ``seed``.
     """
     validate_params(params)
-    check_int(n, "population size", 0, INT64_MAX)
+    check_int(n, "population size", 0, MAX_POPULATION)
     rng = np.random.default_rng(seed)
     g = params.n_strata
     strata = rng.choice(g, size=n, p=params.lam) if n else np.zeros(0, dtype=np.int64)
@@ -331,23 +382,23 @@ def generate_population(params: SbmParams, n: int, seed=None) -> PopulationGraph
     return PopulationGraph(strata=strata, edges=edges)
 
 
-def sufficient_counts(graph: PopulationGraph, n_strata: int | None = None) -> SufficientCounts:
-    """Tally stratum sizes and link counts per unordered stratum pair."""
+def sufficient_counts(graph: PopulationGraph, n_strata: int | None = None) -> SampleStats:
+    """A full graph's counts, as the statistics of a census: every unit is in
+    the initial sample (n0 = N, n1 = 0), so every pair is observed."""
     g = n_strata if n_strata is not None else graph.n_strata
     if graph.n_nodes and graph.strata.max() >= g:
         raise ValidationError("graph contains stratum labels outside 0..G-1")
     counts = np.bincount(graph.strata, minlength=g)
-    return SufficientCounts(
-        strata_counts=counts,
-        link_counts=stratum_pair_counts(graph.strata, graph.edges, g),
-        pair_totals=pair_totals_from_counts(counts),
-    )
+    return SampleStats(n0=graph.n_nodes, n1=0, counts_s0=counts, counts_s1=np.zeros_like(counts),
+                       link_counts=stratum_pair_counts(graph.strata, graph.edges, g),
+                       pair_totals=pair_totals_from_counts(counts))
 
 
-def counts_log_likelihood(counts: SufficientCounts, params: SbmParams) -> float:
-    """Log-likelihood of the block model given full-graph sufficient counts."""
-    m, t, b = counts.link_counts, counts.pair_totals, params.beta
-    ll = float(xlogy(counts.strata_counts, params.lam).sum())
+def counts_log_likelihood(stats: SampleStats, params: SbmParams) -> float:
+    """Log-likelihood of the stratum terms of every sampled unit and the link
+    terms of every observed pair; for a census, of the full graph."""
+    m, t, b = stats.link_counts, stats.pair_totals, params.beta
+    ll = float(xlogy(stats.counts_sampled, params.lam).sum())
     ll += float(xlogy(m, b).sum() + xlog1py(t - m, -b).sum())
     return ll
 
@@ -389,11 +440,6 @@ def mle_from_full_graph(graph: PopulationGraph, n_strata: int | None = None) -> 
     if graph.n_nodes == 0:
         raise ValidationError("cannot compute MLEs on an empty graph")
     counts = sufficient_counts(graph, n_strata)
-    lam_hat = counts.strata_counts / graph.n_nodes
-    with np.errstate(divide="ignore", invalid="ignore"):
-        beta_hat = np.where(
-            counts.pair_totals > 0,
-            counts.link_counts / np.maximum(counts.pair_totals, 1),
-            np.nan,
-        )
+    lam_hat = counts.counts_sampled / graph.n_nodes
+    beta_hat = np.where(counts.pair_totals > 0, counts.link_counts / np.maximum(counts.pair_totals, 1), np.nan)
     return MleEstimates(n=graph.n_nodes, lam=lam_hat, beta=beta_hat)

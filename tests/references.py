@@ -5,13 +5,16 @@ files are parsed by numpy, a wave is relabeled by one index lookup,
 sample files are read into numpy arrays whose links `IgnoredData` checks,
 and the chain never sums N out of the posterior of (lambda, beta)."""
 
+from dataclasses import dataclass
+from types import SimpleNamespace
+
 import numpy as np
 
 from snowball_sbm import IgnoredData, McmcConfig, PopulationGraph, SampleStats, SbmParams, ValidationError
 from snowball_sbm.io import EDGE_HEADER, STRATA_HEADER, _load_json, _require
-from snowball_sbm.likelihoods import n_free_terms
+from snowball_sbm.likelihoods import escape_terms, n_free_terms, stratum_escape_log_weights
 from snowball_sbm.logmath import xlog1py
-from snowball_sbm.sbm import INT64_MAX, _is_integer, check_int, pair_totals_from_counts, symmetric_from_upper
+from snowball_sbm.sbm import INT64_MAX, MAX_STRATA, _is_integer, check_int, pair_totals_from_counts, symmetric_from_upper
 
 
 def impute_link_counts(stats: SampleStats, n, strata_all_counts, beta: np.ndarray, rngs) -> np.ndarray:
@@ -35,7 +38,7 @@ def impute_link_counts(stats: SampleStats, n, strata_all_counts, beta: np.ndarra
     return np.array(draws, dtype=np.int64)
 
 
-def lambda_beta_log_marginal(stats: SampleStats, params: SbmParams, cfg: McmcConfig, cap: int | None = None):
+def lambda_beta_log_marginal(stats: SampleStats, params, cfg: McmcConfig, cap: int | None = None):
     """log pi(lambda, beta | data) up to a constant: the label-free posterior
     with N and the unsampled strata summed out under the flat prior on N,
 
@@ -46,21 +49,136 @@ def lambda_beta_log_marginal(stats: SampleStats, params: SbmParams, cfg: McmcCon
     p^-(n1 + 1). Under a ``cap`` on N the sum stops at K = cap - n0 - n1, which
     adds log P(NB(n1 + 1, p) <= K). The priors are ``cfg``'s
     Dirichlet(prior_alpha) on lambda and Beta(prior_gamma) on each beta.
-    Needs p > 0 and every beta in (0, 1)."""
+    Needs p > 0 and every beta in (0, 1). ``params`` is one SbmParams, giving
+    a float, or a sequence of them, giving an array with one value each."""
     from scipy.special import gammaln
     from scipy.stats import nbinom
 
-    block, log_omp = n_free_terms(stats, params)
-    log_p = np.log(-np.expm1(log_omp))
-    alpha = np.broadcast_to(np.asarray(cfg.prior_alpha, dtype=np.float64), params.lam.shape)
+    batch = [params] if isinstance(params, SbmParams) else params
+    block, log_omp = np.array([n_free_terms(stats, p) for p in batch]).reshape(-1, 2).T
+    lam, beta = np.array([p.lam for p in batch]), np.array([p.beta for p in batch])
+    with np.errstate(divide="ignore"):
+        log_p = np.log(-np.expm1(log_omp))
+        log_lam, log_beta, log_1mb = np.log(lam), np.log(beta), np.log1p(-beta)
+    alpha = np.broadcast_to(np.asarray(cfg.prior_alpha, dtype=np.float64), lam.shape[-1:])
     g1, g2 = cfg.prior_gamma
-    log_prior = (gammaln(alpha.sum()) - gammaln(alpha).sum() + np.sum((alpha - 1) * np.log(params.lam))
+    log_prior = (gammaln(alpha.sum()) - gammaln(alpha).sum() + np.sum((alpha - 1) * log_lam, axis=-1)
                  + np.sum(gammaln(g1 + g2) - gammaln(g1) - gammaln(g2)
-                          + (g1 - 1) * np.log(params.beta) + (g2 - 1) * np.log1p(-params.beta)))
+                          + (g1 - 1) * log_beta + (g2 - 1) * log_1mb, axis=-1))
     value = log_prior + block - (stats.n1 + 1) * log_p
     if cap is not None:
         value += nbinom.logcdf(cap - stats.n_sampled, stats.n1 + 1, np.exp(log_p))
-    return float(value)
+    return float(value[0]) if isinstance(params, SbmParams) else value
+
+
+def pareto_k_hat(log_weights) -> float:
+    """The Pareto shape k of the importance weights' upper tail, as PSIS
+    estimates it (Vehtari, Simpson, Gelman, Yao & Gabry, arXiv:1507.02646): a
+    generalized Pareto fit to the largest min(S/5, 3 sqrt(S)) weights above
+    the next one, by Zhang & Stephens' (2009, Technometrics 51:316) empirical
+    Bayes estimate with PSIS's weak prior toward 1/2. Below 0.7 the weights'
+    estimates are trustworthy; below 0.5 the weights have finite variance."""
+    w = np.sort(np.exp(np.asarray(log_weights) - np.max(log_weights)))
+    tail = int(np.ceil(min(0.2 * w.size, 3 * np.sqrt(w.size))))
+    x = w[-tail:] - w[-tail - 1]
+    n = x.size
+    grid = 30 + int(np.sqrt(n))
+    b = (1 - np.sqrt(grid / (np.arange(1, grid + 1) - 0.5))) / (3 * x[int(n / 4 + 0.5) - 1]) + 1 / x[-1]
+    k = np.log1p(-b[:, None] * x).mean(axis=1)
+    profile = n * (np.log(-b / k) - k - 1)
+    weights = 1 / np.exp(profile - profile[:, None]).sum(axis=1)
+    k_post = np.log1p(-np.sum(b * weights) / np.sum(weights) * x).mean()
+    return float((n * k_post + 10 * 0.5) / (n + 10))
+
+
+def unconstrained_params(theta: np.ndarray, g: int):
+    """(lambda, beta, log Jacobian) of draws ``theta`` (S, G - 1 + P): lambda
+    in additive log-ratio coordinates against the last stratum, beta in
+    logits. The Jacobian of the map to (lambda_1..lambda_{G-1}, beta) is
+    prod_k lambda_k * prod beta (1 - beta)."""
+    from scipy.special import log_expit, logsumexp
+
+    eta = np.column_stack([theta[:, :g - 1], np.zeros(len(theta))])
+    log_lam = eta - logsumexp(eta, axis=1, keepdims=True)
+    log_beta, log_1mb = log_expit(theta[:, g - 1:]), log_expit(-theta[:, g - 1:])
+    return np.exp(log_lam), np.exp(log_beta), log_lam.sum(axis=1) + (log_beta + log_1mb).sum(axis=1)
+
+
+@dataclass(frozen=True)
+class ReferencePosterior:
+    """Posterior mean and sd per estimand (columns as ``estimand_names``),
+    the Monte Carlo standard error of each, and the importance weights' ESS
+    and Pareto k-hat."""
+
+    mean: np.ndarray
+    sd: np.ndarray
+    mcse_mean: np.ndarray
+    mcse_sd: np.ndarray
+    ess: float
+    k_hat: float
+
+
+def importance_posterior(stats: SampleStats, cfg: McmcConfig, cap: int, draws: int = 4000,
+                         seed=0) -> ReferencePosterior:
+    """The posterior of (N, lambda, beta) under a ``cap`` on N by
+    self-normalized importance sampling on :func:`lambda_beta_log_marginal`,
+    independent of the chain.
+
+    The proposal is a multivariate t with 4 degrees of freedom centred on a
+    Laplace fit of the marginal in :func:`unconstrained_params` coordinates
+    (its mode by BFGS, its scale the inverse of the Hessian there, by central
+    differences). Given each draw's (lambda, beta), the excess N - n0 - n1 is
+    NB(n1 + 1, p) truncated at K = cap - n0 - n1, so N's posterior is a
+    weighted mixture of them and its moments are exact given the weights:
+    E[M] = r (1 - p) / p F_{r+1}(K - 1) / F_r(K) and
+    E[M(M - 1)] = r (r + 1) ((1 - p) / p)^2 F_{r+2}(K - 2) / F_r(K), with
+    r = n1 + 1 and F_r the NB(r, p) CDF. A mean's Monte Carlo error is
+    sqrt(sum w^2 (h - mean)^2) for normalized weights w; an sd's is that of
+    the variance over 2 sd."""
+    from scipy.optimize import minimize
+    from scipy.stats import multivariate_t, nbinom
+
+    g = stats.n_strata
+    d = g - 1 + g * (g + 1) // 2
+
+    def log_target(theta):
+        lam, beta, log_jacobian = unconstrained_params(np.reshape(theta, (-1, d)), g)
+        batch = [SbmParams(l, b) for l, b in zip(lam, beta)]
+        return lambda_beta_log_marginal(stats, batch, cfg, cap) + log_jacobian
+
+    lam0 = (stats.counts_sampled + 1.0) / (stats.n_sampled + g)
+    beta0 = (stats.link_counts + 1.0) / (stats.pair_totals + 2.0)
+    start = np.concatenate([np.log(lam0[:-1] / lam0[-1]), np.log(beta0 / (1 - beta0))])
+    mode = minimize(lambda theta: -log_target(theta)[0], start, method="BFGS").x
+    h = 1e-3
+    steps = np.eye(d) * h
+    # f(x + a e_i + b e_j) for a, b in +-h: H_ij = (f++ - f+- - f-+ + f--) / 4h^2
+    corners = [mode + si * steps[i] + sj * steps[j] for i in range(d) for j in range(d)
+               for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
+    f = log_target(np.array(corners)).reshape(d, d, 4)
+    hessian = (f[..., 0] - f[..., 1] - f[..., 2] + f[..., 3]) / (4 * h * h)
+    proposal = multivariate_t(mode, np.linalg.inv(-(hessian + hessian.T) / 2), df=4, seed=seed)
+    theta = np.reshape(proposal.rvs(draws), (draws, d))
+    log_w = log_target(theta) - proposal.logpdf(theta)
+    w = np.exp(log_w - log_w.max())
+    w /= w.sum()
+
+    lam, beta, _ = unconstrained_params(theta, g)
+    omp, _, _ = escape_terms(stratum_escape_log_weights(stats.counts_s0, SimpleNamespace(lam=lam, beta=beta)))
+    p, r, k, ns = 1 - omp, stats.n1 + 1, cap - stats.n_sampled, stats.n_sampled
+    log_f = nbinom.logcdf(k, r, p)
+    m1 = r * omp / p * np.exp(nbinom.logcdf(k - 1, r + 1, p) - log_f)
+    m2 = r * (r + 1) * (omp / p) ** 2 * np.exp(nbinom.logcdf(k - 2, r + 2, p) - log_f) + m1
+    first = np.column_stack([ns + m1, lam, beta])  # E[h | lambda, beta] per draw
+    second = np.column_stack([ns * ns + 2 * ns * m1 + m2, lam**2, beta**2])
+    mean = w @ first
+    var = w @ second - mean**2
+    centred = second - 2 * mean * first + mean**2  # E[(h - mean)^2 | lambda, beta]
+    mcse_mean = np.sqrt(w**2 @ (first - mean) ** 2)
+    mcse_var = np.sqrt(w**2 @ (centred - var) ** 2)
+    sd = np.sqrt(np.maximum(var, 0))  # lambda_1 = 1 at G = 1: sd 0 and no error
+    mcse_sd = np.divide(mcse_var, 2 * sd, out=np.zeros_like(sd), where=sd > 0)
+    return ReferencePosterior(mean, sd, mcse_mean, mcse_sd, float(1 / np.sum(w**2)), pareto_k_hat(log_w))
 
 
 def wave_inclusion_probability(counts_s0, params: SbmParams) -> float:
@@ -183,7 +301,7 @@ def load_sample_per_link(path: str):
         raise ValidationError(f"{path}: meta: must be an object")
     try:
         if "n_strata" in meta:  # at least the largest stratum label
-            check_int(meta["n_strata"], "meta: n_strata", max(strata_s0 + strata_s1), INT64_MAX)
+            check_int(meta["n_strata"], "meta: n_strata", max(strata_s0 + strata_s1), MAX_STRATA)
         data = IgnoredData(
             strata_s0=np.array(strata_s0, dtype=np.int64) - 1,
             strata_s1=np.array(strata_s1, dtype=np.int64) - 1,

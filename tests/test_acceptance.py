@@ -29,8 +29,8 @@ from snowball_sbm.augmentation import conjugate_params
 from snowball_sbm.harness import SURVEY_SCALE_N, survey_scale_params
 from snowball_sbm.likelihoods import ignored_log_likelihood, observed_log_likelihood
 from snowball_sbm.logmath import log_binom
-from snowball_sbm.sampling import IgnoredData, SampleStats
-from snowball_sbm.sbm import symmetric_from_upper
+from snowball_sbm.sampling import IgnoredData
+from snowball_sbm.sbm import SampleStats, symmetric_from_upper
 
 from references import impute_link_counts, wave_inclusion_probability
 from test_augmentation import (

@@ -24,8 +24,8 @@ from snowball_sbm import (
 )
 from snowball_sbm.augmentation import conjugate_params, initial_state, population_size_log_weights
 from snowball_sbm.likelihoods import escape_terms, stratum_escape_log_weights
-from snowball_sbm.sampling import IgnoredData, SampleStats
-from snowball_sbm.sbm import estimand_names, symmetric_from_upper
+from snowball_sbm.sampling import IgnoredData
+from snowball_sbm.sbm import SampleStats, estimand_names, symmetric_from_upper
 
 from dense_links import dense_links
 from references import impute_link_counts
@@ -629,7 +629,7 @@ class TestRunChain:
         n_new = np.array([12])
         strata_un = impute_strata(batch, n_new, escape_of(batch, state)[2], [rng])
         alpha, a, b = conjugate_params(batch, strata_un, McmcConfig())
-        assert np.array_equal(alpha[0], full.strata_counts + 1.0)
+        assert np.array_equal(alpha[0], full.counts_sampled + 1.0)
         assert np.array_equal(a[0], full.link_counts + 1.0)
         assert np.array_equal(b[0], full.pair_totals - full.link_counts + 1.0)
 

@@ -64,7 +64,7 @@ def test_sufficient_counts_match_dense():
     for _, g, graph in random_graphs():
         counts = sufficient_counts(graph, g)
         assert np.array_equal(counts.link_counts, dense_link_counts(graph.adjacency, graph.strata, g))
-        assert np.array_equal(counts.strata_counts, np.bincount(graph.strata, minlength=g))
+        assert np.array_equal(counts.counts_sampled, np.bincount(graph.strata, minlength=g))
 
 
 def test_degrees_match_dense():
@@ -203,7 +203,7 @@ def test_city_scale_population_work_stays_small():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert counts.strata_counts.sum() == n
+    assert counts.counts_sampled.sum() == n
     assert sample.n0 > 0 and sample.n1 > 0
     assert peak < 64 * 2**20, f"peak traced allocation {peak / 2**20:.1f} MB"
 

@@ -21,6 +21,7 @@ from snowball_sbm import (
 )
 from snowball_sbm import io
 from snowball_sbm.cli import main
+from snowball_sbm.sbm import MAX_BINS, MAX_DRAWS, MAX_POPULATION, MAX_STRATA
 
 from dense_links import dense_links
 
@@ -75,7 +76,7 @@ class TestGraphIo:
         graph, edges, strata = graph_files
         loaded = io.load_graph(edges, strata)
         a, b = sufficient_counts(graph), sufficient_counts(loaded)
-        assert np.array_equal(a.strata_counts, b.strata_counts)
+        assert np.array_equal(a.counts_sampled, b.counts_sampled)
         assert np.array_equal(a.link_counts, b.link_counts)
         assert np.array_equal(graph.adjacency, loaded.adjacency)
 
@@ -454,21 +455,21 @@ class TestInputHardening:
         ("estimate", (), {"strata_s1": [2**65]},
          "{path}: strata_s1: bad stratum 36893488147419103232: strata are integers"),
         ("estimate", (), {"meta": {"n_strata": 2**65}},
-         "{path}: meta: n_strata must be at most 9223372036854775807, got 36893488147419103232"),
+         f"{{path}}: meta: n_strata must be at most {MAX_STRATA}, got 36893488147419103232"),
         ("estimate", ("--strata-count", str(2**65)), {},
-         "--strata-count must be at most 9223372036854775807, got 36893488147419103232"),
+         f"--strata-count must be at most {MAX_STRATA}, got 36893488147419103232"),
         ("estimate", ("--chain-length", str(2**65)), {},
          "chain_length must be at most 9223372036854775807, got 36893488147419103232"),
         ("generate", ("--n", str(2**65)), {},
-         "population size must be at most 9223372036854775807, got 36893488147419103232"),
+         f"--n must be at most {MAX_POPULATION}, got 36893488147419103232"),
         ("simulate", (), {"mcmc": {"chain_length": 2**65}},
          "{path}: mcmc: chain_length must be at most 9223372036854775807, got 36893488147419103232"),
         ("simulate", (), {"population": {"n": 2**65}},
-         "{path}: population size must be at most 9223372036854775807, got 36893488147419103232"),
+         f"{{path}}: population size must be at most {MAX_POPULATION}, got 36893488147419103232"),
         ("simulate", (), {"replicates": 2**65},
          "{path}: replicates must be at most 9223372036854775807, got 36893488147419103232"),
         ("simulate", (), {"bins": 2**65},
-         "{path}: bins must be at most 9223372036854775807, got 36893488147419103232"),
+         f"{{path}}: bins must be at most {MAX_BINS}, got 36893488147419103232"),
     ], ids=["strata_s1", "meta.n_strata", "--strata-count", "--chain-length", "generate--n", "mcmc.chain_length",
             "population.n", "replicates", "bins"])
     def test_integer_beyond_int64_rejected(self, tmp_path, capsys, monkeypatch, params_file, command, argv,
@@ -484,6 +485,64 @@ class TestInputHardening:
             err, wrote = capsys.readouterr().err, out.exists()
         assert code == 2 and not wrote
         assert message.format(path=path) in err
+
+    @pytest.mark.parametrize("command, field, limit, message", [
+        ("estimate", "meta.n_strata", MAX_STRATA, "{path}: meta: n_strata must be at most {limit}, got {value}"),
+        ("estimate", "--strata-count", MAX_STRATA, "--strata-count must be at most {limit}, got {value}"),
+        ("estimate", "--chain-length", MAX_DRAWS // 6,
+         "chain_length: 1 chains x {value} sweeps x 6 estimands is {draws} draws, above the limit of {MAX_DRAWS}"),
+        ("generate", "--n", MAX_POPULATION, "--n must be at most {limit}, got {value}"),
+        ("simulate", "population.n", MAX_POPULATION, "{path}: population size must be at most {limit}, got {value}"),
+        ("simulate", "replicates", MAX_DRAWS // (20 * 6),
+         "{path}: replicates x mcmc: chain_length: {value} chains x 20 sweeps x 6 estimands is {draws} draws, "
+         "above the limit of {MAX_DRAWS}"),
+        ("simulate", "bins", MAX_BINS, "{path}: bins must be at most {limit}, got {value}"),
+    ], ids=["meta.n_strata", "--strata-count", "--chain-length", "generate--n", "population.n", "replicates",
+            "bins"])
+    def test_size_limit_checked_before_compute(self, tmp_path, capsys, monkeypatch, params_file, command, field,
+                                               limit, message):
+        """An input at its limit reaches the command's compute step, patched
+        here to stop the run before it allocates; one above it exits 2 first.
+        The chains at G = 2 have 6 estimands, and the study's 20 sweeps."""
+        import snowball_sbm.augmentation as augmentation
+        import snowball_sbm.harness as harness
+        import snowball_sbm.sbm as sbm
+
+        def compute(*args, **kwargs):
+            raise RuntimeError("compute reached")
+
+        for module, name in ((augmentation, "run_chains"), (harness, "run_study"), (sbm, "generate_population")):
+            monkeypatch.setattr(module, name, compute)
+        for value, expected in ((limit, 3), (limit + 1, 2)):
+            out = tmp_path / f"out{value}"
+            if command == "estimate":
+                path = tmp_path / "s.json"
+                meta = {"n_strata": value if field == "meta.n_strata" else 2}
+                path.write_text(json.dumps({**self.SAMPLE, "meta": meta}))
+                flag = () if field == "meta.n_strata" else (field, str(value))
+                code = run_cli("estimate", "--sample", str(path), "--chain-length", "20", "--seed", "1",
+                               *flag, "--out", str(out))
+            elif command == "generate":
+                path = params_file
+                code = run_cli("generate", "--params", path, "--n", str(value), "--seed", "1", "--out", str(out))
+            else:
+                path = tmp_path / "study.json"
+                config = {"population": {"params": {"lambda": [0.5, 0.5], "beta": [0.25, 0.1, 0.2]}, "n": 40},
+                          "replicates": 2, "design": {"mode": "fixed_size", "n0": 6}, "mcmc": {"chain_length": 20}}
+                if field == "population.n":
+                    config["population"]["n"] = value
+                else:
+                    config[field] = value
+                path.write_text(json.dumps(config))
+                code = run_cli("simulate", "--config", str(path), "--out", str(out))
+            err = capsys.readouterr().err
+            assert code == expected, err
+            if expected == 3:
+                assert "runtime error: compute reached" in err
+            else:
+                draws = value * 20 * 6 if field == "replicates" else value * 6
+                assert message.format(path=path, limit=limit, value=value, draws=draws, MAX_DRAWS=MAX_DRAWS) in err
+                assert not out.exists()
 
     @pytest.mark.parametrize("population, message", [
         ({"edges": "e.tsv", "strata": "s.csv", "n": 999}, "edges and n"),

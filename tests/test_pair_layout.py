@@ -53,8 +53,8 @@ def test_last_axis_is_the_upper_triangle(g):
     trace = run_chain(data, cfg, g, n_strata=g)
     arrays = {
         "SbmParams.beta": params.beta,
-        "SufficientCounts.link_counts": counts.link_counts,
-        "SufficientCounts.pair_totals": counts.pair_totals,
+        "sufficient_counts.link_counts": counts.link_counts,
+        "sufficient_counts.pair_totals": counts.pair_totals,
         "SampleStats.link_counts": stats.link_counts,
         "SampleStats.pair_totals": stats.pair_totals,
         "MleEstimates.beta": mle_from_full_graph(graph, g).beta,

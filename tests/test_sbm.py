@@ -1,19 +1,25 @@
 """Model core: validation, generation, counts, likelihood, MLEs."""
 
+from dataclasses import fields
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from snowball_sbm import (
     PopulationGraph,
+    SampleStats,
     SbmParams,
     ValidationError,
     full_log_likelihood,
     generate_population,
     mle_from_full_graph,
     sufficient_counts,
+    trace_one_wave,
     validate_params,
 )
-from snowball_sbm.sbm import counts_log_likelihood, pair_totals_from_counts, symmetric_from_upper
+from snowball_sbm.likelihoods import n_free_terms
+from snowball_sbm.sbm import MAX_POPULATION, counts_log_likelihood, pair_totals_from_counts, symmetric_from_upper
 
 
 def two_block_params():
@@ -107,12 +113,16 @@ class TestGeneration:
         with pytest.raises(ValidationError):
             generate_population(two_block_params(), -1, seed=0)
 
+    def test_size_above_limit_rejected_before_drawing(self):
+        with pytest.raises(ValidationError, match=f"population size must be at most {MAX_POPULATION}, got"):
+            generate_population(two_block_params(), MAX_POPULATION + 1, seed=0)
+
 
 class TestSufficientCounts:
     def test_hand_count(self):
         graph = graph_from_edges([0, 0, 1], [(0, 1)])
         counts = sufficient_counts(graph)
-        assert counts.strata_counts.tolist() == [2, 1]
+        assert counts.counts_sampled.tolist() == [2, 1]
         assert counts.link_counts.tolist() == [1, 0, 0]  # pairs (1,1), (1,2), (2,2)
         assert counts.pair_totals.tolist() == [1, 2, 0]
 
@@ -131,7 +141,7 @@ class TestSufficientCounts:
                     k, l = sorted((graph.strata[i], graph.strata[j]))
                     m[k, l] += 1
         assert counts.link_counts.tolist() == [m[0, 0], m[0, 1], m[1, 1]]
-        assert counts.strata_counts.sum() == 20
+        assert counts.counts_sampled.sum() == 20
         assert counts.link_counts.sum() == graph.adjacency.sum() // 2
 
     def test_invariant_under_node_relabeling(self):
@@ -143,8 +153,38 @@ class TestSufficientCounts:
                 strata=graph.strata[perm], edges=np.argsort(perm)[graph.edges]
             )
             a, b = sufficient_counts(graph), sufficient_counts(permuted)
-            assert np.array_equal(a.strata_counts, b.strata_counts)
+            assert np.array_equal(a.counts_sampled, b.counts_sampled)
             assert np.array_equal(a.link_counts, b.link_counts)
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_counts_are_the_statistics_of_a_census(self, g):
+        """A full graph's counts are those of the sample whose initial sample
+        is every unit, and its likelihood is that sample's observed block."""
+        rng = np.random.default_rng(g)
+        params = SbmParams(rng.dirichlet(np.ones(g)), rng.uniform(0.05, 0.4, g * (g + 1) // 2))
+        graph = generate_population(params, 40, seed=g)
+        counts = sufficient_counts(graph, g)
+        census = SampleStats.from_data(trace_one_wave(graph, np.arange(graph.n_nodes)), g)
+        for f in fields(SampleStats):
+            assert np.array_equal(getattr(counts, f.name), getattr(census, f.name)), f.name
+        assert (counts.n0, counts.n1) == (40, 0)
+        assert full_log_likelihood(graph, params) == n_free_terms(counts, params)[0]
+
+
+class TestSampleStatsCheck:
+    """0 <= M <= T per stratum pair, through the constructor and ``stack``."""
+
+    FIELDS = {"n0": 3, "n1": 0, "counts_s0": [2, 1], "counts_s1": [0, 0], "pair_totals": [1, 2, 0]}
+
+    @pytest.mark.parametrize("links", [[-1, 0, 0], [0, 3, 0]], ids=["negative", "above-total"])
+    def test_link_counts_outside_pair_totals_rejected(self, links):
+        with pytest.raises(ValidationError, match="^link counts exceed pair totals$"):
+            SampleStats(link_counts=links, **self.FIELDS)
+        good = SampleStats(link_counts=[1, 2, 0], **self.FIELDS)
+        bad = SimpleNamespace(link_counts=links, **self.FIELDS)  # stack reads fields only
+        with pytest.raises(ValidationError, match="^link counts exceed pair totals$"):
+            SampleStats.stack([good, bad])
+        assert SampleStats.stack([good, good]).link_counts.tolist() == [[1, 2, 0]] * 2
 
 
 def likelihood_direct(graph, lam, beta):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.special import betainc, gammaln, xlog1py, xlogy
 
-from snowball_sbm import SbmParams, SufficientCounts
+from snowball_sbm import SampleStats, SbmParams
 from snowball_sbm.augmentation import _takes_negative_binomial, population_size_log_weights
 from snowball_sbm.likelihoods import stratum_escape_log_weights
 from snowball_sbm.logmath import log_binom
@@ -36,12 +36,13 @@ def random_counts(rng, params):
     links = np.zeros(totals.size, dtype=np.int64)
     for pair, (b, total) in enumerate(zip(params.beta, totals)):
         links[pair] = total if b == 1 else 0 if b == 0 else rng.integers(0, total + 1)
-    return SufficientCounts(strata_counts=strata_counts, link_counts=links, pair_totals=totals)
+    return SampleStats(n0=int(strata_counts.sum()), n1=0, counts_s0=strata_counts, counts_s1=np.zeros(g),
+                       link_counts=links, pair_totals=totals)
 
 
 def scipy_counts_log_likelihood(counts, params):
     m, t, b = counts.link_counts, counts.pair_totals, params.beta
-    return xlogy(counts.strata_counts, params.lam).sum() + xlogy(m, b).sum() + xlog1py(t - m, -b).sum()
+    return xlogy(counts.counts_sampled, params.lam).sum() + xlogy(m, b).sum() + xlog1py(t - m, -b).sum()
 
 
 def test_counts_log_likelihood_matches_scipy():
@@ -59,8 +60,8 @@ def test_counts_log_likelihood_matches_scipy():
 def test_zero_counts_times_log_zero_are_zero():
     """All-zero counts at lambda 0 and beta 0 or 1 give 0, never NaN."""
     g = EDGE_PARAMS.n_strata
-    zero = SufficientCounts(strata_counts=np.zeros(g), link_counts=np.zeros(g * (g + 1) // 2),
-                            pair_totals=np.zeros(g * (g + 1) // 2))
+    zero = SampleStats(n0=0, n1=0, counts_s0=np.zeros(g), counts_s1=np.zeros(g),
+                       link_counts=np.zeros(g * (g + 1) // 2), pair_totals=np.zeros(g * (g + 1) // 2))
     assert counts_log_likelihood(zero, EDGE_PARAMS) == 0.0
     with np.errstate(divide="ignore"):
         log_lam = np.log(EDGE_PARAMS.lam)
