@@ -14,6 +14,13 @@ draw on the first, and ``dirichlet`` is one ``standard_gamma`` draw per
 stratum times the reciprocal of their running sum, as numpy computes it
 (except where the largest weight is below 0.1 and numpy breaks sticks).
 
+:func:`run_chains` takes this lockstep sweep for two or more chains. A
+single chain (``estimate``, :func:`run_chain`, a one-replicate study) runs
+the same sweep in Python numbers instead (``_one_chain_draws``), where
+numpy's per-call cost on one row would be most of the sweep; it makes the
+same Generator calls and float operations, so a replicate rerun alone
+reproduces its lockstep row bit for bit.
+
 A sweep costs O(G^2) per chain, independent of the sample size, and of the
 cap on N unless the cap binds (then N is drawn from a grid over the
 truncated support). The sample enters only through its sufficient statistics
@@ -29,6 +36,8 @@ import logging
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -41,10 +50,12 @@ from .sbm import (
     ValidationError,
     _freeze,
     _is_finite_number,
+    _upper_positions,
     check_draws,
     check_int,
     estimand_blocks,
     pair_totals_from_counts,
+    upper_indices,
 )
 
 logger = logging.getLogger(__name__)
@@ -314,24 +325,125 @@ def chain_stats(data: IgnoredData, cfg: McmcConfig, n_strata: int | None = None)
     return stats
 
 
+def _one_chain_draws(stats: SampleStats, cap: int, cfg: McmcConfig, rng: np.random.Generator) -> np.ndarray:
+    """The (L, 1 + G + G(G+1)/2) draws table of one chain, bit for bit that
+    of :func:`gibbs_sweep` on ``stats`` stacked with R = 1: the same
+    Generator calls in the same order, on a state held in Python numbers.
+    Each float operation is the one numpy makes for a row: its ufuncs on
+    scalars, sums added left to right (numpy's order for fewer than 8
+    terms), lambda as each gamma draw times the reciprocal of their running
+    sum. Three rare steps run the batched function on a batch of one: the
+    escape terms where some beta is 1 or G >= 8, lambda where numpy's
+    dirichlet breaks sticks."""
+    g = stats.n_strata
+    start = initial_state(stats)
+    lam, beta = start.lam[0].tolist(), start.beta[0].tolist()
+    n0, n1 = int(stats.n0[0]), int(stats.n1[0])
+    n_sampled, k_max = n0 + n1, cap - n0 - n1
+    counts_s0, sampled = stats.counts_s0[0].tolist(), stats.counts_sampled[0].tolist()
+    pairs = list(zip(*(ix.tolist() for ix in upper_indices(g))))
+    # stratum k's escape log weight adds count_i * log1p(-beta[pair of i and k]) over strata i
+    columns = [list(zip(map(float, counts_s0), column)) for column in _upper_positions(g).T.tolist()]
+    links = stats.link_counts[0].tolist()
+    prior = np.broadcast_to(np.asarray(cfg.prior_alpha, dtype=np.float64), g).tolist()
+    g1, g2 = cfg.prior_gamma
+    a = np.asarray(stats.link_counts[0] + g1, dtype=np.float64).tolist()
+    rows = []
+    with np.errstate(divide="ignore"):  # log(0) of a stratum with lambda 0 is -inf, as in the batch
+        for _ in range(cfg.chain_length):
+            if g >= 8 or max(beta) >= 1:
+                state = AugmentedState(None, None, np.array([lam]), np.array([beta]))
+                _, log_omp, probs = escape_terms(stratum_escape_log_weights(stats.counts_s0, state))
+                log_omp, probs = float(log_omp[0]), probs[0].tolist()
+            else:
+                log1m_beta = [float(np.log1p(-b)) for b in beta]
+                log_w = []
+                for x, column in zip(lam, columns):
+                    total = 0.0  # added in order, as _sum_in_order does
+                    for c, j in column:
+                        total += c * log1m_beta[j]
+                    log_w.append(float(np.log(x)) + total)
+                top = max(log_w)
+                if top == -math.inf:
+                    log_omp, probs = -math.inf, [math.nan] * g
+                else:
+                    w = [float(np.exp(x - top)) for x in log_w]
+                    total = _sum_in_order(w)
+                    log_omp, probs = min(top + float(np.log(total)), 0.0), [x / total for x in w]
+
+            excess = 0
+            if float(np.exp(log_omp)) != 0:
+                p = -math.expm1(log_omp)
+                if not _takes_negative_binomial(n1, k_max, p):
+                    excess = int(_draw_excess(rng, n0, n1, log_omp, k_max, False, None))
+                else:
+                    excess = rng.negative_binomial(n1 + 1, p)
+                    while excess > k_max:
+                        excess = rng.negative_binomial(n1 + 1, p)
+            n = n_sampled + excess
+
+            if excess < 0:
+                raise ValidationError("population size below sampled count")
+            if excess > 0 and math.isnan(probs[0]):
+                raise ValidationError("inconsistent state: an unsampled unit cannot avoid the initial sample")
+            if g == 2:
+                first = rng.binomial(excess, probs[0]) if excess else 0
+                strata_un = [first, excess - first]
+            else:
+                strata_un = rng.multinomial(excess, probs).tolist() if excess else [0] * g
+
+            counts = [c + u for c, u in zip(sampled, strata_un)]
+            outside = [c - c0 for c, c0 in zip(counts, counts_s0)]
+            alpha = [float(c) + pa for c, pa in zip(counts, prior)]
+            totals = zip(_pair_totals(counts, pairs), _pair_totals(outside, pairs), links)
+            b = [float(t - o - m + g2) for t, o, m in totals]
+
+            if max(alpha) < 0.1:
+                lam = draw_lambda(np.array([alpha]), [rng])[0].tolist()
+            else:
+                gam = [rng.standard_gamma(x) for x in alpha]
+                recip = 1.0 / _sum_in_order(gam)
+                lam = [x * recip for x in gam]
+            beta = [rng.beta(x, y) for x, y in zip(a, b)]
+            rows.append([n, *lam, *beta])
+    return np.array(rows, dtype=np.float64)
+
+
+def _sum_in_order(values: list) -> float:
+    """``values`` added left to right, numpy's order for fewer than 8 terms
+    (the built-in ``sum`` of floats is compensated from Python 3.12 on)."""
+    return reduce(add, values, 0.0)
+
+
+def _pair_totals(counts: list, pairs: list) -> list:
+    """:func:`~snowball_sbm.sbm.pair_totals_from_counts` of one row of counts, in Python ints."""
+    return [counts[k] * (counts[k] - 1) // 2 if k == l else counts[k] * counts[l] for k, l in pairs]
+
+
 def run_chains(stats: Sequence[SampleStats], cfg: McmcConfig, seeds: Sequence) -> list[ChainTrace]:
     """Run one chain per sample (all with the same G, each from
-    :func:`chain_stats`) in lockstep. Chain r draws from
-    ``default_rng(seeds[r])`` alone, so it equals :func:`run_chain` with that
-    seed. Their draws tables are views of one (R, L, 1 + G + G(G+1)/2)
-    float64 array, filled a sweep at a time.
+    :func:`chain_stats`). Chain r draws from ``default_rng(seeds[r])``
+    alone, so it equals :func:`run_chain` with that seed: a study's
+    replicate rerun alone reproduces its row. Two or more chains run in
+    lockstep through :func:`gibbs_sweep`, their draws tables views of one
+    (R, L, 1 + G + G(G+1)/2) float64 array filled a sweep at a time; a
+    single chain runs the same sweep in Python numbers, which cost less than
+    numpy calls on one row.
     """
     cap = np.array([cfg.effective_cap(s.n_sampled) for s in stats])
     batch = SampleStats.stack(stats)
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    state = initial_state(batch)
-    (replicates, g), length = state.lam.shape, cfg.chain_length
-    _, lam, beta = estimand_blocks(g)
-    draws = np.zeros((replicates, length, 1 + g + state.beta.shape[-1]))
-    for it in range(length):
-        state = gibbs_sweep(state, batch, cap, cfg, rngs)
-        sweep = draws[:, it]
-        sweep[:, 0], sweep[:, lam], sweep[:, beta] = state.n, state.lam, state.beta
+    replicates, g, length = len(stats), batch.n_strata, cfg.chain_length
+    if replicates == 1:
+        draws = _one_chain_draws(batch, int(cap[0]), cfg, rngs[0])[None]
+    else:
+        state = initial_state(batch)
+        _, lam, beta = estimand_blocks(g)
+        draws = np.zeros((replicates, length, 1 + g + state.beta.shape[-1]))
+        for it in range(length):
+            state = gibbs_sweep(state, batch, cap, cfg, rngs)
+            sweep = draws[:, it]
+            sweep[:, 0], sweep[:, lam], sweep[:, beta] = state.n, state.lam, state.beta
     caps = cap.tolist()
     cap_hits = np.count_nonzero(draws[:, :, 0] == cap[:, None], axis=1).tolist()
     for chain_cap, hits in zip(caps, cap_hits):

@@ -150,13 +150,12 @@ def cmd_simulate(args) -> int:
     from .harness import run_study
     _check_inputs(args.config)
     cfg = io.load_study_config(args.config)
-    overrides = {}
-    if args.replicates is not None:
-        overrides["replicates"] = args.replicates
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
+    for flag, field, value in (("--replicates", "replicates", args.replicates), ("--seed", "master_seed", args.seed)):
+        if value is not None:
+            try:
+                cfg = dataclasses.replace(cfg, **{field: value})
+            except ValidationError as exc:
+                raise ValidationError(f"{flag}: {exc}") from exc
     summary = run_study(cfg)
     io.save_study_outputs(summary, args.out)
     completed = summary.estimate_rows.shape[0]

@@ -151,7 +151,7 @@ def load_graph(edges_path: str, strata_path: str) -> PopulationGraph:
     def strata_from_rows(rows):
         nodes, labels = rows.T
         order, repeated = later_repeats(nodes)
-        fault = first_fault({"label": labels < 1, "duplicate": repeated})
+        fault = first_fault({"label": (labels < 1) | (labels > MAX_STRATA), "duplicate": repeated})
         if fault:
             raise RowError(*fault)
         if nodes.size and (nodes.min() < 0 or nodes.max() >= nodes.size):  # distinct, so a gap
@@ -266,9 +266,9 @@ def sample_meta(cfg: "DesignConfig", seed: int | None, n_strata: int, population
     return meta
 
 
-def _ints(values: list, low: int = 1) -> bool:
-    """Every entry an int from ``low`` to INT64_MAX; bools, floats and strings are not ints."""
-    return set(map(type, values)) <= {int} and low <= min(values, default=low) and max(values, default=low) <= INT64_MAX
+def _ints(values: list, low: int, high: int = INT64_MAX) -> bool:
+    """Every entry an int from ``low`` to ``high``; bools, floats and strings are not ints."""
+    return set(map(type, values)) <= {int} and low <= min(values, default=low) and max(values, default=low) <= high
 
 
 def _int_pairs(values: list) -> bool:
@@ -304,7 +304,7 @@ def load_sample(path: str):
     for name, strata, size in (("strata_s0", strata_s0, n0), ("strata_s1", strata_s1, n1)):
         if not isinstance(strata, list) or len(strata) != size:
             raise ValidationError(f"{path}: {name}: must be a list of length {size}")
-        bad = _first_bad(strata, _ints)
+        bad = _first_bad(strata, lambda labels: _ints(labels, 1, MAX_STRATA))
         if bad < size:
             raise ValidationError(f"{path}: {name}: bad stratum {strata[bad]!r}: strata are integers labeled 1..G")
     if not isinstance(links, list):

@@ -14,7 +14,7 @@ from snowball_sbm import IgnoredData, McmcConfig, PopulationGraph, SampleStats, 
 from snowball_sbm.io import EDGE_HEADER, STRATA_HEADER, _load_json, _require
 from snowball_sbm.likelihoods import escape_terms, n_free_terms, stratum_escape_log_weights
 from snowball_sbm.logmath import xlog1py
-from snowball_sbm.sbm import INT64_MAX, MAX_STRATA, _is_integer, check_int, pair_totals_from_counts, symmetric_from_upper
+from snowball_sbm.sbm import MAX_STRATA, _is_integer, check_int, pair_totals_from_counts, symmetric_from_upper
 
 
 def impute_link_counts(stats: SampleStats, n, strata_all_counts, beta: np.ndarray, rngs) -> np.ndarray:
@@ -210,7 +210,7 @@ def load_graph_per_line(edges_path: str, strata_path: str) -> PopulationGraph:
                 node, stratum = int(node_txt), int(stratum_txt)
             except ValueError as exc:
                 raise ValidationError(f"{strata_path}:{line_no + 1}: bad row {line!r}") from exc
-            if stratum < 1:
+            if not 1 <= stratum <= MAX_STRATA:
                 raise ValidationError(f"{strata_path}:{line_no + 1}: strata are labeled 1..G")
             if node in strata_rows:
                 raise ValidationError(f"{strata_path}: duplicate node id {node}")
@@ -279,7 +279,7 @@ def load_sample_per_link(path: str):
     for name, strata, size in (("strata_s0", strata_s0, n0), ("strata_s1", strata_s1, n1)):
         if not isinstance(strata, list) or len(strata) != size:
             raise ValidationError(f"{path}: {name}: must be a list of length {size}")
-        bad = next((s for s in strata if not (_is_integer(s) and 1 <= s <= INT64_MAX)), None)
+        bad = next((s for s in strata if not (_is_integer(s) and 1 <= s <= MAX_STRATA)), None)
         if bad is not None:
             raise ValidationError(f"{path}: {name}: bad stratum {bad!r}: strata are integers labeled 1..G")
     if not isinstance(links, list):

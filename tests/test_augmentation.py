@@ -8,11 +8,14 @@ from math import comb, expm1
 import numpy as np
 import pytest
 
+import snowball_sbm.augmentation as augmentation
 from snowball_sbm import (
+    DesignConfig,
     McmcConfig,
     SbmParams,
     ValidationError,
     draw_beta,
+    draw_initial,
     draw_lambda,
     draw_population_size,
     generate_population,
@@ -22,7 +25,13 @@ from snowball_sbm import (
     sufficient_counts,
     trace_one_wave,
 )
-from snowball_sbm.augmentation import conjugate_params, initial_state, population_size_log_weights
+from snowball_sbm.augmentation import (
+    chain_stats,
+    conjugate_params,
+    initial_state,
+    population_size_log_weights,
+    run_chains,
+)
 from snowball_sbm.likelihoods import escape_terms, stratum_escape_log_weights
 from snowball_sbm.sampling import IgnoredData
 from snowball_sbm.sbm import SampleStats, estimand_names, symmetric_from_upper
@@ -574,9 +583,61 @@ class TestStreamEquivalence:
 
 
 def draw_initial_ids(graph, n0):
-    from snowball_sbm import DesignConfig, draw_initial
-
     return draw_initial(graph, DesignConfig(mode="fixed_size", n0=n0), 1)
+
+
+def seeded_sample(params, n, q, seed):
+    """A one-wave sample of a Bernoulli(``q``) initial sample in a population
+    of ``n`` units drawn under ``params``, all on ``seed``."""
+    graph = generate_population(params, n, seed=seed)
+    return trace_one_wave(graph, draw_initial(graph, DesignConfig(mode="bernoulli", q=q), seed))
+
+
+def random_params(g, seed):
+    """Seeded G-stratum params; beta shrinks with G, so one wave leaves units unsampled."""
+    rng = np.random.default_rng([g, seed])
+    return SbmParams(rng.dirichlet(np.full(g, 5.0)), rng.uniform(0.05, 0.25, g * (g + 1) // 2) / g)
+
+
+class TestOneChainSweep:
+    """A lone chain runs the sweep in Python numbers. It must give the bits,
+    the cap hits and the stream of its row among lockstep chains."""
+
+    @staticmethod
+    def assert_lone_chain_is_row_zero(samples, cfg, seeds):
+        for s, t, seed, other in ((*samples, *seeds), (*samples[::-1], *seeds[::-1])):
+            lone = run_chains([s], cfg, [seed])[0]
+            row = run_chains([s, t], cfg, [seed, other])[0]
+            assert lone.draws.tobytes() == row.draws.tobytes()
+            assert lone.cap_hits == row.cap_hits
+
+    @pytest.mark.parametrize("g", [1, 2, 3, 9])  # G >= 8 sums its escape terms as numpy does
+    def test_lone_chain_is_its_lockstep_row(self, g, monkeypatch):
+        wide = seeded_sample(random_params(g, g), 50 * g + 50, 0.1, g)  # many units left unsampled
+        near_census = seeded_sample(random_params(g, g + 100), 12 * g + 12, 0.6, g + 100)
+        cfg = McmcConfig(chain_length=300, n_max_cap=wide.n_sampled + 3, prior_alpha=tuple(np.linspace(0.5, 2.0, g)))
+        binding, free = chain_stats(wide, cfg, g), chain_stats(near_census, cfg, g)
+        grid_draws = []
+        draw_excess = augmentation._draw_excess
+
+        def counted(*args):
+            grid_draws.append(args)
+            return draw_excess(*args)
+
+        monkeypatch.setattr(augmentation, "_draw_excess", counted)
+        assert run_chains([binding], cfg, [7])[0].cap_hits > 0 and grid_draws
+        assert run_chains([free], cfg, [8])[0].cap_hits == 0
+        self.assert_lone_chain_is_row_zero((binding, free), cfg, (7, 8))
+
+    def test_link_probability_of_one(self):
+        """A pair whose observed pairs are all linked, under a Beta prior with
+        tiny g2, draws beta = 1: the escape weights take ``xlog1py``."""
+        params = SbmParams([0.5, 0.5], [1.0, 0.05, 0.1])
+        samples = [seeded_sample(params, 40, 0.3, seed) for seed in (2, 3)]
+        cfg = McmcConfig(chain_length=300, prior_gamma=(1.0, 0.001), n_max_cap=60)
+        stats = [chain_stats(data, cfg, 2) for data in samples]
+        assert (run_chains(stats[:1], cfg, [5])[0].draws[:, 3] == 1.0).any()
+        self.assert_lone_chain_is_row_zero(stats, cfg, (5, 6))
 
 
 class TestRunChain:

@@ -89,9 +89,11 @@ def test_header_only_files_load_without_warnings(tmp_path):
     ("0,1\n1,x\n", ":3: bad row '1,x'"),
     ("0,1\n1.0,1\n", ":3: bad row '1.0,1'"),
     ("0,1\n1,0\n", ":3: strata are labeled 1..G"),
+    ("0,1\n1,1001\n", ":3: strata are labeled 1..G"),
     ("0,1\n1,2\n0,2\n", ": duplicate node id 0"),
     ("0,1\n2,1\n", ": node ids must cover 0..N-1 exactly once"),
-], ids=["bad-row", "three-fields", "non-integer", "float", "stratum-0", "duplicate-node", "gap"])
+], ids=["bad-row", "three-fields", "non-integer", "float", "stratum-0", "stratum-above-MAX_STRATA", "duplicate-node",
+        "gap"])
 def test_strata_faults_keep_their_messages(tmp_path, rows, message):
     edges = write(tmp_path / "e.tsv", "u\tv\n")
     strata = write(tmp_path / "s.csv", "node_id,stratum\n" + rows)

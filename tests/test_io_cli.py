@@ -605,6 +605,60 @@ class TestInputHardening:
         assert code == 2
         assert f"{path}: replicates must be an integer >= 1, got 2.5" in err
 
+    @pytest.mark.parametrize("command", ["estimate", "mle"])
+    def test_stratum_label_bounded_by_max_strata(self, tmp_path, capsys, monkeypatch, command):
+        """A stratum label of MAX_STRATA reaches the command's compute step,
+        patched here to stop the run before it allocates G-sized arrays; a
+        label of 10**9 exits 2 first, naming the file."""
+        import importlib
+
+        def compute(*args, **kwargs):
+            raise RuntimeError("compute reached")
+
+        module, name = self.COMPUTE[command]
+        monkeypatch.setattr(importlib.import_module(f"snowball_sbm.{module}"), name, compute)
+        for label, expected in ((MAX_STRATA, 3), (10**9, 2)):
+            out = tmp_path / f"out{label}"
+            if command == "estimate":
+                path = tmp_path / "s.json"
+                path.write_text(json.dumps({**self.SAMPLE, "strata_s1": [label]}))
+                code = run_cli("estimate", "--sample", str(path), "--chain-length", "20", "--seed", "1",
+                               "--out", str(out))
+                message = f"{path}: strata_s1: bad stratum {label}: strata are integers labeled 1..G"
+            else:
+                path, edges = tmp_path / "strata.csv", tmp_path / "edges.tsv"
+                path.write_text(f"node_id,stratum\n0,1\n1,{label}\n")
+                edges.write_text("u\tv\n0\t1\n")
+                code = run_cli("mle", "--edges", str(edges), "--strata", str(path), "--out", str(out))
+                message = f"{path}:3: strata are labeled 1..G"
+            err = capsys.readouterr().err
+            assert code == expected, err
+            assert not out.exists()
+            assert ("runtime error: compute reached" if expected == 3 else message) in err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--replicates", 0, "replicates must be an integer >= 1, got 0"),
+        ("--replicates", MAX_DRAWS // (20 * 6) + 1, "replicates x mcmc: chain_length: {value} chains x 20 sweeps "
+                                                    "x 6 estimands is {draws} draws, above the limit of {limit}"),
+        ("--seed", -1, "master_seed must be an integer >= 0, got -1"),
+    ], ids=["replicates-zero", "replicates-above-MAX_DRAWS", "seed-negative"])
+    def test_simulate_override_names_its_flag(self, tmp_path, capsys, monkeypatch, flag, value, message):
+        """An override that fails the study's checks exits 2 with its flag
+        named, before the study (patched to fail) starts."""
+        import snowball_sbm.harness as harness
+
+        monkeypatch.setattr(harness, "run_study", lambda cfg: pytest.fail("a study ran on a bad override"))
+        path = tmp_path / "study.json"
+        path.write_text(json.dumps({"population": {"params": {"lambda": [0.5, 0.5], "beta": [0.25, 0.1, 0.2]},
+                                                   "n": 40},
+                                    "replicates": 2, "design": {"mode": "fixed_size", "n0": 6},
+                                    "mcmc": {"chain_length": 20}}))
+        out = tmp_path / "study"
+        code = run_cli("simulate", "--config", str(path), flag, str(value), "--out", str(out))
+        assert code == 2 and not out.exists()
+        expected = message.format(value=value, draws=value * 20 * 6, limit=MAX_DRAWS)
+        assert f"error: {flag}: {expected}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("field,value,message", [
         ("n_max_cap", 50.5, "n_max_cap must be an integer >= 1, got 50.5"),
         ("n_max_cap", True, "n_max_cap must be an integer >= 1, got True"),

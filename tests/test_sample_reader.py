@@ -127,3 +127,14 @@ def test_first_bad_link_in_list_order(tmp_path, links, message):
                                 "links": [[2, 4], *links]}))
     (_, new_error), (_, ref_error) = read_both(path)
     assert new_error == ref_error == f"{path}: links: {message}"
+
+
+@pytest.mark.parametrize("label", [1000, 1001, 10**9])
+def test_stratum_label_bounded_by_max_strata(tmp_path, label):
+    """Both readers accept a label of MAX_STRATA (1 000) and name the first label above it."""
+    path = tmp_path / "sample.json"
+    path.write_text(json.dumps({"n0": 2, "n1": 1, "strata_s0": [1, 2], "strata_s1": [label],
+                                "links": [[1, 2], [1, 3]]}))
+    (_, new_error), (_, ref_error) = read_both(path)
+    expected = None if label <= 1000 else f"{path}: strata_s1: bad stratum {label}: strata are integers labeled 1..G"
+    assert new_error == ref_error == expected
