@@ -4,22 +4,26 @@ Each sweep (:func:`gibbs_sweep`) draws, in order: the population size from
 its label-free posterior, stratum memberships for the unsampled block, then
 the conjugate Dirichlet/Beta parameter updates. It advances R chains at
 once: the deterministic work runs once on arrays with a leading replicate
-axis, and each of the four sub-draws makes row r's draws on ``rngs[r]``
-only. Many i.i.d. draws of one conditional come from R identical rows that
-share one Generator (``[rng] * R``). Each row's draws are scalar Generator
-calls, which skip numpy's checks of array arguments yet consume the stream
-exactly as the array calls that define a chain: a scalar draw runs the same
-sampler as a size-1 draw, ``multinomial`` over two strata is one ``binomial``
-draw on the first, and ``dirichlet`` is one ``standard_gamma`` draw per
-stratum times the reciprocal of their running sum, as numpy computes it
-(except where the largest weight is below 0.1 and numpy breaks sticks).
+axis, and chain r draws on ``rngs[r]`` only. The two imputation draws are
+per chain: :func:`draw_population_size` and :func:`impute_strata` take one
+chain's Generator and numbers, and every sweep calls them once per chain.
+The parameter draws, :func:`draw_lambda` and :func:`draw_beta`, take the
+batch, so many i.i.d. draws of them come from R identical rows that share
+one Generator (``[rng] * R``). Every draw is a scalar Generator call, which
+skips numpy's checks of array arguments yet consumes the stream exactly as
+the array calls that define a chain: a scalar draw runs the same sampler as
+a size-1 draw, ``multinomial`` over two strata is one ``binomial`` draw on
+the first, and ``dirichlet`` is one ``standard_gamma`` draw per stratum
+times the reciprocal of their running sum, as numpy computes it (except
+where the largest weight is below 0.1 and numpy breaks sticks).
 
 :func:`run_chains` takes this lockstep sweep for two or more chains. A
 single chain (``estimate``, :func:`run_chain`, a one-replicate study) runs
 the same sweep in Python numbers instead (``_one_chain_draws``), where
-numpy's per-call cost on one row would be most of the sweep; it makes the
-same Generator calls and float operations, so a replicate rerun alone
-reproduces its lockstep row bit for bit.
+numpy's per-call cost on one row would be most of the sweep; it calls the
+same two imputation draws and makes the same Generator calls and float
+operations, so a replicate rerun alone reproduces its lockstep row bit for
+bit.
 
 A sweep costs O(G^2) per chain, independent of the sample size, and of the
 cap on N unless the cap binds (then N is drawn from a grid over the
@@ -46,6 +50,7 @@ from .likelihoods import escape_probability, escape_terms, stratum_escape_log_we
 from .sampling import IgnoredData
 from .sbm import (
     INT64_MAX,
+    MAX_POPULATION,
     SampleStats,
     ValidationError,
     _freeze,
@@ -72,9 +77,11 @@ class McmcConfig:
 
     The flat prior on the population size is improper, so its posterior is
     truncated at a cap: ``n_max_cap`` when given, otherwise
-    ``cap_multiplier`` times the sampled count. Cap hits are counted and
-    reported so truncation pressure is visible. ``prior_alpha`` is one
-    Dirichlet weight for every stratum or a list of G of them.
+    ``cap_multiplier`` times the sampled count; either is at most
+    MAX_POPULATION, since a binding cap sets the size of N's grid. Cap hits
+    are counted and reported so truncation pressure is visible.
+    ``prior_alpha`` is one Dirichlet weight for every stratum or a list of G
+    of them.
     """
 
     chain_length: int = 1000
@@ -87,7 +94,7 @@ class McmcConfig:
     def __post_init__(self):
         check_int(self.chain_length, "chain_length", 1, INT64_MAX)
         if self.n_max_cap is not None:
-            check_int(self.n_max_cap, "n_max_cap", 1)
+            check_int(self.n_max_cap, "n_max_cap", 1, MAX_POPULATION)
         if not (_is_finite_number(self.burn_in_fraction) and 0.0 <= self.burn_in_fraction < 1.0):
             raise ValidationError(f"burn_in_fraction must be in [0, 1), got {self.burn_in_fraction!r}")
         if not (_is_finite_number(self.cap_multiplier) and self.cap_multiplier >= 1.0):
@@ -113,6 +120,9 @@ class McmcConfig:
         cap = self.n_max_cap
         if cap is None:
             cap = max(int(math.ceil(self.cap_multiplier * n_sampled)), n_sampled)
+            if cap > MAX_POPULATION:
+                raise ValidationError(f"cap_multiplier {self.cap_multiplier!r} x sampled count {n_sampled} "
+                                      f"is a cap of {cap}, above the limit of {MAX_POPULATION}")
         if cap < n_sampled:
             raise ValidationError(f"cap {cap} below sampled count {n_sampled}")
         return cap
@@ -140,75 +150,57 @@ def _takes_negative_binomial(n1, k_max, p):
     return (p > 0) & ((n1 + 1) * (1 - p) <= k_max * p)
 
 
-def _draw_excess(rng, n0: int, n1: int, log_omp: float, k_max: int, rejection, shape):
-    """``shape`` draws (one if None) of the excess M in 0..K, by rejection or on the grid."""
-    if rejection:
-        p = -math.expm1(log_omp)
-        excess = rng.negative_binomial(n1 + 1, p, shape)
-        over = (excess > k_max).nonzero()[0]
-        while over.size:
-            excess[over] = rng.negative_binomial(n1 + 1, p, over.size)
-            over = over[excess[over] > k_max]
-        return excess
-    _, log_w = population_size_log_weights(n0, n1, log_omp, n0 + n1 + k_max)
-    cdf = np.cumsum(np.exp(log_w - log_w.max()))
-    return np.minimum(np.searchsorted(cdf, rng.random(shape) * cdf[-1], side="right"), k_max)
-
-
-def draw_population_size(stats: SampleStats, cap: np.ndarray, log_omp: np.ndarray, rngs: Rngs,
+def draw_population_size(rng: np.random.Generator, n0: int, n1: int, log_omp: float, k_max: int,
                          size: int | None = None):
-    """Draw each row's N from its posterior given the stacked sample
-    statistics, each row's ``cap`` on N and ``log_omp``, the log escape
-    probability log(1 - p) at the current params.
+    """Draw one chain's N from its posterior given the block sizes, ``log_omp``,
+    the log escape probability log(1 - p) at the current params, and
+    ``k_max``, the cap on N less the sampled count.
 
-    The excess M = N - n0 - n1 is NB(n1 + 1, p) truncated at
-    K = cap - n0 - n1. While the mean of M is at most K, its mass above K is
-    below about one half, so M comes from ``rng.negative_binomial`` and only
-    draws above K are redrawn (fewer than two tries each on average);
-    otherwise from the inverse CDF on the grid 0..K, where rejection could
-    take unboundedly long. Both paths draw from the same truncated law, so
-    cap hits stay exact. Where 1 - p = 0, N is the sampled count and nothing
-    is drawn. Returns shape (R,), or (R, size) with ``size`` draws per row.
+    The excess M = N - n0 - n1 is NB(n1 + 1, p) truncated at K = ``k_max``.
+    While the mean of M is at most K, its mass above K is below about one
+    half, so M comes from ``rng.negative_binomial`` and only draws above K
+    are redrawn (fewer than two tries each on average); otherwise from the
+    inverse CDF on the grid 0..K, where rejection could take unboundedly
+    long. Both paths draw from the same truncated law, so cap hits stay
+    exact. Where 1 - p = 0, N is the sampled count and nothing is drawn
+    (``math.exp`` and ``np.exp`` both round to 0 below -1075 log 2).
+    Returns an int, or an array of ``size`` i.i.d. draws.
     """
-    k_max = cap - stats.n_sampled
-    p = [-math.expm1(v) for v in log_omp.tolist()]  # np.expm1 can differ in the last bit
-    rejection = _takes_negative_binomial(stats.n1, k_max, np.array(p)).tolist()
-    rows = np.exp(log_omp).nonzero()[0].tolist()
-    if size is not None:
-        excess = np.zeros((len(rngs), size), dtype=np.int64)
-        for r in rows:
-            excess[r] = _draw_excess(rngs[r], stats.n0[r], stats.n1[r], log_omp[r], k_max[r], rejection[r], size)
-        return stats.n_sampled[:, None] + excess
-    excess, n1, k = [0] * len(rngs), stats.n1.tolist(), k_max.tolist()
-    for r in rows:  # one scalar draw, redrawn while above K
-        if not rejection[r]:
-            excess[r] = _draw_excess(rngs[r], stats.n0[r], n1[r], log_omp[r], k[r], False, None)
-            continue
-        draw = rngs[r].negative_binomial
-        excess[r] = draw(n1[r] + 1, p[r])
-        while excess[r] > k[r]:
-            excess[r] = draw(n1[r] + 1, p[r])
-    return stats.n_sampled + excess
+    if math.exp(log_omp) == 0:
+        return n0 + n1 if size is None else np.full(size, n0 + n1, dtype=np.int64)
+    p = -math.expm1(log_omp)  # np.expm1 can differ in the last bit
+    if not _takes_negative_binomial(n1, k_max, p):
+        _, log_w = population_size_log_weights(n0, n1, log_omp, n0 + n1 + k_max)
+        cdf = np.cumsum(np.exp(log_w - log_w.max()))
+        excess = np.minimum(np.searchsorted(cdf, rng.random(size) * cdf[-1], side="right"), k_max)
+        return n0 + n1 + (int(excess) if size is None else excess)
+    if size is None:  # one scalar draw, redrawn while above K
+        excess = rng.negative_binomial(n1 + 1, p)
+        while excess > k_max:
+            excess = rng.negative_binomial(n1 + 1, p)
+        return n0 + n1 + excess
+    excess = rng.negative_binomial(n1 + 1, p, size)
+    over = (excess > k_max).nonzero()[0]
+    while over.size:
+        excess[over] = rng.negative_binomial(n1 + 1, p, over.size)
+        over = over[excess[over] > k_max]
+    return n0 + n1 + excess
 
 
-def impute_strata(stats: SampleStats, n: np.ndarray, probs: np.ndarray, rngs: Rngs) -> np.ndarray:
-    """Impute strata for each row's N - n0 - n1 unsampled units, as counts per
-    stratum: multinomial over ``probs``, the stratum distribution of a unit
-    linked to no initial-sample member (NaN in rows where no unit can be)."""
-    n_missing = n - stats.n_sampled
-    if (n_missing < 0).any():
+def impute_strata(rng: np.random.Generator, missing: int, probs) -> list:
+    """Impute the strata of one chain's ``missing`` unsampled units, as a list
+    of G counts: multinomial over ``probs``, the stratum distribution of a
+    unit linked to no initial-sample member (NaN where no unit can be)."""
+    if missing < 0:
         raise ValidationError("population size below sampled count")
-    if ((n_missing > 0) & np.isnan(probs[:, 0])).any():
+    if not missing:
+        return [0] * len(probs)
+    if math.isnan(probs[0]):
         raise ValidationError("inconsistent state: an unsampled unit cannot avoid the initial sample")
-    if stats.n_strata == 2:  # numpy's multinomial makes one binomial draw, on the first stratum
-        strata_un = np.empty_like(stats.counts_s0)
-        strata_un[:, 0] = [rng.binomial(m, q) if m else 0
-                           for rng, m, q in zip(rngs, n_missing.tolist(), probs[:, 0].tolist())]
-        strata_un[:, 1] = n_missing - strata_un[:, 0]
-        return strata_un
-    none = [0] * stats.n_strata
-    rows = [rng.multinomial(m, q) if m else none for rng, m, q in zip(rngs, n_missing.tolist(), probs)]
-    return np.array(rows, dtype=np.int64)
+    if len(probs) == 2:  # numpy's multinomial makes one binomial draw, on the first stratum
+        first = rng.binomial(missing, probs[0])
+        return [first, missing - first]
+    return rng.multinomial(missing, probs).tolist()
 
 
 def conjugate_params(stats: SampleStats, strata_unsampled: np.ndarray, cfg: McmcConfig):
@@ -278,10 +270,12 @@ def gibbs_sweep(state: AugmentedState, stats: SampleStats, cap: np.ndarray, cfg:
     stacked ``stats`` under their caps on N; chain r draws on ``rngs[r]``
     only, in that order."""
     _, log_omp, probs = escape_terms(stratum_escape_log_weights(stats.counts_s0, state))
-    n = draw_population_size(stats, cap, log_omp, rngs)
-    strata_un = impute_strata(stats, n, probs, rngs)
+    n0, n1, k_max = stats.n0.tolist(), stats.n1.tolist(), (cap - stats.n0 - stats.n1).tolist()
+    n = list(map(draw_population_size, rngs, n0, n1, log_omp.tolist(), k_max))
+    missing = [m - a - b for m, a, b in zip(n, n0, n1)]
+    strata_un = np.array(list(map(impute_strata, rngs, missing, probs.tolist())))
     alpha, a, b = conjugate_params(stats, strata_un, cfg)
-    return AugmentedState(n, strata_un, draw_lambda(alpha, rngs), draw_beta(a, b, rngs))
+    return AugmentedState(np.array(n), strata_un, draw_lambda(alpha, rngs), draw_beta(a, b, rngs))
 
 
 @dataclass(frozen=True)
@@ -371,27 +365,8 @@ def _one_chain_draws(stats: SampleStats, cap: int, cfg: McmcConfig, rng: np.rand
                     total = _sum_in_order(w)
                     log_omp, probs = min(top + float(np.log(total)), 0.0), [x / total for x in w]
 
-            excess = 0
-            if float(np.exp(log_omp)) != 0:
-                p = -math.expm1(log_omp)
-                if not _takes_negative_binomial(n1, k_max, p):
-                    excess = int(_draw_excess(rng, n0, n1, log_omp, k_max, False, None))
-                else:
-                    excess = rng.negative_binomial(n1 + 1, p)
-                    while excess > k_max:
-                        excess = rng.negative_binomial(n1 + 1, p)
-            n = n_sampled + excess
-
-            if excess < 0:
-                raise ValidationError("population size below sampled count")
-            if excess > 0 and math.isnan(probs[0]):
-                raise ValidationError("inconsistent state: an unsampled unit cannot avoid the initial sample")
-            if g == 2:
-                first = rng.binomial(excess, probs[0]) if excess else 0
-                strata_un = [first, excess - first]
-            else:
-                strata_un = rng.multinomial(excess, probs).tolist() if excess else [0] * g
-
+            n = draw_population_size(rng, n0, n1, log_omp, k_max)
+            strata_un = impute_strata(rng, n - n_sampled, probs)
             counts = [c + u for c, u in zip(sampled, strata_un)]
             outside = [c - c0 for c, c0 in zip(counts, counts_s0)]
             alpha = [float(c) + pa for c, pa in zip(counts, prior)]

@@ -115,13 +115,16 @@ def load_params(path: str) -> SbmParams:
 def _checked_params(doc: dict, where: str, g: int | None = None) -> SbmParams:
     """Block-model params from ``doc``'s ``lambda`` and ``beta`` (upper
     triangle), each a list of finite numbers of the length G gives; G is
-    ``len(lambda)`` when not given. Errors read ``<where>: <field> ...``."""
+    ``len(lambda)`` when not given, and at most MAX_STRATA. Errors read
+    ``<where>: <field> ...``."""
     lam = _require(doc, "lambda", where)
     beta = _require(doc, "beta", where)
     if g is None:
         if not (isinstance(lam, list) and lam):
             raise ValidationError(f"{where}: lambda must be a non-empty list of numbers, got {lam!r}")
         g = len(lam)
+    if g > MAX_STRATA:
+        raise ValidationError(f"{where}: G must be at most {MAX_STRATA}, got {g}")
     for name, values, size in (("lambda", lam, g), ("beta", beta, g * (g + 1) // 2)):
         if not (isinstance(values, list) and len(values) == size and all(map(_is_finite_number, values))):
             raise ValidationError(f"{where}: {name} must be a list of {size} numbers (G={g}), got {values!r}")

@@ -194,6 +194,27 @@ def wave_inclusion_probability(counts_s0, params: SbmParams) -> float:
     return float(np.sum(params.lam * -np.expm1(log_avoid)))
 
 
+def frank_snijders_size(data: IgnoredData, design: str = "fixed_size") -> float:
+    """A Frank-Snijders-type moment estimate of N from the links at the
+    initial sample (Frank & Snijders 1994, J. Official Statistics 10:53).
+
+    Of the 2r + s link ends at initial-sample members, where r counts S0-S0
+    links and s counts S0-wave links, 2r point into S0. Under a simple random
+    initial sample of n0 units an end points there with probability
+    (n0 - 1)/(N - 1), so N = 1 + (n0 - 1)(2r + s)/(2r); under a Bernoulli
+    design with probability n0/N, so N = n0 (2r + s)/(2r). NaN when r = 0.
+    Reads only the sample's links and n0.
+    """
+    links = np.asarray(data.links).reshape(-1, 2)
+    inside = int(np.count_nonzero(links.max(axis=1) < data.n0))  # r: both ends in S0
+    ends = 2 * inside + (len(links) - inside)  # 2r + s
+    if inside == 0:
+        return float("nan")
+    if design == "fixed_size":
+        return 1 + (data.n0 - 1) * ends / (2 * inside)
+    return data.n0 * ends / (2 * inside)
+
+
 def load_graph_per_line(edges_path: str, strata_path: str) -> PopulationGraph:
     """The graph files read one line at a time, each line checked as it is
     read, so the first bad line in file order is the one reported. This is

@@ -51,6 +51,13 @@ def cap_of(stats, cfg):
     return np.array([cfg.effective_cap(stats.n_sampled)])
 
 
+def draw_args(stats, params, cfg):
+    """One chain's ``(n0, n1, log(1 - p), K)`` as :func:`gibbs_sweep` passes
+    them to :func:`draw_population_size`."""
+    log_omp = escape_of(stacked(stats), params)[1][0]
+    return stats.n0, stats.n1, log_omp.item(), int(cap_of(stats, cfg)[0]) - stats.n_sampled
+
+
 def escape_of(stats, params):
     """``(1 - p, log(1 - p), unsampled stratum probabilities)``, computed as
     :func:`gibbs_sweep` computes them; leading axes are those of ``stats``."""
@@ -58,9 +65,8 @@ def escape_of(stats, params):
 
 
 def draw_n(stats, params, cfg, rng, size):
-    """``size`` draws of N for one sample, through the sweep's sub-draw."""
-    batch = stacked(stats)
-    return draw_population_size(batch, cap_of(stats, cfg), escape_of(batch, params)[1], [rng], size)[0]
+    """``size`` draws of N for one sample, through the sweep's draw of N."""
+    return draw_population_size(rng, *draw_args(stats, params, cfg), size)
 
 
 def full_observation_params(graph, cfg):
@@ -148,11 +154,9 @@ class TestDrawPopulationSize:
         params = SbmParams([1.0], [0.2])
         data = make_data([0, 0], [0], [(0, 2)])
         stats = stats_of(data, params)
-        batch = stacked(stats)
-        value = draw_population_size(batch, cap_of(stats, McmcConfig()), escape_of(batch, params)[1],
-                                     [np.random.default_rng(1)])
-        assert value.shape == (1,) and value.dtype == np.int64
-        assert value[0] >= 3
+        value = draw_population_size(np.random.default_rng(1), *draw_args(stats, params, McmcConfig()))
+        assert type(value) is int
+        assert value >= 3
 
     def test_cap_below_sample_rejected(self):
         params = SbmParams([1.0], [0.2])
@@ -251,8 +255,8 @@ class TestImputeStrata:
         data = make_data([0], [], [])
         stats = stats_of(data, params)
         rng = np.random.default_rng(3)
-        batch = stacked(stats, rows=20_000)
-        draws = impute_strata(batch, np.full(20_000, 31), escape_of(batch, params)[2], [rng] * 20_000)
+        probs = escape_of(stacked(stats), params)[2][0].tolist()
+        draws = np.array([impute_strata(rng, 30, probs) for _ in range(20_000)])
         assert np.all(draws.sum(axis=1) == 30)
         se = np.sqrt(30 * (1 / 3) * (2 / 3) / 20_000)
         assert abs(draws[:, 0].mean() - 10.0) < 3 * se
@@ -261,17 +265,18 @@ class TestImputeStrata:
         params = SbmParams([1.0], [1.0])
         data = make_data([0], [0], [(0, 1)])
         stats = stats_of(data, params)
-        batch = stacked(stats)
-        counts = impute_strata(batch, np.array([2]), escape_of(batch, params)[2], [np.random.default_rng(0)])
-        assert counts[0].tolist() == [0]
+        probs = escape_of(stacked(stats), params)[2][0].tolist()
+        assert impute_strata(np.random.default_rng(0), 0, probs) == [0]
 
     def test_impossible_escape_rejected(self):
         params = SbmParams([1.0], [1.0])
         data = make_data([0], [0], [(0, 1)])
         stats = stats_of(data, params)
+        probs = escape_of(stacked(stats), params)[2][0].tolist()
         with pytest.raises(ValidationError, match="avoid"):
-            batch = stacked(stats)
-            impute_strata(batch, np.array([5]), escape_of(batch, params)[2], [np.random.default_rng(0)])
+            impute_strata(np.random.default_rng(0), 3, probs)
+        with pytest.raises(ValidationError, match="below sampled count"):
+            impute_strata(np.random.default_rng(0), -1, probs)
 
     @pytest.mark.parametrize(
         "strata_s0,strata_s1,pairs,n_total",
@@ -479,16 +484,6 @@ class TestGibbsSweep:
             assert np.array_equal((a[0] - g1) + (b[0] - g2), touching_pair_totals(data, state.strata_unsampled[0]))
 
 
-def block_stats(n0, n1, counts_s0):
-    """Stacked statistics with the given block sizes and initial-sample
-    stratum counts; the draws tested below read nothing else."""
-    rows, g = np.shape(counts_s0)
-    pairs = g * (g + 1) // 2
-    zeros = np.zeros((rows, pairs), dtype=np.int64)
-    return SampleStats(np.asarray(n0), np.asarray(n1), counts_s0, np.zeros((rows, g), dtype=np.int64),
-                       zeros, zeros)
-
-
 def same_bits(a, b) -> bool:
     return np.asarray(a, dtype=np.float64).tobytes() == np.asarray(b, dtype=np.float64).tobytes()
 
@@ -548,9 +543,9 @@ class TestStreamEquivalence:
         k_max = np.ceil(mean * np.where(np.arange(rows) % 4 == 0, 0.6, 1.0)).astype(np.int64) + 1
         seeds = meta.integers(0, 2**63, rows)
         rngs = [np.random.default_rng(s) for s in seeds]
-        got = draw_population_size(block_stats(n0, n1, np.ones((rows, 1), dtype=np.int64)),
-                                   n0 + n1 + k_max, log_omp, rngs)
-        assert got.shape == (rows,) and got.dtype == np.int64
+        rows_args = zip(rngs, n0.tolist(), n1.tolist(), log_omp.tolist(), k_max.tolist())
+        got = [draw_population_size(*args) for args in rows_args]
+        assert {type(n) for n in got} == {int}
         redraws = 0
         for r, seed in enumerate(seeds):
             reference = np.random.default_rng(seed)
@@ -571,14 +566,11 @@ class TestStreamEquivalence:
         probs = weights / weights.sum(axis=-1, keepdims=True)
         seeds = meta.integers(0, 2**63, rows)
         rngs = [np.random.default_rng(s) for s in seeds]
-        stats = block_stats(np.ones(rows, dtype=np.int64), np.zeros(rows, dtype=np.int64),
-                            np.ones((rows, g), dtype=np.int64))
-        got = impute_strata(stats, stats.n_sampled + n_missing, probs, rngs)
-        assert got.shape == (rows, g) and got.dtype == np.int64
+        got = [impute_strata(rng, m, q) for rng, m, q in zip(rngs, n_missing.tolist(), probs.tolist())]
         for r, seed in enumerate(seeds):
             reference = np.random.default_rng(seed)
             expected = reference.multinomial(n_missing[r], probs[r]) if n_missing[r] else [0] * g
-            assert got[r].tolist() == list(expected)
+            assert got[r] == list(expected) and {type(c) for c in got[r]} == {int}
             assert rngs[r].random() == reference.random()
 
 
@@ -618,13 +610,13 @@ class TestOneChainSweep:
         cfg = McmcConfig(chain_length=300, n_max_cap=wide.n_sampled + 3, prior_alpha=tuple(np.linspace(0.5, 2.0, g)))
         binding, free = chain_stats(wide, cfg, g), chain_stats(near_census, cfg, g)
         grid_draws = []
-        draw_excess = augmentation._draw_excess
+        log_weights = augmentation.population_size_log_weights
 
         def counted(*args):
             grid_draws.append(args)
-            return draw_excess(*args)
+            return log_weights(*args)
 
-        monkeypatch.setattr(augmentation, "_draw_excess", counted)
+        monkeypatch.setattr(augmentation, "population_size_log_weights", counted)
         assert run_chains([binding], cfg, [7])[0].cap_hits > 0 and grid_draws
         assert run_chains([free], cfg, [8])[0].cap_hits == 0
         self.assert_lone_chain_is_row_zero((binding, free), cfg, (7, 8))
@@ -684,12 +676,10 @@ class TestRunChain:
         assert data.n0 == 12 and data.n1 == 0
         full = sufficient_counts(graph)
         stats = SampleStats.from_data(data, 2)
-        state = initial_state(stacked(stats))
         batch = stacked(stats)
-        rng = np.random.default_rng(0)
-        n_new = np.array([12])
-        strata_un = impute_strata(batch, n_new, escape_of(batch, state)[2], [rng])
-        alpha, a, b = conjugate_params(batch, strata_un, McmcConfig())
+        probs = escape_of(batch, initial_state(batch))[2][0].tolist()
+        strata_un = impute_strata(np.random.default_rng(0), 0, probs)
+        alpha, a, b = conjugate_params(batch, [strata_un], McmcConfig())
         assert np.array_equal(alpha[0], full.counts_sampled + 1.0)
         assert np.array_equal(a[0], full.link_counts + 1.0)
         assert np.array_equal(b[0], full.pair_totals - full.link_counts + 1.0)

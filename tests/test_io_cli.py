@@ -544,6 +544,72 @@ class TestInputHardening:
                 assert message.format(path=path, limit=limit, value=value, draws=draws, MAX_DRAWS=MAX_DRAWS) in err
                 assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["generate", "params_file", "params"])
+    def test_params_strata_limit_checked_before_compute(self, tmp_path, capsys, monkeypatch, source):
+        """A params file's G, read by ``generate`` or a study, and the length of
+        a study's inline lambda are bounded by MAX_STRATA: uniform lambda and
+        beta 0 at the limit reach the compute step, patched here to stop the
+        run; one stratum more exits 2 first."""
+        import snowball_sbm.harness as harness
+        import snowball_sbm.sbm as sbm
+
+        def compute(*args, **kwargs):
+            raise RuntimeError("compute reached")
+
+        monkeypatch.setattr(harness, "run_study", compute)
+        monkeypatch.setattr(sbm, "generate_population", compute)
+        for g, expected in ((MAX_STRATA, 3), (MAX_STRATA + 1, 2)):
+            doc = {"G": g, "lambda": [1.0 / g] * g, "beta": [0.0] * (g * (g + 1) // 2)}
+            params = tmp_path / f"params{g}.json"
+            params.write_text(json.dumps(doc))
+            out = tmp_path / f"out{g}"
+            if source == "generate":
+                path = params
+                code = run_cli("generate", "--params", str(path), "--n", "20000", "--seed", "1", "--out", str(out))
+            else:
+                study = tmp_path / "study.json"
+                spec = {"params_file": params.name} if source == "params_file" else {
+                    "params": {"lambda": doc["lambda"], "beta": doc["beta"]}}
+                study.write_text(json.dumps({"population": {**spec, "n": 40}, "replicates": 2,
+                                             "design": {"mode": "fixed_size", "n0": 6}, "mcmc": {"chain_length": 20}}))
+                code = run_cli("simulate", "--config", str(study), "--out", str(out))
+                path = params if source == "params_file" else f"{study}: population: params"
+            err = capsys.readouterr().err
+            assert code == expected, err
+            if expected == 3:
+                assert "runtime error: compute reached" in err
+            else:
+                assert f"{path}: G must be at most {MAX_STRATA}, got {g}" in err
+                assert not out.exists()
+
+    def test_cap_limit_checked_before_compute(self, tmp_path, capsys, monkeypatch):
+        """A binding cap on N sets the size of N's grid, so ``--cap`` and a cap
+        derived from ``--cap-multiplier`` and the sampled count (here 4) are
+        bounded by MAX_POPULATION: at the limit the chains, patched here to
+        stop the run, are reached; above it the command exits 2 first."""
+        import snowball_sbm.augmentation as augmentation
+
+        def compute(*args, **kwargs):
+            raise RuntimeError("compute reached")
+
+        monkeypatch.setattr(augmentation, "run_chains", compute)
+        sample = {"n0": 2, "n1": 2, "strata_s0": [1, 2], "strata_s1": [1, 2], "links": [[1, 3], [2, 4]]}
+        above = MAX_POPULATION + 1
+        for flag, value, message in (
+            ("--cap", MAX_POPULATION, None),
+            ("--cap", above, f"n_max_cap must be at most {MAX_POPULATION}, got {above}"),
+            ("--cap-multiplier", MAX_POPULATION / 4, None),
+            ("--cap-multiplier", above / 4,
+             f"cap_multiplier {above / 4!r} x sampled count 4 is a cap of {above}, above the limit of "
+             f"{MAX_POPULATION}"),
+        ):
+            code, err, _, wrote = self.estimate(tmp_path, capsys, flag, str(value), **sample)
+            if message is None:
+                assert code == 3 and "runtime error: compute reached" in err, err
+            else:
+                assert code == 2 and not wrote
+                assert message in err
+
     @pytest.mark.parametrize("population, message", [
         ({"edges": "e.tsv", "strata": "s.csv", "n": 999}, "edges and n"),
         ({"edges": "e.tsv", "strata": "s.csv", "clustering": {"clique_size": 3}}, "edges and clustering"),
@@ -662,11 +728,12 @@ class TestInputHardening:
     @pytest.mark.parametrize("field,value,message", [
         ("n_max_cap", 50.5, "n_max_cap must be an integer >= 1, got 50.5"),
         ("n_max_cap", True, "n_max_cap must be an integer >= 1, got True"),
+        ("n_max_cap", MAX_POPULATION + 1, f"n_max_cap must be at most {MAX_POPULATION}, got {MAX_POPULATION + 1}"),
         ("burn_in_fraction", "0.1", "burn_in_fraction must be in [0, 1), got '0.1'"),
         ("prior_gamma", 3, "prior_gamma must be a pair of positive numbers, got 3"),
         ("prior_gamma", [1], "prior_gamma must be a pair of positive numbers, got [1]"),
         ("prior_alpha", [1, 1, 1], "prior_alpha must have length G = 2, got 3"),
-    ], ids=["n_max_cap-float", "n_max_cap-bool", "burn_in-string", "prior_gamma-number", "prior_gamma-short",
+    ], ids=["n_max_cap-float", "n_max_cap-bool", "n_max_cap-limit", "burn_in-string", "prior_gamma-number", "prior_gamma-short",
             "prior_alpha-length"])
     def test_study_bad_mcmc_field_rejected(self, tmp_path, capsys, monkeypatch, field, value, message):
         import snowball_sbm.harness as harness
