@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {  # module -> the public names it defines
     "sbm": "MleEstimates PopulationGraph SampleStats SbmParams ValidationError full_log_likelihood "
-           "generate_population mle_from_full_graph sufficient_counts validate_params",
+           "generate_population mle_from_full_graph sufficient_counts",
     "sampling": "DesignConfig IgnoredData draw_initial trace_one_wave",
     "likelihoods": "EscapeProbability escape_probability ignored_log_likelihood observed_log_likelihood",
     "augmentation": "AugmentedState ChainTrace McmcConfig draw_beta draw_lambda "

@@ -39,12 +39,6 @@ def _resolve_seed(seed: int | None) -> int:
     return check_int(seed, "--seed", 0)
 
 
-def _check_inputs(*paths):
-    for p in paths:
-        if p is not None and not os.path.exists(p):
-            raise ValidationError(f"input file not found: {p}")
-
-
 def _check_out(path: str, is_dir: bool):
     """Raise unless ``--out`` can be written. A directory is made with its
     parents, so its deepest existing ancestor must be a directory; a file
@@ -90,7 +84,6 @@ def _parse_design(text: str):
 def cmd_generate(args) -> int:
     from .sbm import generate_population
     check_int(args.n, "--n", 0, MAX_POPULATION)
-    _check_inputs(args.params)
     params = io.load_params(args.params)
     seed = _resolve_seed(args.seed)
     graph = generate_population(params, args.n, seed=seed)
@@ -102,7 +95,6 @@ def cmd_generate(args) -> int:
 
 def cmd_sample(args) -> int:
     from .sampling import draw_initial, trace_one_wave
-    _check_inputs(args.edges, args.strata)
     graph = io.load_graph(args.edges, args.strata)
     seed = _resolve_seed(args.seed)
     design = _parse_design(args.design)
@@ -115,7 +107,6 @@ def cmd_sample(args) -> int:
 
 def cmd_estimate(args) -> int:
     from .augmentation import McmcConfig, run_chain
-    _check_inputs(args.sample)
     data, meta = io.load_sample(args.sample)
     seed = _resolve_seed(args.seed)
     cfg = McmcConfig(**{name: getattr(args, name) for name in MCMC_FLAGS if getattr(args, name) is not None})
@@ -137,7 +128,6 @@ def cmd_estimate(args) -> int:
 
 def cmd_mle(args) -> int:
     from .sbm import mle_from_full_graph
-    _check_inputs(args.edges, args.strata)
     graph = io.load_graph(args.edges, args.strata)
     est = mle_from_full_graph(graph)
     io.save_mle(est, args.out)
@@ -148,7 +138,6 @@ def cmd_mle(args) -> int:
 
 def cmd_simulate(args) -> int:
     from .harness import run_study
-    _check_inputs(args.config)
     cfg = io.load_study_config(args.config)
     for flag, field, value in (("--replicates", "replicates", args.replicates), ("--seed", "master_seed", args.seed)):
         if value is not None:
@@ -170,7 +159,6 @@ def cmd_simulate(args) -> int:
 def cmd_profile(args) -> int:
     from .likelihoods import ignored_log_likelihood, n_free_terms, observed_log_likelihood
     from .sbm import SampleStats
-    _check_inputs(args.sample, args.params)
     data, _ = io.load_sample(args.sample)
     params = io.load_params(args.params)
     n_lo, n_hi, step = args.n_min, args.n_max, args.n_step

@@ -32,7 +32,6 @@ from .sbm import (
     estimand_names,
     first_fault,
     later_repeats,
-    validate_params,
 )
 
 if TYPE_CHECKING:  # the layers above sbm load only with the commands that run them
@@ -73,12 +72,34 @@ def _float_or_none(x):
     return None if math.isnan(x) else x
 
 
-def _load_json(path):
+@contextlib.contextmanager
+def _open_input(path: str):
+    """``path`` open as UTF-8 text; failing to open or decode it is a ValidationError naming it."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except (OSError, ValueError) as exc:  # a decode error or a NUL in the name is a ValueError
+        raise ValidationError(f"{path}: cannot read ({exc})") from exc
+
+
+def _finite(text: str) -> float:
+    """A JSON number's value; NaN and Infinity are not JSON, nor is a number beyond the float range."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
+
+
+def _load_json(path) -> dict:
+    with _open_input(path) as fh:
+        text = fh.read()
+    try:
+        doc = json.loads(text, parse_float=_finite, parse_constant=_finite)
+    except (ValueError, RecursionError) as exc:  # too deep a nesting is a RecursionError
         raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{path}: must hold a JSON object, got {type(doc).__name__}")
+    return doc
 
 
 def _require(mapping, key, path):
@@ -91,6 +112,15 @@ def _object(value, key, path) -> dict:
     if not isinstance(value, dict):
         raise ValidationError(f"{path}: {key}: must be an object, got {value!r}")
     return value
+
+
+def _first_bad(values: list, well_formed) -> int:
+    """The index of the first entry of ``values`` that ``well_formed``, a test
+    of a whole list, rejects (the end of the shortest rejected prefix), or
+    len(values) when it rejects none."""
+    if well_formed(values):
+        return len(values)
+    return bisect.bisect_left(range(len(values)), True, key=lambda i: not well_formed(values[:i + 1]))
 
 
 # ---------------------------------------------------------------- params
@@ -129,7 +159,7 @@ def _checked_params(doc: dict, where: str, g: int | None = None) -> SbmParams:
         if not (isinstance(values, list) and len(values) == size and all(map(_is_finite_number, values))):
             raise ValidationError(f"{where}: {name} must be a list of {size} numbers (G={g}), got {values!r}")
     try:
-        return validate_params(SbmParams(lam, beta))
+        return SbmParams(lam, beta)
     except ValidationError as exc:
         raise ValidationError(f"{where}: {exc}") from exc
 
@@ -182,7 +212,7 @@ def _load_rows(path: str, header: str, sep: str, build, faults: dict, **fields):
     line, skipping blank lines and a first line equal to ``header``. The first
     line that does not parse, or whose row ``build`` rejects with a RowError,
     is reported: as a bad row, or by the fault's template in ``faults``."""
-    with open(path) as fh:
+    with _open_input(path) as fh:
         if fh.readline().strip() != header:
             fh.seek(0)
         start = fh.tell()
@@ -193,27 +223,26 @@ def _load_rows(path: str, header: str, sep: str, build, faults: dict, **fields):
     if rows is not None:
         with contextlib.suppress(RowError):
             return build(rows)
-    with open(path) as fh:
+    with _open_input(path) as fh:
         numbered = enumerate(map(str.strip, fh), 1)
         lines = [(no, text) for no, text in numbered if text and (no, text) != (1, header)]
-    texts = [text for _, text in lines]
 
-    def fault(k):  # the error in the first k data rows, or None
-        rows = _int_rows(texts[:k], sep)
+    def fault(prefix):  # the error in ``prefix``, the (line number, text) of the first data rows, or None
+        rows = _int_rows([text for _, text in prefix], sep)
         if rows is None:
-            return ValidationError(f"{path}:{lines[k - 1][0]}: bad row {texts[k - 1]!r}")
+            return ValidationError(f"{path}:{prefix[-1][0]}: bad row {prefix[-1][1]!r}")
         try:
             build(rows)
         except RowError as exc:
             u, v = rows[exc.row].tolist()
-            line = lines[exc.row][0]
+            line = prefix[exc.row][0]
             return ValidationError(faults[exc.fault].format(path=path, line=line, u=u, v=v, **fields))
         except ValidationError:
             pass  # a check of the whole file, such as the strata's coverage
         return None
 
     # a prefix of the rows is clean up to the first bad row and faulty from it on
-    raise fault(bisect.bisect_left(range(len(texts) + 1), True, key=lambda k: fault(k) is not None))
+    raise fault(lines[:_first_bad(lines, lambda prefix: fault(prefix) is None) + 1])
 
 
 # ------------------------------------------------------------------- mle
@@ -278,15 +307,6 @@ def _int_pairs(values: list) -> bool:
     """Every entry an [i, j] list of two ints."""
     return (set(map(type, values)) <= {list} and set(map(len, values)) <= {2}
             and set(map(type, list(chain.from_iterable(values)))) <= {int})
-
-
-def _first_bad(values: list, well_formed) -> int:
-    """The index of the first entry of ``values`` that ``well_formed``, a test
-    of a whole list, rejects (the end of the shortest rejected prefix), or
-    len(values) when it rejects none."""
-    if well_formed(values):
-        return len(values)
-    return bisect.bisect_left(range(len(values)), True, key=lambda i: not well_formed(values[:i + 1]))
 
 
 def load_sample(path: str):
@@ -400,6 +420,9 @@ def load_study_config(path: str) -> "StudyConfig":
     if len(sources) > 1:
         raise ValidationError(f"{path}: population: {sources[0]} and {sources[1]} cannot both be given: a population "
                               "comes from edges and strata, or from params or params_file with n")
+    for key in ("edges", "strata", "params_file"):
+        if not isinstance(pop.get(key, ""), str):
+            raise ValidationError(f"{path}: population: {key}: must be a file path, got {pop[key]!r}")
     kwargs = {}
     if "edges" in pop:
         strata = os.path.join(base, _require(pop, "strata", path))

@@ -132,6 +132,18 @@ class SbmParams:
         pairs = lam.size * (lam.size + 1) // 2
         if beta.shape != (pairs,):
             raise ValidationError(f"beta upper triangle must have length {pairs}, got {beta.shape}")
+        if lam.size < 1:
+            raise ValidationError("at least one stratum is required (G >= 1)")
+        if not np.isfinite(lam).all():
+            raise ValidationError("lambda has non-finite entries")
+        if not np.isfinite(beta).all():
+            raise ValidationError("beta has non-finite entries")
+        if np.any(lam < 0):
+            raise ValidationError("lambda has negative entries")
+        if abs(float(lam.sum()) - 1.0) > LAMBDA_SUM_TOL:
+            raise ValidationError(f"lambda does not sum to 1 (sum={float(lam.sum())!r})")
+        if np.any(beta < 0) or np.any(beta > 1):
+            raise ValidationError("beta out of range [0, 1]")
         object.__setattr__(self, "lam", _freeze(lam))
         object.__setattr__(self, "beta", _freeze(beta))
 
@@ -142,24 +154,6 @@ class SbmParams:
     def beta_upper(self) -> np.ndarray:
         """A copy of ``beta``; kept only because bench/workloads.py calls it."""
         return self.beta.copy()
-
-
-def validate_params(params: SbmParams) -> SbmParams:
-    """Check the model invariants, returning the params unchanged if they hold."""
-    lam, beta = params.lam, params.beta
-    if lam.size < 1:
-        raise ValidationError("at least one stratum is required (G >= 1)")
-    if not np.isfinite(lam).all():
-        raise ValidationError("lambda has non-finite entries")
-    if not np.isfinite(beta).all():
-        raise ValidationError("beta has non-finite entries")
-    if np.any(lam < 0):
-        raise ValidationError("lambda has negative entries")
-    if abs(float(lam.sum()) - 1.0) > LAMBDA_SUM_TOL:
-        raise ValidationError(f"lambda does not sum to 1 (sum={float(lam.sum())!r})")
-    if np.any(beta < 0) or np.any(beta > 1):
-        raise ValidationError("beta out of range [0, 1]")
-    return params
 
 
 def later_repeats(values: np.ndarray):
@@ -351,7 +345,6 @@ def generate_population(params: SbmParams, n: int, seed=None) -> PopulationGraph
 
     Deterministic given ``seed``.
     """
-    validate_params(params)
     check_int(n, "population size", 0, MAX_POPULATION)
     rng = np.random.default_rng(seed)
     g = params.n_strata
@@ -359,12 +352,8 @@ def generate_population(params: SbmParams, n: int, seed=None) -> PopulationGraph
     pairs = []
     members = [np.flatnonzero(strata == k) for k in range(g)]
     first, second = upper_indices(g)
-    for k, l, prob in zip(first.tolist(), second.tolist(), params.beta.tolist()):
-        if k == l:
-            size = members[k].size
-            total = size * (size - 1) // 2
-        else:
-            total = members[k].size * members[l].size
+    totals = pair_totals_from_counts([m.size for m in members]).tolist()
+    for k, l, prob, total in zip(first.tolist(), second.tolist(), params.beta.tolist(), totals):
         if total == 0 or prob == 0.0:
             continue
         n_edges = int(rng.binomial(total, prob))
@@ -409,7 +398,6 @@ def full_log_likelihood(graph: PopulationGraph, params: SbmParams) -> float:
     Uses the 0 * log 0 = 0 convention throughout, so zero-probability strata
     or links only matter when actually observed.
     """
-    validate_params(params)
     return counts_log_likelihood(sufficient_counts(graph, params.n_strata), params)
 
 

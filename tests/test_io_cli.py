@@ -135,6 +135,9 @@ class TestSampleIo:
         )
         with pytest.raises(ValidationError, match="canonical"):
             io.load_sample(str(path))
+        path.write_text("[1, 2]")
+        with pytest.raises(ValidationError, match="must hold a JSON object, got list"):
+            io.load_sample(str(path))
 
 
 class TestCli:
@@ -870,3 +873,60 @@ class TestInputHardening:
                                         population={"clustering": {"clique_size": 2.5}})
         assert code == 2
         assert f"{path}: bad clustering options (clique_size must be an integer >= 2, got 2.5)" in err
+
+    # inputs that once reached a bare open, json.load or os.path.join and exited 3, each with the
+    # command that reads it, the file spoiled and its content ("dir" makes a directory of it; a study's
+    # population is given alone)
+    @pytest.mark.parametrize("command, name, content, message", [
+        ("simulate", "study.json", {"edges": "none.tsv", "strata": "strata.csv"},
+         "{dir}/none.tsv: cannot read ([Errno 2] No such file or directory"),
+        ("simulate", "study.json", {"edges": "edges.tsv", "strata": "none.csv"},
+         "{dir}/none.csv: cannot read ([Errno 2] No such file or directory"),
+        ("simulate", "study.json", {"params_file": "none.json", "n": 40},
+         "{dir}/none.json: cannot read ([Errno 2] No such file or directory"),
+        ("estimate", "s.json", "dir", "{dir}/s.json: cannot read ([Errno 21] Is a directory"),
+        ("generate", "params.json", b'{"G": 2\xff}', "{dir}/params.json: cannot read ('utf-8' codec can't decode"),
+        ("sample", "edges.tsv", b"u\tv\n0\t1\xff\n", "{dir}/edges.tsv: cannot read ('utf-8' codec can't decode"),
+        ("sample", "strata.csv", b"node_id,stratum\n\xff0,1\n", "{dir}/strata.csv: cannot read ('utf-8' codec"),
+        ("estimate", "s.json", b'{"n0": 2\xff}', "{dir}/s.json: cannot read ('utf-8' codec can't decode"),
+        ("generate", "params.json", b"[" * 200_000, "{dir}/params.json: not valid JSON (maximum recursion depth"),
+        ("simulate", "study.json", {"edges": 5, "strata": "strata.csv"},
+         "{dir}/study.json: population: edges: must be a file path, got 5"),
+        ("simulate", "study.json", {"edges": "edges.tsv", "strata": 5},
+         "{dir}/study.json: population: strata: must be a file path, got 5"),
+        ("simulate", "study.json", {"params_file": 5, "n": 40},
+         "{dir}/study.json: population: params_file: must be a file path, got 5"),
+        ("estimate", "s.json", {**SAMPLE, "meta": {"q": float("nan")}}, "{dir}/s.json: not valid JSON (NaN is not"),
+        ("estimate", "s.json", json.dumps({**SAMPLE, "meta": {"q": "1e400"}}).replace('"1e400"', "1e400").encode(),
+         "{dir}/s.json: not valid JSON (1e400 is not a finite number)"),
+    ], ids=["study-edges-missing", "study-strata-missing", "study-params_file-missing", "sample-directory",
+            "params-not-utf8", "edges-not-utf8", "strata-not-utf8", "sample-not-utf8", "params-deep-nesting",
+            "study-edges-number", "study-strata-number", "study-params_file-number", "sample-meta-nan",
+            "sample-meta-overflow"])
+    def test_unreadable_input_rejected_before_compute(self, tmp_path, capsys, monkeypatch, params_file,
+                                                      graph_files, command, name, content, message):
+        import importlib
+
+        module, compute = self.COMPUTE[command]
+        monkeypatch.setattr(importlib.import_module(f"snowball_sbm.{module}"), compute,
+                            lambda *a, **k: pytest.fail("compute started"))
+        (tmp_path / "s.json").write_text(json.dumps(self.SAMPLE))
+        path = tmp_path / name
+        if content == "dir":
+            path.unlink()
+            path.mkdir()
+        elif isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            study = {"population": content, "replicates": 2, "design": {"mode": "fixed_size", "n0": 6}}
+            path.write_text(json.dumps(study if name == "study.json" else content))
+        inputs = {
+            "generate": ["--params", params_file, "--n", "20", "--seed", "1"],
+            "sample": ["--edges", graph_files[1], "--strata", graph_files[2], "--design", "fixed:5", "--seed", "1"],
+            "estimate": ["--sample", str(tmp_path / "s.json"), "--chain-length", "20", "--seed", "1"],
+            "simulate": ["--config", str(tmp_path / "study.json")],
+        }[command]
+        out = tmp_path / "out"
+        assert run_cli(command, *inputs, "--out", str(out)) == 2
+        assert message.format(dir=tmp_path) in capsys.readouterr().err
+        assert not out.exists()

@@ -16,7 +16,6 @@ from snowball_sbm import (
     mle_from_full_graph,
     sufficient_counts,
     trace_one_wave,
-    validate_params,
 )
 from snowball_sbm.likelihoods import n_free_terms
 from snowball_sbm.sbm import MAX_POPULATION, counts_log_likelihood, pair_totals_from_counts, symmetric_from_upper
@@ -37,32 +36,32 @@ def graph_from_edges(strata, edges):
 class TestValidation:
     def test_well_formed(self):
         params = two_block_params()
-        assert validate_params(params) is params
+        assert params.lam.tolist() == [0.5, 0.5] and params.beta.tolist() == [0.1, 0.05, 0.1]
 
     def test_lambda_sum_violation(self):
         with pytest.raises(ValidationError, match="sum to 1"):
-            validate_params(SbmParams([0.7, 0.4], [0.1, 0.05, 0.1]))
+            SbmParams([0.7, 0.4], [0.1, 0.05, 0.1])
 
     def test_beta_out_of_range(self):
         with pytest.raises(ValidationError, match="beta out of range"):
-            validate_params(SbmParams([0.5, 0.5], [0.1, 1.2, 0.1]))
+            SbmParams([0.5, 0.5], [0.1, 1.2, 0.1])
 
     def test_negative_lambda(self):
         with pytest.raises(ValidationError, match="negative"):
-            validate_params(SbmParams([1.5, -0.5], [0.1, 0.05, 0.1]))
+            SbmParams([1.5, -0.5], [0.1, 0.05, 0.1])
 
     def test_empty_params_rejected(self):
         with pytest.raises(ValidationError):
-            validate_params(SbmParams(lam=np.zeros(0), beta=np.zeros(0)))
+            SbmParams(lam=np.zeros(0), beta=np.zeros(0))
 
     def test_nan_lambda_rejected(self):
         with pytest.raises(ValidationError, match="lambda has non-finite"):
-            validate_params(SbmParams([np.nan, 0.5], [0.1, 0.05, 0.1]))
+            SbmParams([np.nan, 0.5], [0.1, 0.05, 0.1])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_beta_rejected(self, bad):
         with pytest.raises(ValidationError, match="beta has non-finite"):
-            validate_params(SbmParams([0.5, 0.5], [bad, 0.1, 0.1]))
+            SbmParams([0.5, 0.5], [bad, 0.1, 0.1])
 
 
 class TestGeneration:
