@@ -2,9 +2,11 @@
 
 Each sweep (:func:`gibbs_sweep`) draws, in order: the population size from
 its label-free posterior, stratum memberships for the unsampled block, then
-the conjugate Dirichlet/Beta parameter updates. It advances R chains at
-once: the deterministic work runs once on arrays with a leading replicate
-axis, and chain r draws on ``rngs[r]`` only. The two imputation draws are
+the conjugate Dirichlet/Beta parameter updates. N and the strata are drawn
+afresh from (lambda, beta), so (lambda, beta) is all the state a chain
+carries from one sweep to the next. A sweep advances R chains at once:
+the deterministic work runs once on arrays with a leading replicate axis,
+and chain r draws on ``rngs[r]`` only. The two imputation draws are
 per chain: :func:`draw_population_size` and :func:`impute_strata` take one
 chain's Generator and numbers, and every sweep calls them once per chain.
 The parameter draws, :func:`draw_lambda` and :func:`draw_beta`, take the
@@ -17,13 +19,13 @@ the first, and ``dirichlet`` is one ``standard_gamma`` draw per stratum
 times the reciprocal of their running sum, as numpy computes it (except
 where the largest weight is below 0.1 and numpy breaks sticks).
 
-:func:`run_chains` takes this lockstep sweep for two or more chains. A
-single chain (``estimate``, :func:`run_chain`, a one-replicate study) runs
-the same sweep in Python numbers instead (``_one_chain_draws``), where
-numpy's per-call cost on one row would be most of the sweep; it calls the
-same two imputation draws and makes the same Generator calls and float
-operations, so a replicate rerun alone reproduces its lockstep row bit for
-bit.
+:func:`run_chains` takes this lockstep sweep for LOCKSTEP_MIN_CHAINS or
+more chains. Fewer chains (``estimate``, :func:`run_chain`, a small study)
+run one at a time through the same sweep in Python numbers
+(``_one_chain_draws``), where numpy's per-call cost on so few rows would be
+most of the sweep; it calls the same two imputation draws and makes the
+same Generator calls and float operations, so a replicate rerun alone
+reproduces its lockstep row bit for bit.
 
 A sweep costs O(G^2) per chain, independent of the sample size, and of the
 cap on N unless the cap binds (then N is drawn from a grid over the
@@ -65,6 +67,9 @@ from .sbm import (
 
 logger = logging.getLogger(__name__)
 Rngs = Sequence[np.random.Generator]  # one Generator per row of a batch
+# fewer chains run one at a time: the lockstep sweep's numpy calls cost more on so few rows
+# (BENCH_small_batches.json)
+LOCKSTEP_MIN_CHAINS = 8
 
 
 def _positive_numbers(values) -> bool:
@@ -238,44 +243,27 @@ def draw_beta(a: np.ndarray, b: np.ndarray, rngs: Rngs) -> np.ndarray:
     return np.array(draws).reshape(a.shape)
 
 
-@dataclass(frozen=True)
-class AugmentedState:
-    """The Gibbs states of R chains, each field with a leading replicate axis:
-    N, the unsampled block's imputed stratum counts, and (lambda, beta), beta
-    per stratum pair in upper-triangle order. The arrays are never written
-    once built."""
-
-    n: np.ndarray
-    strata_unsampled: np.ndarray
-    lam: np.ndarray
-    beta: np.ndarray
+def initial_state(stats: SampleStats) -> tuple[np.ndarray, np.ndarray]:
+    """Overdispersed-but-plausible start ``(lam, beta)`` of one chain, or of
+    one chain per row of a stacked ``stats``: sample stratum proportions and
+    smoothed observed link fractions, beta in upper-triangle order."""
+    return (stats.counts_sampled / np.expand_dims(stats.n_sampled, -1),
+            (stats.link_counts + 1.0) / (stats.pair_totals + 2.0))
 
 
-def initial_state(stats: SampleStats) -> AugmentedState:
-    """Overdispersed-but-plausible start of one chain per row of the stacked
-    ``stats``: sample stratum proportions and smoothed observed link
-    fractions. The sweep reads only (lambda, beta) of a state, so the start N
-    (twice the sampled count) and unsampled strata (none) are placeholders."""
-    return AugmentedState(
-        2 * stats.n_sampled,
-        np.zeros_like(stats.counts_s0),
-        stats.counts_sampled / stats.n_sampled[:, None],
-        (stats.link_counts + 1.0) / (stats.pair_totals + 2.0),
-    )
-
-
-def gibbs_sweep(state: AugmentedState, stats: SampleStats, cap: np.ndarray, cfg: McmcConfig,
-                rngs: Rngs) -> AugmentedState:
-    """One Gibbs sweep (N, unsampled strata, lambda, beta) of R chains on the
-    stacked ``stats`` under their caps on N; chain r draws on ``rngs[r]``
-    only, in that order."""
-    _, log_omp, probs = escape_terms(stratum_escape_log_weights(stats.counts_s0, state))
+def gibbs_sweep(lam: np.ndarray, beta: np.ndarray, stats: SampleStats, cap: np.ndarray, cfg: McmcConfig,
+                rngs: Rngs) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One Gibbs sweep of R chains at (``lam``, ``beta``) on the stacked
+    ``stats`` under their caps on N. Chain r draws on ``rngs[r]`` only, in
+    the order of the returned draws ``(n, strata_unsampled, lam, beta)``,
+    each with a leading replicate axis."""
+    _, log_omp, probs = escape_terms(stratum_escape_log_weights(stats.counts_s0, lam, beta))
     n0, n1, k_max = stats.n0.tolist(), stats.n1.tolist(), (cap - stats.n0 - stats.n1).tolist()
     n = list(map(draw_population_size, rngs, n0, n1, log_omp.tolist(), k_max))
     missing = [m - a - b for m, a, b in zip(n, n0, n1)]
     strata_un = np.array(list(map(impute_strata, rngs, missing, probs.tolist())))
     alpha, a, b = conjugate_params(stats, strata_un, cfg)
-    return AugmentedState(np.array(n), strata_un, draw_lambda(alpha, rngs), draw_beta(a, b, rngs))
+    return np.array(n), strata_un, draw_lambda(alpha, rngs), draw_beta(a, b, rngs)
 
 
 @dataclass(frozen=True)
@@ -320,35 +308,35 @@ def chain_stats(data: IgnoredData, cfg: McmcConfig, n_strata: int | None = None)
 
 
 def _one_chain_draws(stats: SampleStats, cap: int, cfg: McmcConfig, rng: np.random.Generator) -> np.ndarray:
-    """The (L, 1 + G + G(G+1)/2) draws table of one chain, bit for bit that
-    of :func:`gibbs_sweep` on ``stats`` stacked with R = 1: the same
-    Generator calls in the same order, on a state held in Python numbers.
-    Each float operation is the one numpy makes for a row: its ufuncs on
-    scalars, sums added left to right (numpy's order for fewer than 8
-    terms), lambda as each gamma draw times the reciprocal of their running
-    sum. Three rare steps run the batched function on a batch of one: the
-    escape terms where some beta is 1 or G >= 8, lambda where numpy's
-    dirichlet breaks sticks."""
+    """The (L, 1 + G + G(G+1)/2) draws table of one chain on one sample's
+    ``stats``, bit for bit its row among chains swept in lockstep by
+    :func:`gibbs_sweep`: the same Generator calls in the same order, on
+    (lambda, beta) held in Python numbers. Each float operation is the one
+    numpy makes for a row: its ufuncs on scalars, sums added left to right
+    (numpy's order for fewer than 8 terms), lambda as each gamma draw times
+    the reciprocal of their running sum. Each Dirichlet weight is a stratum
+    count plus the prior, and the counts hold the n0 >= 1 sampled units, so
+    the largest weight is above 1 and numpy's dirichlet never breaks sticks
+    here. Two rare steps take the escape terms from the array functions:
+    where some beta is 1, or G >= 8."""
     g = stats.n_strata
-    start = initial_state(stats)
-    lam, beta = start.lam[0].tolist(), start.beta[0].tolist()
-    n0, n1 = int(stats.n0[0]), int(stats.n1[0])
+    lam, beta = (start.tolist() for start in initial_state(stats))
+    n0, n1 = int(stats.n0), int(stats.n1)
     n_sampled, k_max = n0 + n1, cap - n0 - n1
-    counts_s0, sampled = stats.counts_s0[0].tolist(), stats.counts_sampled[0].tolist()
+    counts_s0, sampled = stats.counts_s0.tolist(), stats.counts_sampled.tolist()
     pairs = list(zip(*(ix.tolist() for ix in upper_indices(g))))
     # stratum k's escape log weight adds count_i * log1p(-beta[pair of i and k]) over strata i
     columns = [list(zip(map(float, counts_s0), column)) for column in _upper_positions(g).T.tolist()]
-    links = stats.link_counts[0].tolist()
+    links = stats.link_counts.tolist()
     prior = np.broadcast_to(np.asarray(cfg.prior_alpha, dtype=np.float64), g).tolist()
     g1, g2 = cfg.prior_gamma
-    a = np.asarray(stats.link_counts[0] + g1, dtype=np.float64).tolist()
+    a = np.asarray(stats.link_counts + g1, dtype=np.float64).tolist()
     rows = []
     with np.errstate(divide="ignore"):  # log(0) of a stratum with lambda 0 is -inf, as in the batch
         for _ in range(cfg.chain_length):
             if g >= 8 or max(beta) >= 1:
-                state = AugmentedState(None, None, np.array([lam]), np.array([beta]))
-                _, log_omp, probs = escape_terms(stratum_escape_log_weights(stats.counts_s0, state))
-                log_omp, probs = float(log_omp[0]), probs[0].tolist()
+                _, log_omp, probs = escape_terms(stratum_escape_log_weights(counts_s0, np.array(lam), np.array(beta)))
+                log_omp, probs = float(log_omp), probs.tolist()
             else:
                 log1m_beta = [float(np.log1p(-b)) for b in beta]
                 log_w = []
@@ -373,12 +361,9 @@ def _one_chain_draws(stats: SampleStats, cap: int, cfg: McmcConfig, rng: np.rand
             totals = zip(_pair_totals(counts, pairs), _pair_totals(outside, pairs), links)
             b = [float(t - o - m + g2) for t, o, m in totals]
 
-            if max(alpha) < 0.1:
-                lam = draw_lambda(np.array([alpha]), [rng])[0].tolist()
-            else:
-                gam = [rng.standard_gamma(x) for x in alpha]
-                recip = 1.0 / _sum_in_order(gam)
-                lam = [x * recip for x in gam]
+            gam = [rng.standard_gamma(x) for x in alpha]
+            recip = 1.0 / _sum_in_order(gam)
+            lam = [x * recip for x in gam]
             beta = [rng.beta(x, y) for x, y in zip(a, b)]
             rows.append([n, *lam, *beta])
     return np.array(rows, dtype=np.float64)
@@ -399,26 +384,26 @@ def run_chains(stats: Sequence[SampleStats], cfg: McmcConfig, seeds: Sequence) -
     """Run one chain per sample (all with the same G, each from
     :func:`chain_stats`). Chain r draws from ``default_rng(seeds[r])``
     alone, so it equals :func:`run_chain` with that seed: a study's
-    replicate rerun alone reproduces its row. Two or more chains run in
-    lockstep through :func:`gibbs_sweep`, their draws tables views of one
-    (R, L, 1 + G + G(G+1)/2) float64 array filled a sweep at a time; a
-    single chain runs the same sweep in Python numbers, which cost less than
-    numpy calls on one row.
+    replicate rerun alone reproduces its row. LOCKSTEP_MIN_CHAINS (8) or
+    more chains run in lockstep through :func:`gibbs_sweep`, a sweep at a
+    time; fewer than 8 chains run one at a time in Python numbers, which
+    cost less than numpy calls on so few rows. Either way the draws tables
+    are views of one (R, L, 1 + G + G(G+1)/2) float64 array.
     """
     cap = np.array([cfg.effective_cap(s.n_sampled) for s in stats])
-    batch = SampleStats.stack(stats)
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    replicates, g, length = len(stats), batch.n_strata, cfg.chain_length
-    if replicates == 1:
-        draws = _one_chain_draws(batch, int(cap[0]), cfg, rngs[0])[None]
+    replicates, g, length = len(stats), stats[0].n_strata, cfg.chain_length
+    if replicates < LOCKSTEP_MIN_CHAINS:
+        draws = np.array([_one_chain_draws(s, c, cfg, rng) for s, c, rng in zip(stats, cap.tolist(), rngs)])
     else:
-        state = initial_state(batch)
-        _, lam, beta = estimand_blocks(g)
-        draws = np.zeros((replicates, length, 1 + g + state.beta.shape[-1]))
+        batch = SampleStats.stack(stats)
+        lam, beta = initial_state(batch)
+        _, lam_cols, beta_cols = estimand_blocks(g)
+        draws = np.zeros((replicates, length, 1 + g + beta.shape[-1]))
         for it in range(length):
-            state = gibbs_sweep(state, batch, cap, cfg, rngs)
+            n, _, lam, beta = gibbs_sweep(lam, beta, batch, cap, cfg, rngs)
             sweep = draws[:, it]
-            sweep[:, 0], sweep[:, lam], sweep[:, beta] = state.n, state.lam, state.beta
+            sweep[:, 0], sweep[:, lam_cols], sweep[:, beta_cols] = n, lam, beta
     caps = cap.tolist()
     cap_hits = np.count_nonzero(draws[:, :, 0] == cap[:, None], axis=1).tolist()
     for chain_cap, hits in zip(caps, cap_hits):

@@ -190,9 +190,9 @@ def run_study(cfg: StudyConfig) -> StudySummary:
 
     Samples are drawn in index order. A replicate whose sample, statistics
     or cap check raises a ValidationError or an ArithmeticError is recorded
-    as failed; the rest run in one process, as lockstep chains when there are
-    two or more (:func:`~snowball_sbm.augmentation.run_chains`), each on its
-    own seed.
+    as failed; the rest run in one process, each on its own seed, as
+    lockstep chains when there are at least 8
+    (:func:`~snowball_sbm.augmentation.run_chains`).
     """
     population = resolve_population(cfg)
     g_hint = cfg.params.n_strata if cfg.params is not None else None

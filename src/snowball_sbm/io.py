@@ -423,13 +423,19 @@ def load_study_config(path: str) -> "StudyConfig":
     for key in ("edges", "strata", "params_file"):
         if not isinstance(pop.get(key, ""), str):
             raise ValidationError(f"{path}: population: {key}: must be a file path, got {pop[key]!r}")
+
+    def read(reader, *names):  # a population file the reader rejects is reported under the study
+        try:
+            return reader(*(os.path.join(base, name) for name in names))
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: population: {exc}") from exc
+
     kwargs = {}
     if "edges" in pop:
-        strata = os.path.join(base, _require(pop, "strata", path))
-        kwargs["population"] = load_graph(os.path.join(base, pop["edges"]), strata)
+        kwargs["population"] = read(load_graph, pop["edges"], _require(pop, "strata", path))
     else:
         if "params_file" in pop:
-            params = load_params(os.path.join(base, pop["params_file"]))
+            params = read(load_params, pop["params_file"])
         elif "params" in pop:
             spec = _object(pop["params"], "population: params", path)
             params = _checked_params(spec, f"{path}: population: params")

@@ -25,16 +25,16 @@ class EscapeProbability:
     log_one_minus_p: float
 
 
-def stratum_escape_log_weights(counts_s0: np.ndarray, params: SbmParams) -> np.ndarray:
-    """Per-stratum log(lambda_k * prod_i (1 - beta_{C_i,k})) over the initial sample.
-    ``params`` has ``lam`` (..., G) and ``beta`` (..., P), leading axes as the counts'."""
+def stratum_escape_log_weights(counts_s0: np.ndarray, lam: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Per-stratum log(lambda_k * prod_i (1 - beta_{C_i,k})) over the initial sample,
+    from ``lam`` (..., G) and ``beta`` (..., P), leading axes as the counts'."""
     counts = np.asarray(counts_s0, dtype=np.float64)
     g = counts.shape[-1]  # beta is expanded to G x G, read by a member's stratum C_i
     with np.errstate(divide="ignore"):
-        log_lam = np.log(params.lam)
-    if params.beta.max() < 1:  # every log1p(-beta) is finite: no zero-count mask needed
-        return log_lam + (counts[..., :, None] * symmetric_from_upper(np.log1p(-params.beta), g)).sum(axis=-2)
-    return log_lam + xlog1py(counts[..., :, None], -symmetric_from_upper(params.beta, g)).sum(axis=-2)
+        log_lam = np.log(lam)
+    if beta.max() < 1:  # every log1p(-beta) is finite: no zero-count mask needed
+        return log_lam + (counts[..., :, None] * symmetric_from_upper(np.log1p(-beta), g)).sum(axis=-2)
+    return log_lam + xlog1py(counts[..., :, None], -symmetric_from_upper(beta, g)).sum(axis=-2)
 
 
 def escape_terms(log_weights: np.ndarray):
@@ -54,7 +54,7 @@ def escape_terms(log_weights: np.ndarray):
 def escape_probability(strata_s0, params: SbmParams) -> EscapeProbability:
     """Evaluate 1 - p = sum_k lambda_k prod_{i in S0} (1 - beta_{C_i,k})."""
     counts = np.bincount(np.asarray(strata_s0, dtype=np.int64), minlength=params.n_strata)
-    one_minus_p, log_omp, _ = escape_terms(stratum_escape_log_weights(counts, params))
+    one_minus_p, log_omp, _ = escape_terms(stratum_escape_log_weights(counts, params.lam, params.beta))
     return EscapeProbability(one_minus_p=float(one_minus_p), log_one_minus_p=float(log_omp))
 
 
@@ -63,7 +63,7 @@ def n_free_terms(stats: SampleStats, params: SbmParams) -> tuple[float, float]:
     depend on N: the stratum terms of all sampled units plus the link terms
     of the observed pairs, and the log escape probability, taken as the sweep
     takes it. Compute them once to evaluate a likelihood at many N."""
-    _, log_omp, _ = escape_terms(stratum_escape_log_weights(stats.counts_s0, params))
+    _, log_omp, _ = escape_terms(stratum_escape_log_weights(stats.counts_s0, params.lam, params.beta))
     return counts_log_likelihood(stats, params), float(log_omp)
 
 

@@ -6,7 +6,6 @@ sample files are read into numpy arrays whose links `IgnoredData` checks,
 and the chain never sums N out of the posterior of (lambda, beta)."""
 
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -164,7 +163,7 @@ def importance_posterior(stats: SampleStats, cfg: McmcConfig, cap: int, draws: i
     w /= w.sum()
 
     lam, beta, _ = unconstrained_params(theta, g)
-    omp, _, _ = escape_terms(stratum_escape_log_weights(stats.counts_s0, SimpleNamespace(lam=lam, beta=beta)))
+    omp, _, _ = escape_terms(stratum_escape_log_weights(stats.counts_s0, lam, beta))
     p, r, k, ns = 1 - omp, stats.n1 + 1, cap - stats.n_sampled, stats.n_sampled
     log_f = nbinom.logcdf(k, r, p)
     m1 = r * omp / p * np.exp(nbinom.logcdf(k - 1, r + 1, p) - log_f)

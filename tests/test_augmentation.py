@@ -26,6 +26,7 @@ from snowball_sbm import (
     trace_one_wave,
 )
 from snowball_sbm.augmentation import (
+    LOCKSTEP_MIN_CHAINS,
     chain_stats,
     conjugate_params,
     initial_state,
@@ -61,7 +62,7 @@ def draw_args(stats, params, cfg):
 def escape_of(stats, params):
     """``(1 - p, log(1 - p), unsampled stratum probabilities)``, computed as
     :func:`gibbs_sweep` computes them; leading axes are those of ``stats``."""
-    return escape_terms(stratum_escape_log_weights(stats.counts_s0, params))
+    return escape_terms(stratum_escape_log_weights(stats.counts_s0, params.lam, params.beta))
 
 
 def draw_n(stats, params, cfg, rng, size):
@@ -449,39 +450,37 @@ class TestGibbsSweep:
         stats = SampleStats.from_data(data, 2)
         cfg = McmcConfig(n_max_cap=data.n_sampled)
         rng = np.random.default_rng(5)
-        state = initial_state(stacked(stats))
+        lam, beta = initial_state(stacked(stats))
         for _ in range(10):
-            state = gibbs_sweep(state, stacked(stats), cap_of(stats, cfg), cfg, [rng])
-            assert state.n[0] == data.n_sampled
-            assert state.strata_unsampled.sum() == 0
+            n, strata_un, lam, beta = gibbs_sweep(lam, beta, stacked(stats), cap_of(stats, cfg), cfg, [rng])
+            assert n[0] == data.n_sampled
+            assert strata_un.sum() == 0
 
     def test_deterministic_given_seed_and_state(self):
         data = self.setup_data()
         stats = SampleStats.from_data(data, 2)
         cfg = McmcConfig()
-        state = initial_state(stacked(stats))
-        a = gibbs_sweep(state, stacked(stats), cap_of(stats, cfg), cfg, [np.random.default_rng(9)])
-        b = gibbs_sweep(state, stacked(stats), cap_of(stats, cfg), cfg, [np.random.default_rng(9)])
-        assert a.n == b.n
-        assert np.array_equal(a.strata_unsampled, b.strata_unsampled)
-        assert np.array_equal(a.lam, b.lam)
-        assert np.array_equal(a.beta, b.beta)
+        start = initial_state(stacked(stats))
+        a = gibbs_sweep(*start, stacked(stats), cap_of(stats, cfg), cfg, [np.random.default_rng(9)])
+        b = gibbs_sweep(*start, stacked(stats), cap_of(stats, cfg), cfg, [np.random.default_rng(9)])
+        for x, y in zip(a, b, strict=True):  # N, unsampled strata, lambda, beta
+            assert np.array_equal(x, y)
 
     def test_state_invariants_preserved(self):
         data = self.setup_data()
         stats = SampleStats.from_data(data, 2)
         cfg = McmcConfig()
         rng = np.random.default_rng(17)
-        state = initial_state(stacked(stats))
+        lam, beta = initial_state(stacked(stats))
         for _ in range(50):
-            state = gibbs_sweep(state, stacked(stats), cap_of(stats, cfg), cfg, [rng])
-            assert state.n[0] >= data.n_sampled
-            assert state.strata_unsampled.sum() == state.n[0] - data.n_sampled
-            assert state.lam[0].sum() == pytest.approx(1.0)
-            assert np.all(state.beta >= 0) and np.all(state.beta <= 1)
-            _, a, b = conjugate_params(stacked(stats), state.strata_unsampled, cfg)
+            n, strata_un, lam, beta = gibbs_sweep(lam, beta, stacked(stats), cap_of(stats, cfg), cfg, [rng])
+            assert n[0] >= data.n_sampled
+            assert strata_un.sum() == n[0] - data.n_sampled
+            assert lam[0].sum() == pytest.approx(1.0)
+            assert np.all(beta >= 0) and np.all(beta <= 1)
+            _, a, b = conjugate_params(stacked(stats), strata_un, cfg)
             g1, g2 = cfg.prior_gamma
-            assert np.array_equal((a[0] - g1) + (b[0] - g2), touching_pair_totals(data, state.strata_unsampled[0]))
+            assert np.array_equal((a[0] - g1) + (b[0] - g2), touching_pair_totals(data, strata_un[0]))
 
 
 def same_bits(a, b) -> bool:
@@ -591,17 +590,31 @@ def random_params(g, seed):
     return SbmParams(rng.dirichlet(np.full(g, 5.0)), rng.uniform(0.05, 0.25, g * (g + 1) // 2) / g)
 
 
+def lockstep_draws(samples, cfg, seeds):
+    """The (R, L, 1 + G + P) draws of one chain per sample, swept in lockstep
+    by :func:`gibbs_sweep` at any R."""
+    batch = SampleStats.stack(samples)
+    cap = np.array([cfg.effective_cap(s.n_sampled) for s in samples])
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    lam, beta = initial_state(batch)
+    sweeps = []
+    for _ in range(cfg.chain_length):
+        n, _, lam, beta = gibbs_sweep(lam, beta, batch, cap, cfg, rngs)
+        sweeps.append(np.column_stack([n, lam, beta]))
+    return np.stack(sweeps, axis=1)
+
+
 class TestOneChainSweep:
-    """A lone chain runs the sweep in Python numbers. It must give the bits,
-    the cap hits and the stream of its row among lockstep chains."""
+    """A chain run alone runs the sweep in Python numbers. It must give the
+    bits, the cap hits and the stream of its row among lockstep chains."""
 
     @staticmethod
     def assert_lone_chain_is_row_zero(samples, cfg, seeds):
         for s, t, seed, other in ((*samples, *seeds), (*samples[::-1], *seeds[::-1])):
             lone = run_chains([s], cfg, [seed])[0]
-            row = run_chains([s, t], cfg, [seed, other])[0]
-            assert lone.draws.tobytes() == row.draws.tobytes()
-            assert lone.cap_hits == row.cap_hits
+            row = lockstep_draws([s, t], cfg, [seed, other])[0]
+            assert lone.draws.tobytes() == row.tobytes()
+            assert lone.cap_hits == np.count_nonzero(row[:, 0] == lone.cap)
 
     @pytest.mark.parametrize("g", [1, 2, 3, 9])  # G >= 8 sums its escape terms as numpy does
     def test_lone_chain_is_its_lockstep_row(self, g, monkeypatch):
@@ -630,6 +643,27 @@ class TestOneChainSweep:
         stats = [chain_stats(data, cfg, 2) for data in samples]
         assert (run_chains(stats[:1], cfg, [5])[0].draws[:, 3] == 1.0).any()
         self.assert_lone_chain_is_row_zero(stats, cfg, (5, 6))
+
+    def test_batches_on_both_sides_of_the_crossover_keep_lockstep_bytes(self, monkeypatch):
+        """Below LOCKSTEP_MIN_CHAINS chains run one at a time, from it on in
+        lockstep; either way the draws are the lockstep sweep's."""
+        params = SbmParams([0.4, 0.6], [0.06, 0.02, 0.05])
+        cfg = McmcConfig(chain_length=100)
+        samples = [chain_stats(seeded_sample(params, 120, 0.1, seed), cfg, 2) for seed in range(LOCKSTEP_MIN_CHAINS)]
+        lone_calls = []
+        one_chain_draws = augmentation._one_chain_draws
+
+        def counted(*args):
+            lone_calls.append(args)
+            return one_chain_draws(*args)
+
+        monkeypatch.setattr(augmentation, "_one_chain_draws", counted)
+        for r in (2, LOCKSTEP_MIN_CHAINS - 1, LOCKSTEP_MIN_CHAINS):
+            lone_calls.clear()
+            seeds = list(range(50, 50 + r))
+            traces = run_chains(samples[:r], cfg, seeds)
+            assert len(lone_calls) == (r if r < LOCKSTEP_MIN_CHAINS else 0)
+            assert np.array([t.draws for t in traces]).tobytes() == lockstep_draws(samples[:r], cfg, seeds).tobytes()
 
 
 class TestRunChain:
@@ -677,7 +711,7 @@ class TestRunChain:
         full = sufficient_counts(graph)
         stats = SampleStats.from_data(data, 2)
         batch = stacked(stats)
-        probs = escape_of(batch, initial_state(batch))[2][0].tolist()
+        probs = escape_terms(stratum_escape_log_weights(batch.counts_s0, *initial_state(batch)))[2][0].tolist()
         strata_un = impute_strata(np.random.default_rng(0), 0, probs)
         alpha, a, b = conjugate_params(batch, [strata_un], McmcConfig())
         assert np.array_equal(alpha[0], full.counts_sampled + 1.0)

@@ -879,11 +879,11 @@ class TestInputHardening:
     # population is given alone)
     @pytest.mark.parametrize("command, name, content, message", [
         ("simulate", "study.json", {"edges": "none.tsv", "strata": "strata.csv"},
-         "{dir}/none.tsv: cannot read ([Errno 2] No such file or directory"),
+         "{dir}/study.json: population: {dir}/none.tsv: cannot read ([Errno 2] No such file or directory"),
         ("simulate", "study.json", {"edges": "edges.tsv", "strata": "none.csv"},
-         "{dir}/none.csv: cannot read ([Errno 2] No such file or directory"),
+         "{dir}/study.json: population: {dir}/none.csv: cannot read ([Errno 2] No such file or directory"),
         ("simulate", "study.json", {"params_file": "none.json", "n": 40},
-         "{dir}/none.json: cannot read ([Errno 2] No such file or directory"),
+         "{dir}/study.json: population: {dir}/none.json: cannot read ([Errno 2] No such file or directory"),
         ("estimate", "s.json", "dir", "{dir}/s.json: cannot read ([Errno 21] Is a directory"),
         ("generate", "params.json", b'{"G": 2\xff}', "{dir}/params.json: cannot read ('utf-8' codec can't decode"),
         ("sample", "edges.tsv", b"u\tv\n0\t1\xff\n", "{dir}/edges.tsv: cannot read ('utf-8' codec can't decode"),

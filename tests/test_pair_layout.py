@@ -48,8 +48,8 @@ def test_last_axis_is_the_upper_triangle(g):
     stats = SampleStats.from_data(data, g)
     batch = SampleStats.stack([stats])
     cfg = McmcConfig(chain_length=5)
-    state = gibbs_sweep(initial_state(batch), batch, np.array([cfg.effective_cap(stats.n_sampled)]), cfg,
-                        [np.random.default_rng(g)])
+    cap = np.array([cfg.effective_cap(stats.n_sampled)])
+    n, _, lam, beta = gibbs_sweep(*initial_state(batch), batch, cap, cfg, [np.random.default_rng(g)])
     trace = run_chain(data, cfg, g, n_strata=g)
     arrays = {
         "SbmParams.beta": params.beta,
@@ -58,16 +58,16 @@ def test_last_axis_is_the_upper_triangle(g):
         "SampleStats.link_counts": stats.link_counts,
         "SampleStats.pair_totals": stats.pair_totals,
         "MleEstimates.beta": mle_from_full_graph(graph, g).beta,
-        "AugmentedState.beta": state.beta,
+        "gibbs_sweep beta": beta,
     }
     for name, array in arrays.items():
         assert array.shape[-1] == pairs, f"{name} has shape {array.shape}"
-    # the trace's first sweep is that state: its columns are N, lambda, then beta in upper-triangle order
+    # the trace's first sweep is that sweep's draws: its columns are N, lambda, then beta in upper-triangle order
     assert trace.draws.shape[-1] == 1 + g + pairs
     columns = dict(zip(estimand_names(g), trace.draws[0].tolist(), strict=True))
-    assert columns["N"] == state.n[0]
-    assert [columns[f"lambda_{k + 1}"] for k in range(g)] == state.lam[0].tolist()
-    assert [columns[f"beta_{k + 1}_{l + 1}"] for k, l in zip(*upper_indices(g))] == state.beta[0].tolist()
+    assert columns["N"] == n[0]
+    assert [columns[f"lambda_{k + 1}"] for k in range(g)] == lam[0].tolist()
+    assert [columns[f"beta_{k + 1}_{l + 1}"] for k, l in zip(*upper_indices(g))] == beta[0].tolist()
 
 
 @pytest.mark.parametrize("g", [1, 2, 3])

@@ -1,7 +1,7 @@
 """Model core: validation, generation, counts, likelihood, MLEs."""
 
+from collections import namedtuple
 from dataclasses import fields
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -180,7 +180,8 @@ class TestSampleStatsCheck:
         with pytest.raises(ValidationError, match="^link counts exceed pair totals$"):
             SampleStats(link_counts=links, **self.FIELDS)
         good = SampleStats(link_counts=[1, 2, 0], **self.FIELDS)
-        bad = SimpleNamespace(link_counts=links, **self.FIELDS)  # stack reads fields only
+        unchecked = namedtuple("Unchecked", [f.name for f in fields(SampleStats)])  # stack reads fields only
+        bad = unchecked(link_counts=links, **self.FIELDS)
         with pytest.raises(ValidationError, match="^link counts exceed pair totals$"):
             SampleStats.stack([good, bad])
         assert SampleStats.stack([good, good]).link_counts.tolist() == [[1, 2, 0]] * 2

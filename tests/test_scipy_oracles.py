@@ -5,7 +5,6 @@ without scipy."""
 
 import subprocess
 import sys
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -65,7 +64,7 @@ def test_zero_counts_times_log_zero_are_zero():
     assert counts_log_likelihood(zero, EDGE_PARAMS) == 0.0
     with np.errstate(divide="ignore"):
         log_lam = np.log(EDGE_PARAMS.lam)
-    np.testing.assert_array_equal(stratum_escape_log_weights(np.zeros(g), EDGE_PARAMS), log_lam)
+    np.testing.assert_array_equal(stratum_escape_log_weights(np.zeros(g), EDGE_PARAMS.lam, EDGE_PARAMS.beta), log_lam)
 
 
 def test_stratum_escape_log_weights_match_scipy():
@@ -81,7 +80,7 @@ def test_stratum_escape_log_weights_match_scipy():
         counts = rng.integers(0, 40, (len(params), g)) * (rng.random((len(params), g)) < 0.7)
         counts[beta.max(axis=2) == 1] = 0
         # stacked along a leading replicate axis, as the sweep passes its state
-        got = stratum_escape_log_weights(counts, SimpleNamespace(lam=lam, beta=beta_upper))
+        got = stratum_escape_log_weights(counts, lam, beta_upper)
         with np.errstate(divide="ignore"):
             expected = np.log(lam) + xlog1py(counts[:, :, None].astype(float), -beta).sum(axis=1)
         assert not np.isnan(got).any()
