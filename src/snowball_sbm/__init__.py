@@ -15,8 +15,8 @@ _EXPORTS = {  # module -> the public names it defines
            "generate_population mle_from_full_graph sufficient_counts",
     "sampling": "DesignConfig IgnoredData draw_initial trace_one_wave",
     "likelihoods": "EscapeProbability escape_probability ignored_log_likelihood observed_log_likelihood",
-    "augmentation": "ChainTrace McmcConfig draw_beta draw_lambda "
-                    "draw_population_size gibbs_sweep impute_strata run_chain",
+    "augmentation": "ChainTrace McmcConfig draw_params draw_population_size gibbs_sweep impute_strata "
+                    "run_chain",
     "harness": "ClusterOverlay StudyConfig StudySummary clustered_population run_study summarize_histograms "
                "survey_scale_params",
 }

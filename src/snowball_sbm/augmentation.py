@@ -6,26 +6,26 @@ the conjugate Dirichlet/Beta parameter updates. N and the strata are drawn
 afresh from (lambda, beta), so (lambda, beta) is all the state a chain
 carries from one sweep to the next. A sweep advances R chains at once:
 the deterministic work runs once on arrays with a leading replicate axis,
-and chain r draws on ``rngs[r]`` only. The two imputation draws are
-per chain: :func:`draw_population_size` and :func:`impute_strata` take one
-chain's Generator and numbers, and every sweep calls them once per chain.
-The parameter draws, :func:`draw_lambda` and :func:`draw_beta`, take the
-batch, so many i.i.d. draws of them come from R identical rows that share
-one Generator (``[rng] * R``). Every draw is a scalar Generator call, which
-skips numpy's checks of array arguments yet consumes the stream exactly as
-the array calls that define a chain: a scalar draw runs the same sampler as
-a size-1 draw, ``multinomial`` over two strata is one ``binomial`` draw on
-the first, and ``dirichlet`` is one ``standard_gamma`` draw per stratum
-times the reciprocal of their running sum, as numpy computes it (except
-where the largest weight is below 0.1 and numpy breaks sticks).
+and chain r draws on ``rngs[r]`` only. The draws are per chain:
+:func:`draw_population_size`, :func:`impute_strata` and :func:`draw_params`
+each take one chain's Generator and numbers, every sweep calls each once
+per chain, and no other function makes a Generator call. Each is a scalar
+Generator call, which skips numpy's checks of array arguments yet consumes
+the stream exactly as the array calls that define a chain: a scalar draw
+runs the same sampler as a size-1 draw, ``multinomial`` over two strata is
+one ``binomial`` draw on the first, and ``dirichlet`` is one
+``standard_gamma`` draw per stratum times the reciprocal of their running
+sum, as numpy computes it wherever the largest weight is at least 0.1.
+Each Dirichlet weight is a stratum count plus the prior, and the counts
+hold the n0 >= 1 sampled units, so the largest weight is above 1.
 
 :func:`run_chains` takes this lockstep sweep for LOCKSTEP_MIN_CHAINS or
 more chains. Fewer chains (``estimate``, :func:`run_chain`, a small study)
 run one at a time through the same sweep in Python numbers
 (``_one_chain_draws``), where numpy's per-call cost on so few rows would be
-most of the sweep; it calls the same two imputation draws and makes the
-same Generator calls and float operations, so a replicate rerun alone
-reproduces its lockstep row bit for bit.
+most of the sweep. It calls the same three draws and makes the same float
+operations, so a replicate rerun alone reproduces its lockstep row bit for
+bit; the two sweeps differ only in how they hold their numbers.
 
 A sweep costs O(G^2) per chain, independent of the sample size, and of the
 cap on N unless the cap binds (then N is drawn from a grid over the
@@ -82,9 +82,10 @@ class McmcConfig:
 
     The flat prior on the population size is improper, so its posterior is
     truncated at a cap: ``n_max_cap`` when given, otherwise
-    ``cap_multiplier`` times the sampled count; either is at most
-    MAX_POPULATION, since a binding cap sets the size of N's grid. Cap hits
-    are counted and reported so truncation pressure is visible.
+    ``cap_multiplier`` times the sampled count. A binding cap sets the size
+    of N's grid, so the cap is at most MAX_POPULATION: a cap or multiplier
+    that is given must keep under it, and the default multiplier (None,
+    meaning 100) is clipped at it. Cap hits are counted and reported.
     ``prior_alpha`` is one Dirichlet weight for every stratum or a list of G
     of them.
     """
@@ -92,7 +93,7 @@ class McmcConfig:
     chain_length: int = 1000
     burn_in_fraction: float = 0.1
     n_max_cap: int | None = None
-    cap_multiplier: float = 100.0
+    cap_multiplier: float | None = None
     prior_alpha: float | tuple[float, ...] = 1.0
     prior_gamma: tuple[float, float] = (1.0, 1.0)
 
@@ -102,8 +103,9 @@ class McmcConfig:
             check_int(self.n_max_cap, "n_max_cap", 1, MAX_POPULATION)
         if not (_is_finite_number(self.burn_in_fraction) and 0.0 <= self.burn_in_fraction < 1.0):
             raise ValidationError(f"burn_in_fraction must be in [0, 1), got {self.burn_in_fraction!r}")
-        if not (_is_finite_number(self.cap_multiplier) and self.cap_multiplier >= 1.0):
-            raise ValidationError(f"cap_multiplier must be a finite number >= 1, got {self.cap_multiplier!r}")
+        multiplier = self.cap_multiplier
+        if multiplier is not None and not (_is_finite_number(multiplier) and multiplier >= 1.0):
+            raise ValidationError(f"cap_multiplier must be a finite number >= 1, got {multiplier!r}")
         alpha, gamma = self.prior_alpha, self.prior_gamma
         if isinstance(alpha, (list, tuple, np.ndarray)):
             alpha = tuple(alpha)
@@ -124,10 +126,12 @@ class McmcConfig:
     def effective_cap(self, n_sampled: int) -> int:
         cap = self.n_max_cap
         if cap is None:
-            cap = max(int(math.ceil(self.cap_multiplier * n_sampled)), n_sampled)
-            if cap > MAX_POPULATION:
+            multiplier = 100.0 if self.cap_multiplier is None else self.cap_multiplier
+            cap = max(int(math.ceil(multiplier * n_sampled)), n_sampled)
+            if cap > MAX_POPULATION and self.cap_multiplier is not None:
                 raise ValidationError(f"cap_multiplier {self.cap_multiplier!r} x sampled count {n_sampled} "
                                       f"is a cap of {cap}, above the limit of {MAX_POPULATION}")
+            cap = min(cap, MAX_POPULATION)
         if cap < n_sampled:
             raise ValidationError(f"cap {cap} below sampled count {n_sampled}")
         return cap
@@ -225,22 +229,12 @@ def conjugate_params(stats: SampleStats, strata_unsampled: np.ndarray, cfg: Mcmc
     return alpha, a, b
 
 
-def draw_lambda(alpha: np.ndarray, rngs: Rngs) -> np.ndarray:
-    """Each row's stratum probabilities from Dirichlet(``alpha[r]``), bit for
-    bit ``rngs[r].dirichlet``: a cumulative sum adds in its order, which
-    ``sum`` does not for G >= 8."""
-    if (alpha.max(axis=-1) < 0.1).any():  # numpy's dirichlet breaks sticks there
-        return np.array([rng.dirichlet(row) for rng, row in zip(rngs, alpha)])
-    gam = np.array([g for rng, row in zip(rngs, alpha.tolist()) for g in map(rng.standard_gamma, row)])
-    gam = gam.reshape(alpha.shape)
-    return gam * (1.0 / gam.cumsum(axis=-1)[..., -1:])
-
-
-def draw_beta(a: np.ndarray, b: np.ndarray, rngs: Rngs) -> np.ndarray:
-    """Each row's (R, P) link probabilities, one Beta(``a[r, i]``,
-    ``b[r, i]``) draw per stratum pair."""
-    draws = [x for rng, ra, rb in zip(rngs, a.tolist(), b.tolist()) for x in map(rng.beta, ra, rb)]
-    return np.array(draws).reshape(a.shape)
+def draw_params(rng: np.random.Generator, alpha, a, b) -> list:
+    """One chain's parameter draws, as one list in stream order: a
+    ``standard_gamma`` draw per Dirichlet weight in ``alpha``, unnormalized
+    (lambda is each over their total added in order, as ``rng.dirichlet``
+    computes it), then beta, a Beta(``a[i]``, ``b[i]``) draw per stratum pair."""
+    return [*map(rng.standard_gamma, alpha), *map(rng.beta, a, b)]
 
 
 def initial_state(stats: SampleStats) -> tuple[np.ndarray, np.ndarray]:
@@ -263,7 +257,10 @@ def gibbs_sweep(lam: np.ndarray, beta: np.ndarray, stats: SampleStats, cap: np.n
     missing = [m - a - b for m, a, b in zip(n, n0, n1)]
     strata_un = np.array(list(map(impute_strata, rngs, missing, probs.tolist())))
     alpha, a, b = conjugate_params(stats, strata_un, cfg)
-    return np.array(n), strata_un, draw_lambda(alpha, rngs), draw_beta(a, b, rngs)
+    draws = np.array(list(map(draw_params, rngs, alpha.tolist(), a.tolist(), b.tolist())))
+    gam, beta = draws[:, :stats.n_strata], draws[:, stats.n_strata:]
+    # lambda on the batch: a cumulative sum adds in rng.dirichlet's order, which sum does not for G >= 8
+    return np.array(n), strata_un, gam * (1.0 / gam.cumsum(axis=-1)[..., -1:]), beta
 
 
 @dataclass(frozen=True)
@@ -314,11 +311,8 @@ def _one_chain_draws(stats: SampleStats, cap: int, cfg: McmcConfig, rng: np.rand
     (lambda, beta) held in Python numbers. Each float operation is the one
     numpy makes for a row: its ufuncs on scalars, sums added left to right
     (numpy's order for fewer than 8 terms), lambda as each gamma draw times
-    the reciprocal of their running sum. Each Dirichlet weight is a stratum
-    count plus the prior, and the counts hold the n0 >= 1 sampled units, so
-    the largest weight is above 1 and numpy's dirichlet never breaks sticks
-    here. Two rare steps take the escape terms from the array functions:
-    where some beta is 1, or G >= 8."""
+    the reciprocal of their running sum. Two rare steps take the escape
+    terms from the array functions: where some beta is 1, or G >= 8."""
     g = stats.n_strata
     lam, beta = (start.tolist() for start in initial_state(stats))
     n0, n1 = int(stats.n0), int(stats.n1)
@@ -361,10 +355,10 @@ def _one_chain_draws(stats: SampleStats, cap: int, cfg: McmcConfig, rng: np.rand
             totals = zip(_pair_totals(counts, pairs), _pair_totals(outside, pairs), links)
             b = [float(t - o - m + g2) for t, o, m in totals]
 
-            gam = [rng.standard_gamma(x) for x in alpha]
+            draws = draw_params(rng, alpha, a, b)
+            gam, beta = draws[:g], draws[g:]
             recip = 1.0 / _sum_in_order(gam)
             lam = [x * recip for x in gam]
-            beta = [rng.beta(x, y) for x, y in zip(a, b)]
             rows.append([n, *lam, *beta])
     return np.array(rows, dtype=np.float64)
 

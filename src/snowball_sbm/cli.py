@@ -159,9 +159,11 @@ def cmd_simulate(args) -> int:
 def cmd_profile(args) -> int:
     from .likelihoods import ignored_log_likelihood, n_free_terms, observed_log_likelihood
     from .sbm import SampleStats
+    n_lo, n_hi, step = args.n_min, args.n_max, args.n_step
+    if n_hi > MAX_POPULATION:  # a CSV row per grid point
+        raise ValidationError(f"--n-max must be at most {MAX_POPULATION}, got {n_hi}")
     data, _ = io.load_sample(args.sample)
     params = io.load_params(args.params)
-    n_lo, n_hi, step = args.n_min, args.n_max, args.n_step
     if n_lo < data.n_sampled:
         raise ValidationError(f"grid start {n_lo} below sampled count {data.n_sampled}")
     if n_hi < n_lo or step < 1:
@@ -220,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run a replication study from a config JSON")
     p.add_argument("--config", required=True)
     p.add_argument("--replicates", type=int, default=None, help="override config replicate count")
-    p.add_argument("--threads", type=int, default=None, help="accepted, no effect: chains run in lockstep")
+    p.add_argument("--threads", type=int, default=None, help="accepted, no effect: all chains run in one process")
     p.add_argument("--seed", type=int, default=None, help="override master seed")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_simulate, out_is_dir=True)

@@ -101,8 +101,8 @@ class StudyConfig:
     (``params`` + ``population_size``, optionally clustered). Seeds derive
     from ``master_seed`` by a fixed rule (:func:`population_seed`,
     :func:`replicate_seeds`), so a study is reproducible bit for bit and
-    each replicate can be rerun alone. All chains run in one process, in
-    lockstep.
+    each replicate can be rerun alone. All chains run in one process: in
+    lockstep when there are at least 8, otherwise one at a time.
     """
 
     replicates: int

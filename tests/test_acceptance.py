@@ -19,9 +19,7 @@ from snowball_sbm import (
     McmcConfig,
     SbmParams,
     StudyConfig,
-    draw_beta,
     draw_initial,
-    draw_lambda,
     generate_population,
     run_study,
     trace_one_wave,
@@ -42,6 +40,7 @@ from test_augmentation import (
     draw_n,
     escape_of,
     full_observation_params,
+    param_draws,
     stacked,
 )
 from test_likelihoods import make_data, stats_of
@@ -236,9 +235,8 @@ def test_criterion_4_conjugate_posterior_correctness():
 
     n_draws = 50_000
     rng = np.random.default_rng(40)
-    lam_draws = draw_lambda(np.tile(alpha, (n_draws, 1)), [rng] * n_draws)
-    beta_draws = symmetric_from_upper(
-        draw_beta(np.tile(a_upper, (n_draws, 1)), np.tile(b_upper, (n_draws, 1)), [rng] * n_draws), 2)
+    lam_draws, _ = param_draws(alpha.tolist(), [], [], n_draws, rng)
+    beta_draws = symmetric_from_upper(param_draws([], a_upper.tolist(), b_upper.tolist(), n_draws, rng)[1], 2)
 
     lam_mean, lam_var = 0.5, (4 * 4) / (8**2 * 9)
     assert abs(lam_draws[:, 0].mean() - lam_mean) < 3 * np.sqrt(lam_var / n_draws)

@@ -1,9 +1,11 @@
 """Gibbs sampler pieces against enumeration, reference implementations, and
 closed-form conjugate posteriors."""
 
+import ast
 from fractions import Fraction
 from itertools import product
 from math import comb, expm1
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,9 +16,8 @@ from snowball_sbm import (
     McmcConfig,
     SbmParams,
     ValidationError,
-    draw_beta,
     draw_initial,
-    draw_lambda,
+    draw_params,
     draw_population_size,
     generate_population,
     gibbs_sweep,
@@ -35,7 +36,7 @@ from snowball_sbm.augmentation import (
 )
 from snowball_sbm.likelihoods import escape_terms, stratum_escape_log_weights
 from snowball_sbm.sampling import IgnoredData
-from snowball_sbm.sbm import SampleStats, estimand_names, symmetric_from_upper
+from snowball_sbm.sbm import MAX_POPULATION, SampleStats, estimand_names, symmetric_from_upper
 
 from dense_links import dense_links
 from references import impute_link_counts
@@ -68,6 +69,15 @@ def escape_of(stats, params):
 def draw_n(stats, params, cfg, rng, size):
     """``size`` draws of N for one sample, through the sweep's draw of N."""
     return draw_population_size(rng, *draw_args(stats, params, cfg), size)
+
+
+def param_draws(alpha, a, b, n_draws, rng):
+    """``n_draws`` i.i.d. ``(lam, beta)`` draws at fixed conjugate
+    parameters, one :func:`draw_params` call each on ``rng``, with lambda
+    normalized as :func:`gibbs_sweep` normalizes it."""
+    draws = np.array([draw_params(rng, alpha, a, b) for _ in range(n_draws)]).reshape(n_draws, -1)
+    gam, beta = draws[:, :len(alpha)], draws[:, len(alpha):]
+    return gam * (1.0 / gam.cumsum(axis=-1)[..., -1:]), beta
 
 
 def full_observation_params(graph, cfg):
@@ -396,33 +406,33 @@ class TestConjugateDraws:
         assert b.tolist() == [2.0, 9.0, 4.0]
 
     def test_lambda_single_stratum_degenerate(self):
-        draw = draw_lambda(np.array([[13.0]]), [np.random.default_rng(0)])
-        assert draw[0].tolist() == [1.0]
+        lam, _ = param_draws([13.0], [], [], 1, np.random.default_rng(0))
+        assert lam[0].tolist() == [1.0]
 
     def test_lambda_prior_only_uniform_mean(self):
         rng = np.random.default_rng(21)
-        draws = draw_lambda(np.ones((50_000, 2)), [rng] * 50_000)
+        draws, _ = param_draws([1.0, 1.0], [], [], 50_000, rng)
         se = np.sqrt(0.25 / (2 + 1) / 50_000)  # Dirichlet(1,1) variance = 1/12
         assert abs(draws[:, 0].mean() - 0.5) < 3 * se
 
     def test_lambda_moments(self):
         rng = np.random.default_rng(22)
-        draws = draw_lambda(np.tile([31.0, 71.0], (50_000, 1)), [rng] * 50_000)
+        draws, _ = param_draws([31.0, 71.0], [], [], 50_000, rng)
         mean = 31 / 102
         var = (31 / 102) * (71 / 102) / 103
         assert abs(draws[:, 0].mean() - mean) < 3 * np.sqrt(var / 50_000)
 
     def test_beta_moments_and_prior_only(self):
         links, totals = np.array([0, 5, 0]), np.array([55, 110, 45])  # stratum counts (11, 10)
-        a, b = np.tile(links + 1.0, (50_000, 1)), np.tile(totals - links + 1.0, (50_000, 1))
+        a, b = (links + 1.0).tolist(), (totals - links + 1.0).tolist()
         rng = np.random.default_rng(23)
-        draws = draw_beta(a, b, [rng] * 50_000)
+        _, draws = param_draws([], a, b, 50_000, rng)
         mean = 6 / 112
         var = (6 * 106) / (112**2 * 113)
         assert draws.shape == (50_000, 3)  # one draw per stratum pair
         assert abs(draws[:, 1].mean() - mean) < 3 * np.sqrt(var / 50_000)
         # no pair and no link: the Beta(1, 1) prior, uniform
-        uni = draw_beta(np.ones((50_000, 3)), np.ones((50_000, 3)), [rng] * 50_000)[:, 0]
+        uni = param_draws([], [1.0] * 3, [1.0] * 3, 50_000, rng)[1][:, 0]
         assert abs(uni.mean() - 0.5) < 3 * np.sqrt(1 / 12 / 50_000)
         assert abs(np.quantile(uni, 0.25) - 0.25) < 0.01
 
@@ -437,6 +447,20 @@ def touching_pair_totals(data, strata_unsampled):
             k, l = sorted((units[a], units[b]))
             totals[k, l] += 1
     return totals[np.triu_indices(2)]
+
+
+def test_default_cap_is_clipped_at_the_limit():
+    """The cap on N sets the size of N's grid, so it is at most
+    MAX_POPULATION: 100 times the sampled count by default, clipped there,
+    while a given multiplier above it is rejected."""
+    below, above = MAX_POPULATION // 100, MAX_POPULATION // 100 + 1
+    for n_sampled, cap in ((215, 21_500), (below, MAX_POPULATION), (above, MAX_POPULATION)):
+        assert McmcConfig().effective_cap(n_sampled) == cap
+    given = McmcConfig(cap_multiplier=100.0)
+    assert given.effective_cap(below) == MAX_POPULATION
+    with pytest.raises(ValidationError, match=f"cap_multiplier 100.0 x sampled count {above} is a cap of "
+                                              f"{100 * above}, above the limit of {MAX_POPULATION}"):
+        given.effective_cap(above)
 
 
 class TestGibbsSweep:
@@ -491,26 +515,26 @@ class TestStreamEquivalence:
     """Each row's scalar Generator calls give the values of the array-valued
     calls that define a chain, and leave the row's stream where they do."""
 
-    def test_lambda_is_dirichlet_bit_for_bit(self):
+    def test_params_are_dirichlet_and_beta_bit_for_bit(self):
+        """Every weight a sweep forms has its largest at least 1, where numpy's
+        dirichlet normalizes gamma draws and does not break sticks."""
         meta = np.random.default_rng([2024, 1])
-        checked = gamma_path = 0
-        while checked < 2000:
-            g, rows = int(meta.integers(1, 11)), int(meta.integers(1, 9))
-            prior = [0.5, 1.0, 0.05, tuple(meta.uniform(0.01, 3.0, g))][checked % 4]
-            counts = meta.integers(0, 10**4, (rows, g)) * (meta.random((rows, g)) < 0.7)
-            if prior == 0.05 and meta.random() < 0.5:
-                counts[0] = 0  # a row whose largest weight is below 0.1: numpy breaks sticks
-            alpha = counts + np.asarray(prior, dtype=np.float64)
-            seeds = meta.integers(0, 2**63, rows)
-            rngs = [np.random.default_rng(s) for s in seeds]
-            got = draw_lambda(alpha, rngs)
-            for r, seed in enumerate(seeds):
-                reference = np.random.default_rng(seed)
-                assert same_bits(got[r], reference.dirichlet(alpha[r])), (alpha[r], seed)
-                assert rngs[r].random() == reference.random()
-            gamma_path += rows * bool(alpha.max(axis=-1).min() >= 0.1)
-            checked += rows
-        assert 1000 < gamma_path < checked  # both of numpy's algorithms were met
+        for case in range(2000):
+            g = int(meta.integers(1, 11))
+            prior = [0.5, 1.0, 0.05, tuple(meta.uniform(0.01, 3.0, g))][case % 4]
+            counts = meta.integers(0, 10**4, g) * (meta.random(g) < 0.7)
+            counts[meta.integers(g)] += meta.integers(1, 3)  # a stratum holds a sampled unit
+            alpha = (counts + np.asarray(prior, dtype=np.float64)).tolist()
+            pairs = g * (g + 1) // 2
+            a = (meta.integers(0, 500, pairs) + meta.uniform(0.001, 3.0)).tolist()
+            b = (meta.integers(0, 10**5, pairs) + meta.uniform(0.001, 3.0)).tolist()
+            seed = meta.integers(0, 2**63)
+            rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            draws = draw_params(rng, alpha, a, b)
+            gam, beta = draws[:g], draws[g:]
+            assert same_bits(np.array(gam) * (1.0 / np.cumsum(gam)[-1]), reference.dirichlet(alpha)), (alpha, seed)
+            assert same_bits(beta, reference.beta(a, b)), (a, b, seed)
+            assert rng.random() == reference.random()
 
     @staticmethod
     def reference_excess(rng, n0, n1, log_omp, k_max):
@@ -571,6 +595,26 @@ class TestStreamEquivalence:
             expected = reference.multinomial(n_missing[r], probs[r]) if n_missing[r] else [0] * g
             assert got[r] == list(expected) and {type(c) for c in got[r]} == {int}
             assert rngs[r].random() == reference.random()
+
+
+GENERATOR_DRAWS = {"negative_binomial", "binomial", "multinomial", "standard_gamma", "beta", "random", "dirichlet"}
+DRAW_FUNCTIONS = {"draw_population_size", "impute_strata", "draw_params"}
+
+
+def test_generator_draws_live_in_the_three_draw_functions():
+    """Every Generator draw method the sampler names, called or passed to
+    ``map``, lies inside one of the three per-chain draws, which both sweeps
+    call; ``np.random`` is the module, not a draw."""
+    tree = ast.parse(Path(augmentation.__file__).read_text(encoding="utf-8"))
+    found = [
+        (getattr(top, "name", None), node.attr, node.lineno)
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Attribute) and node.attr in GENERATOR_DRAWS
+        and not (isinstance(node.value, ast.Name) and node.value.id == "np")
+    ]
+    assert [draw for draw in found if draw[0] not in DRAW_FUNCTIONS] == []
+    assert {owner for owner, _, _ in found} == DRAW_FUNCTIONS
 
 
 def draw_initial_ids(graph, n0):

@@ -12,7 +12,10 @@ file must not change. The `estimate` stdout, the study's lambda and beta
 histograms and the three-strata run (`THREE_DIGESTS`, whose six stratum
 pairs pin the column layout of every chain output) were recorded while a
 chain still kept N, lambda and beta in three arrays; they now share one
-draws table, and no byte may change.
+draws table, and no byte may change. Those studies have too few replicates
+to run in lockstep; the nine-replicate study (`LOCKSTEP_DIGESTS`) pins the
+lockstep sweep's bytes, recorded while it drew lambda and beta through
+batched functions of its own.
 
 NumPy does not promise the same Generator streams or the same last bits of
 its log functions across releases, so the digests hold only for the numpy
@@ -33,6 +36,7 @@ import pytest
 
 from snowball_sbm import ClusterOverlay, SbmParams, clustered_population
 from snowball_sbm import io
+from snowball_sbm.augmentation import LOCKSTEP_MIN_CHAINS
 from snowball_sbm.cli import main
 
 RECORDED_WITH_NUMPY = "2.4.6"
@@ -93,6 +97,12 @@ THREE_DIGESTS = {
     "study/hist_beta_2_2.csv": "0e0939cb1f37e1f85f931a7c02e7e7bd759087509a23ea4c50dcfb3dd4dffba4",
     "study/hist_beta_2_3.csv": "006ee851ead85e15ab8127acfd66fb17e470f868719b6960b50bb7389dccfa63",
     "study/hist_beta_3_3.csv": "e94d569cf5c6c29f4ce190dcfb04dff3a8531c6cf57fdfbfdf240ece83c502e7",
+}
+
+# a generated survey-scale population; nine replicates run in lockstep
+LOCKSTEP_DIGESTS = {
+    "study/estimates.csv": "37f1648a9b852dd14ff99c617adda5aab5def709ea275797400f8d620a6deed5",
+    "study/summary.json": "5b4d8e31e93bf3779295bbbbfe83e0a62c65a3379b6f3b2afc746fffd5b8583e",
 }
 
 
@@ -184,6 +194,22 @@ def run_three_strata(root):
     run(["simulate", "--config", config, "--out", os.path.join(root, "study")])
 
 
+def run_lockstep_study(root):
+    """A simulate study with enough replicates for its chains to run in lockstep."""
+    config = os.path.join(root, "study.json")
+    with open(config, "w") as fh:
+        json.dump({
+            "population": {"params": {"lambda": [0.425, 0.575], "beta": [0.0046, 0.0014, 0.0058]}, "n": 595},
+            "replicates": 9,
+            "design": {"mode": "fixed_size", "n0": 89},
+            "mcmc": {"chain_length": 100},
+            "master_seed": 25,
+        }, fh)
+    run(["simulate", "--config", config, "--out", os.path.join(root, "study")])
+    with open(os.path.join(root, "study", "summary.json")) as fh:
+        assert json.load(fh)["replicates_completed"] >= LOCKSTEP_MIN_CHAINS
+
+
 def test_city_chain_outputs_unchanged(tmp_path):
     run_city_chain(str(tmp_path))
     assert digests(str(tmp_path), CITY_DIGESTS) == CITY_DIGESTS
@@ -197,3 +223,8 @@ def test_clustered_outputs_unchanged(tmp_path):
 def test_three_strata_outputs_unchanged(tmp_path):
     run_three_strata(str(tmp_path))
     assert digests(str(tmp_path), THREE_DIGESTS) == THREE_DIGESTS
+
+
+def test_lockstep_study_outputs_unchanged(tmp_path):
+    run_lockstep_study(str(tmp_path))
+    assert digests(str(tmp_path), LOCKSTEP_DIGESTS) == LOCKSTEP_DIGESTS

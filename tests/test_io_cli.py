@@ -500,21 +500,25 @@ class TestInputHardening:
          "{path}: replicates x mcmc: chain_length: {value} chains x 20 sweeps x 6 estimands is {draws} draws, "
          "above the limit of {MAX_DRAWS}"),
         ("simulate", "bins", MAX_BINS, "{path}: bins must be at most {limit}, got {value}"),
+        ("profile", "--n-max", MAX_POPULATION, "--n-max must be at most {limit}, got {value}"),
     ], ids=["meta.n_strata", "--strata-count", "--chain-length", "generate--n", "population.n", "replicates",
-            "bins"])
+            "bins", "profile--n-max"])
     def test_size_limit_checked_before_compute(self, tmp_path, capsys, monkeypatch, params_file, command, field,
                                                limit, message):
         """An input at its limit reaches the command's compute step, patched
         here to stop the run before it allocates; one above it exits 2 first.
-        The chains at G = 2 have 6 estimands, and the study's 20 sweeps."""
+        The chains at G = 2 have 6 estimands, and the study's 20 sweeps;
+        ``profile`` writes a CSV row per grid point."""
         import snowball_sbm.augmentation as augmentation
         import snowball_sbm.harness as harness
+        import snowball_sbm.likelihoods as likelihoods
         import snowball_sbm.sbm as sbm
 
         def compute(*args, **kwargs):
             raise RuntimeError("compute reached")
 
-        for module, name in ((augmentation, "run_chains"), (harness, "run_study"), (sbm, "generate_population")):
+        for module, name in ((augmentation, "run_chains"), (harness, "run_study"), (sbm, "generate_population"),
+                             (likelihoods, "n_free_terms")):
             monkeypatch.setattr(module, name, compute)
         for value, expected in ((limit, 3), (limit + 1, 2)):
             out = tmp_path / f"out{value}"
@@ -528,6 +532,11 @@ class TestInputHardening:
             elif command == "generate":
                 path = params_file
                 code = run_cli("generate", "--params", path, "--n", str(value), "--seed", "1", "--out", str(out))
+            elif command == "profile":
+                path = tmp_path / "s.json"
+                path.write_text(json.dumps(self.SAMPLE))
+                code = run_cli("profile", "--sample", str(path), "--params", params_file, "--n-min", "3",
+                               "--n-max", str(value), "--out", str(out))
             else:
                 path = tmp_path / "study.json"
                 config = {"population": {"params": {"lambda": [0.5, 0.5], "beta": [0.25, 0.1, 0.2]}, "n": 40},
